@@ -15,7 +15,7 @@ from .preferences import (
     preference_score,
     temporal_proximity,
 )
-from .linalg import SvdResult, TruncatedSvd, l2_norm, matmul, svd, transpose, truncate
+from .linalg import SvdResult, TruncatedSvd, svd, truncate
 from .aggregate import (
     PreferenceMatrix,
     Resolution,
@@ -28,8 +28,6 @@ from .aggregate import (
     rank_by_most_pleasure,
     request_centroid,
     resolve,
-    resolve_with_strategy,
-    use_first_choice,
 )
 from .evaluate import (
     EvaluationConfig,

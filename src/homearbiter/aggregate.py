@@ -17,7 +17,7 @@ earliest requester's value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -29,8 +29,6 @@ from .model import ConflictSituation, ServiceEvent
 from .preferences import PreferenceTable, build_preference_table
 
 SVD_STRATEGY = "svd"
-BASELINES = ("avg", "lm", "mp", "use-first")
-STRATEGIES = (SVD_STRATEGY,) + BASELINES
 
 # Latent request coordinates are quantized to this many decimals before the
 # projection step; published reference outputs use 2-decimal centroids.
@@ -152,40 +150,25 @@ def consensus_distance(matrix: PreferenceMatrix, item: str, consensus: np.ndarra
     return float(np.linalg.norm(column - consensus))
 
 
-def resolve(situation: ConflictSituation, history: Sequence[ServiceEvent], cfg: RunConfig) -> Resolution:
-    """Full latent-space pipeline for one situation.
-
-    Preference table -> item set -> matrix -> SVD -> truncation at
-    ``cfg.alpha`` -> request centroid (quantized) -> consensus scores ->
-    items ranked by ascending consensus distance; ties break
-    lexicographically.  The first ``cfg.k`` items are chosen.
-    """
+def prepare(situation: ConflictSituation, history: Sequence[ServiceEvent], cfg: RunConfig) -> ResolutionDiagnostics:
+    """Preference table -> item set -> matrix: the inputs every strategy ranks."""
     table = build_preference_table(history, situation, lookback_days=cfg.lookback_days)
     item_set = build_item_set(table, situation, cfg.top_n)
-    residents = tuple(sorted(situation.residents))
-    matrix = build_preference_matrix(table, item_set, residents)
+    matrix = build_preference_matrix(table, item_set, tuple(sorted(situation.residents)))
+    return ResolutionDiagnostics(table=table, matrix=matrix)
+
+
+def _rank_by_consensus(prepared: ResolutionDiagnostics, situation: ConflictSituation, cfg: RunConfig):
+    """SVD, truncation at ``cfg.alpha``, quantized request centroid, then items by consensus distance."""
+    matrix = prepared.matrix
     factors = svd(matrix.scores)
     tsvd = truncate(factors, cfg.alpha)
-    centroid = np.round(request_centroid(tsvd, item_set, situation), CENTROID_DECIMALS)
+    centroid = np.round(request_centroid(tsvd, matrix.items, situation), CENTROID_DECIMALS)
     consensus = consensus_scores(tsvd, centroid)
-    ranked = tuple(
-        sorted(((item, consensus_distance(matrix, item, consensus)) for item in item_set),
-               key=lambda pair: (pair[1], pair[0]))
-    )
-    diagnostics = ResolutionDiagnostics(
-        table=table,
-        matrix=matrix,
-        singular_values=factors.singular_values,
-        rank=tsvd.rank,
-        centroid=centroid,
-        consensus=consensus,
-    )
-    return Resolution(
-        strategy=SVD_STRATEGY,
-        ranked=ranked,
-        chosen=tuple(item for item, _ in ranked[: cfg.k]),
-        diagnostics=diagnostics,
-    )
+    distances = ((item, consensus_distance(matrix, item, consensus)) for item in matrix.items)
+    ranked = tuple(sorted(distances, key=lambda pair: (pair[1], pair[0])))
+    return ranked, replace(prepared, singular_values=factors.singular_values, rank=tsvd.rank,
+                           centroid=centroid, consensus=consensus)
 
 
 def _rank_descending(matrix: PreferenceMatrix, fold) -> tuple[tuple[str, float], ...]:
@@ -205,38 +188,38 @@ def rank_by_most_pleasure(matrix: PreferenceMatrix) -> tuple[tuple[str, float], 
     return _rank_descending(matrix, np.max)
 
 
-def use_first_choice(situation) -> str:
-    """Value requested by whoever asked earliest (ties: smallest resident id).
+def _rank_use_first(prepared: ResolutionDiagnostics, situation: ConflictSituation, cfg: RunConfig):
+    """Only the value of whoever asked earliest (ties: smallest resident id)."""
+    winner = min(situation.requests, key=lambda r: (r.interval.start, r.resident))
+    return ((winner.value.item_label(), float(winner.interval.start)),), prepared
 
-    Accepts a :class:`ConflictSituation` or any non-empty request sequence.
+
+# Strategy label -> ranker(prepared, situation, cfg) -> (ranked, diagnostics).
+# The lambdas look the baselines up at call time, so wrappers set on this
+# module see every call.
+_RANKERS = {
+    SVD_STRATEGY: _rank_by_consensus,
+    "avg": lambda prepared, situation, cfg: (rank_by_average(prepared.matrix), prepared),
+    "lm": lambda prepared, situation, cfg: (rank_by_least_misery(prepared.matrix), prepared),
+    "mp": lambda prepared, situation, cfg: (rank_by_most_pleasure(prepared.matrix), prepared),
+    "use-first": _rank_use_first,
+}
+STRATEGIES = tuple(_RANKERS)
+
+
+def rank_prepared(prepared: ResolutionDiagnostics, situation: ConflictSituation, cfg: RunConfig,
+                  strategy: str) -> Resolution:
+    """Rank one prepared situation with ``strategy``; the first ``cfg.k`` items are chosen."""
+    if strategy not in _RANKERS:
+        raise ValueError(f"unknown strategy {strategy!r}; expected one of {', '.join(STRATEGIES)}")
+    ranked, diagnostics = _RANKERS[strategy](prepared, situation, cfg)
+    return Resolution(strategy, ranked, tuple(item for item, _ in ranked[: cfg.k]), diagnostics)
+
+
+def resolve(situation: ConflictSituation, history: Sequence[ServiceEvent], cfg: RunConfig,
+            strategy: str = SVD_STRATEGY) -> Resolution:
+    """Resolve one situation with any strategy in :data:`STRATEGIES` (default: latent consensus).
+
+    Ranked items tie-break lexicographically.
     """
-    requests = situation.requests if isinstance(situation, ConflictSituation) else tuple(situation)
-    if not requests:
-        raise ValueError("use-first needs at least one request")
-    first = min(requests, key=lambda r: (r.interval.start, r.resident))
-    return first.value.item_label()
-
-
-def resolve_with_strategy(
-    situation: ConflictSituation,
-    history: Sequence[ServiceEvent],
-    cfg: RunConfig,
-    strategy: str,
-) -> Resolution:
-    """Resolve one situation with any supported strategy label."""
-    if strategy == SVD_STRATEGY:
-        return resolve(situation, history, cfg)
-    if strategy not in BASELINES:
-        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
-    table = build_preference_table(history, situation, lookback_days=cfg.lookback_days)
-    item_set = build_item_set(table, situation, cfg.top_n)
-    residents = tuple(sorted(situation.residents))
-    matrix = build_preference_matrix(table, item_set, residents)
-    diagnostics = ResolutionDiagnostics(table=table, matrix=matrix)
-    if strategy == "use-first":
-        winner = min(situation.requests, key=lambda r: (r.interval.start, r.resident))
-        ranked = ((winner.value.item_label(), float(winner.interval.start)),)
-        return Resolution(strategy=strategy, ranked=ranked, chosen=(ranked[0][0],), diagnostics=diagnostics)
-    fold = {"avg": rank_by_average, "lm": rank_by_least_misery, "mp": rank_by_most_pleasure}[strategy]
-    ranked = fold(matrix)
-    return Resolution(strategy=strategy, ranked=ranked, chosen=tuple(i for i, _ in ranked[: cfg.k]), diagnostics=diagnostics)
+    return rank_prepared(prepare(situation, history, cfg), situation, cfg, strategy)

@@ -14,7 +14,7 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .aggregate import STRATEGIES, SVD_STRATEGY, resolve_with_strategy
+from .aggregate import STRATEGIES, SVD_STRATEGY, resolve as resolve_situation
 from .config import RunConfig
 from .demo import run_reference_check
 from .detect import detect_conflicts
@@ -235,11 +235,13 @@ def detect(store_path, requests_path, out, **kwargs) -> None:
     _write_lines(lines, out)
 
 
-def _load_conflict_stream(path: str, requests) -> list[ConflictSituation]:
+def _load_conflict_stream(path: str, requests, inputs: list[dict]) -> list[ConflictSituation]:
+    """Situations of a ``detect`` stream whose header names the digests of ``inputs``."""
     by_id = {r.request_id: r for r in requests}
     situations = []
     text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
     where = "stdin" if path == "-" else path
+    header = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
@@ -248,7 +250,14 @@ def _load_conflict_stream(path: str, requests) -> list[ConflictSituation]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise DataError(f"{where}:{lineno}: bad JSON in conflict stream: {exc.msg}") from exc
-        if "schema" in obj:
+        if header is None:
+            header = obj if isinstance(obj, dict) else {}
+            if header.get("schema") != CONFLICTS_SCHEMA:
+                raise DataError(f"{where}:{lineno}: conflict stream schema {header.get('schema')!r}, "
+                                f"expected {CONFLICTS_SCHEMA!r}")
+            if _digests(header) != [entry["sha256"] for entry in inputs]:
+                raise DataError(f"{where}:{lineno}: conflict stream was detected from a different store "
+                                "or requests file (input sha256 digests differ)")
             continue
         try:
             members = tuple(by_id[i] for i in obj["request_ids"])
@@ -263,9 +272,18 @@ def _load_conflict_stream(path: str, requests) -> list[ConflictSituation]:
             )
         except KeyError as exc:
             raise DataError(f"{where}:{lineno}: conflict stream references unknown key {exc.args[0]!r}") from exc
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise DataError(f"{where}:{lineno}: bad conflict record: {exc}") from exc
+    if header is None:
+        raise DataError(f"{where}: empty conflict stream, expected a {CONFLICTS_SCHEMA} header")
     return situations
+
+
+def _digests(header: dict) -> list[str] | None:
+    try:
+        return [entry["sha256"] for entry in header["inputs"]]
+    except (KeyError, TypeError):
+        return None
 
 
 def _round6(values) -> list:
@@ -288,7 +306,7 @@ def resolve(store_path, requests_path, conflicts_path, strategy, dump_preference
     cfg = _build_config(kwargs)
     store, requests, header = _load_inputs(store_path, requests_path, cfg)
     if conflicts_path is not None:
-        situations = _load_conflict_stream(conflicts_path, requests)
+        situations = _load_conflict_stream(conflicts_path, requests, header["inputs"])
     else:
         situations = detect_conflicts(requests)
 
@@ -298,7 +316,7 @@ def resolve(store_path, requests_path, conflicts_path, strategy, dump_preference
         f"# inputs: {dumps_json(header['inputs'])}",
     ]
     for situation in situations:
-        resolution = resolve_with_strategy(situation, store.events, cfg, strategy)
+        resolution = resolve_situation(situation, store.events, cfg, strategy)
         record = _situation_json(situation)
         record["strategy"] = strategy
         record["ranked"] = [[item, round(value, 6)] for item, value in resolution.ranked]
@@ -353,7 +371,6 @@ def evaluate(store_path, requests_path, out_prefix, strategies, group_sizes, lis
             strategies=tuple(s.strip() for s in strategies.split(",") if s.strip()),
             group_sizes=tuple(int(g) for g in group_sizes.split(",") if g.strip()),
             adopted_threshold=cfg.adopted_threshold,
-            seed=cfg.seed,
             recommendation_list_size=list_size,
         )
     except ValueError as exc:

@@ -24,8 +24,4 @@ class ParseError(DataError):
 
 
 class ConvergenceError(ArbiterError):
-    """An iterative numeric routine failed to converge within its sweep budget."""
-
-    def __init__(self, message: str, residual: float):
-        self.residual = residual
-        super().__init__(f"{message} (residual {residual:.3e})")
+    """A numeric routine failed to converge."""

@@ -6,7 +6,7 @@ import datetime as dt
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .aggregate import STRATEGIES, resolve_with_strategy
+from .aggregate import STRATEGIES, ResolutionDiagnostics, prepare, rank_prepared
 from .config import RunConfig
 from .detect import detect_conflicts
 from .intervals import TimeOfDayInterval, intervals_overlap
@@ -19,12 +19,14 @@ class EvaluationConfig:
     strategies: tuple[str, ...] = STRATEGIES
     group_sizes: tuple[int, ...] = (2, 3)
     adopted_threshold: float = 0.6
-    seed: int = 0
     recommendation_list_size: int = 2
 
     def __post_init__(self) -> None:
         if not self.strategies:
             raise ValueError("need at least one strategy")
+        unknown = [s for s in self.strategies if s not in STRATEGIES]
+        if unknown:
+            raise ValueError(f"unknown strategy {unknown[0]!r}; expected one of {', '.join(STRATEGIES)}")
         if any(g < 2 for g in self.group_sizes):
             raise ValueError("group sizes must be at least 2")
         if not 0 < self.adopted_threshold <= 1:
@@ -223,40 +225,42 @@ def run_experiment(
     """
     run_cfg = run_cfg or RunConfig(adopted_threshold=cfg.adopted_threshold)
     situations = detect_conflicts(requests)
-    by_size: dict[int, list[ConflictSituation]] = {g: [] for g in cfg.group_sizes}
+    # Every strategy ranks the same prepared matrix and is scored against the
+    # same adopted items, so each situation is prepared once.
+    by_size: dict[int, list[tuple[ConflictSituation, ResolutionDiagnostics, set[str]]]] = {
+        g: [] for g in cfg.group_sizes
+    }
     for situation in situations:
         size = len(situation.requests)
         if size in by_size:
-            by_size[size].append(situation)
+            adopted: set[str] = set()
+            for member in sorted(situation.residents):
+                adopted |= adopted_items(
+                    history,
+                    member,
+                    situation.window,
+                    service_id=situation.service_id,
+                    location=situation.location,
+                    attribute=situation.attribute,
+                    threshold=cfg.adopted_threshold,
+                    lookback_days=run_cfg.lookback_days,
+                )
+            by_size[size].append((situation, prepare(situation, history, run_cfg), adopted))
 
     details: list[SituationMetrics] = []
     rows: list[ReportRow] = []
     for strategy in cfg.strategies:
-        if strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {strategy!r}")
         for size in cfg.group_sizes:
             cell = by_size[size]
             if not cell:
                 rows.append(ReportRow(strategy, size, 0, None, None, None))
                 continue
             sgs, harms, sats = [], [], []
-            for situation in cell:
-                resolution = resolve_with_strategy(situation, history, run_cfg, strategy)
-                table = resolution.diagnostics.table
+            for situation, prepared, adopted in cell:
+                resolution = rank_prepared(prepared, situation, run_cfg, strategy)
+                table = prepared.table
                 members = sorted(situation.residents)
                 recommended = tuple(item for item, _ in resolution.ranked[: cfg.recommendation_list_size])
-                adopted: set[str] = set()
-                for member in members:
-                    adopted |= adopted_items(
-                        history,
-                        member,
-                        situation.window,
-                        service_id=situation.service_id,
-                        location=situation.location,
-                        attribute=situation.attribute,
-                        threshold=cfg.adopted_threshold,
-                        lookback_days=run_cfg.lookback_days,
-                    )
                 sg = satisfaction_gain(table, members, recommended, adopted)
                 harmonic = harmonic_satisfaction(table, members, recommended)
                 chosen_top = resolution.ranked[0][0]

@@ -545,7 +545,7 @@ def write_store(path: str | Path, events: Sequence[ServiceEvent], header: Mappin
 def load_store(path: str | Path) -> EventStore:
     path = Path(path)
     events: list[ServiceEvent] = []
-    header: dict = {}
+    header: dict | None = None
     with path.open(encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
@@ -555,15 +555,18 @@ def load_store(path: str | Path) -> EventStore:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"bad JSON: {exc.msg}", path=str(path), line=lineno) from exc
-            if lineno == 1:
-                if obj.get("schema") != STORE_SCHEMA:
-                    raise ParseError(f"unknown store schema {obj.get('schema')!r}", path=str(path), line=1)
+            if header is None:
+                schema = obj.get("schema") if isinstance(obj, dict) else None
+                if schema != STORE_SCHEMA:
+                    raise ParseError(f"unknown store schema {schema!r}", path=str(path), line=lineno)
                 header = obj
                 continue
             try:
                 events.append(_event_from_json(obj))
             except (KeyError, ValueError) as exc:
                 raise ParseError(f"bad event record: {exc}", path=str(path), line=lineno) from exc
+    if header is None:
+        raise ParseError(f"no store header, expected schema {STORE_SCHEMA!r}", path=str(path))
     return EventStore(events=events, header=header)
 
 

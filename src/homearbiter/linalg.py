@@ -1,11 +1,8 @@
 """Small dense-matrix kernel: full SVD and energy-controlled truncation.
 
-The decomposition is a one-sided Jacobi orthogonalization: plane rotations
-are applied from the right until all column pairs of the work matrix are
-mutually orthogonal to the requested tolerance.  For the tiny matrices this
-package deals in (a handful of residents by a handful of items) the method
-is simple, accurate to near machine precision, and needs no external
-factorization routine.
+The decomposition is numpy's LAPACK-backed ``np.linalg.svd``; this module
+adds input validation, a deterministic sign convention and the truncation
+rule.
 
 Sign convention: the entry of largest magnitude in each right singular
 vector is made nonnegative, and the mirror flip is applied to the paired
@@ -21,9 +18,6 @@ import numpy as np
 
 from .errors import ConvergenceError
 
-DEFAULT_TOL = 1e-10
-MAX_SWEEPS = 60
-
 
 def as_matrix(data) -> np.ndarray:
     """Validate and return a finite float64 2-D array."""
@@ -33,22 +27,6 @@ def as_matrix(data) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     return m
-
-
-def matmul(a, b) -> np.ndarray:
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"cannot multiply {a.shape[0]}x{a.shape[1]} by {b.shape[0]}x{b.shape[1]}")
-    return a @ b
-
-
-def transpose(m) -> np.ndarray:
-    return as_matrix(m).T.copy()
-
-
-def l2_norm(v) -> float:
-    arr = np.asarray(v, dtype=np.float64).ravel()
-    return float(np.sqrt(np.dot(arr, arr)))
 
 
 @dataclass(frozen=True)
@@ -91,110 +69,26 @@ class TruncatedSvd:
         return np.diag(self.singular_values)
 
 
-def _orthonormal_completion(q: np.ndarray, dim: int) -> np.ndarray:
-    """Extend the orthonormal columns of ``q`` to a full ``dim``-by-``dim`` basis."""
-    cols = [q[:, j] for j in range(q.shape[1])]
-    for i in range(dim):
-        if len(cols) == dim:
-            break
-        v = np.zeros(dim)
-        v[i] = 1.0
-        for _ in range(2):  # re-orthogonalize for stability
-            for c in cols:
-                v -= np.dot(c, v) * c
-        norm = np.sqrt(np.dot(v, v))
-        if norm > 1e-8:
-            cols.append(v / norm)
-    if len(cols) != dim:
-        raise ConvergenceError("failed to complete orthonormal basis", residual=float(dim - len(cols)))
-    return np.column_stack(cols)
-
-
-def _dead_threshold(work: np.ndarray) -> float:
-    # Columns this far below the matrix scale are numerically zero; pairs of
-    # them stay mutually correlated at round-off level and would cycle forever
-    # under a purely relative criterion.
-    return float(np.sqrt(np.sum(work * work))) * 1e-14
-
-
-def _one_sided_jacobi(work: np.ndarray, tol: float, dead: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """Orthogonalize the columns of ``work`` in place; returns (work, V, residual)."""
-    n = work.shape[1]
-    v = np.eye(n)
-    residual = 0.0
-    for _ in range(MAX_SWEEPS):
-        residual = 0.0
-        rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                app = float(np.dot(work[:, p], work[:, p]))
-                aqq = float(np.dot(work[:, q], work[:, q]))
-                apq = float(np.dot(work[:, p], work[:, q]))
-                if np.sqrt(app) <= dead or np.sqrt(aqq) <= dead:
-                    continue
-                scale = np.sqrt(app * aqq)
-                if abs(apq) <= tol * scale:
-                    continue
-                residual = max(residual, abs(apq) / scale)
-                rotated = True
-                tau = (aqq - app) / (2.0 * apq)
-                t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau)) if tau != 0 else 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = c * t
-                wp = work[:, p].copy()
-                work[:, p] = c * wp - s * work[:, q]
-                work[:, q] = s * wp + c * work[:, q]
-                vp = v[:, p].copy()
-                v[:, p] = c * vp - s * v[:, q]
-                v[:, q] = s * vp + c * v[:, q]
-        if not rotated:
-            return work, v, residual
-    raise ConvergenceError(f"Jacobi SVD did not converge in {MAX_SWEEPS} sweeps", residual=residual)
-
-
-def svd(matrix, tol: float = DEFAULT_TOL) -> SvdResult:
+def svd(matrix) -> SvdResult:
     """Full singular value decomposition of a real matrix.
 
     Parameters
     ----------
     matrix:
         Any 2-D array-like with finite entries.
-    tol:
-        Relative off-diagonal threshold at which column pairs count as
-        orthogonal.  Must be positive.
 
     Raises
     ------
     ConvergenceError
-        If the rotation sweeps do not reach ``tol`` within the sweep budget.
+        If LAPACK's divide-and-conquer driver does not converge.
     """
     m_in = as_matrix(matrix)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     m, n = m_in.shape
-    transposed = m < n
-    work = (m_in.T if transposed else m_in).copy()
-    big, small = work.shape
-
-    dead = _dead_threshold(work)
-    work, v_small, _ = _one_sided_jacobi(work, tol, dead)
-
-    norms = np.sqrt(np.sum(work * work, axis=0))
-    order = np.argsort(-norms, kind="stable")
-    sigma = norms[order]
-    sigma[sigma <= dead] = 0.0
-    v_small = v_small[:, order]
-    u_cols = np.zeros((big, small))
-    for j in range(small):
-        if sigma[j] > 0:
-            u_cols[:, j] = work[:, order[j]] / sigma[j]
-    u_thin = u_cols[:, sigma > 0]
-    u_big = _orthonormal_completion(u_thin, big)
-
-    if transposed:
-        a_full, v_full = v_small, u_big
-    else:
-        a_full, v_full = u_big, v_small
+    try:
+        a_full, sigma, vt = np.linalg.svd(m_in, full_matrices=True)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"SVD of a {m}x{n} matrix did not converge") from exc
+    v_full = vt.T
 
     # Fix signs: dominant entry of each right vector nonnegative, mirrored
     # onto the paired left vector; unpaired basis columns fixed independently.

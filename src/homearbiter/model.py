@@ -10,7 +10,7 @@ import datetime as dt
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from .intervals import TimeOfDayInterval, intervals_overlap
+from .intervals import TimeOfDayInterval
 
 
 def normalize_location(label: str) -> str:
@@ -182,7 +182,3 @@ class ConflictSituation:
             self.window.end,
             tuple(r.request_id for r in self.requests),
         )
-
-
-def requests_overlap(a: ServiceRequest, b: ServiceRequest) -> bool:
-    return intervals_overlap(a.interval, b.interval)

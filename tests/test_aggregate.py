@@ -14,15 +14,14 @@ from homearbiter.aggregate import (
     rank_by_most_pleasure,
     request_centroid,
     resolve,
-    resolve_with_strategy,
-    use_first_choice,
 )
 from homearbiter.config import RunConfig
+from homearbiter.detect import detect_conflicts
 from homearbiter.errors import DataError
 from homearbiter.linalg import TruncatedSvd, svd, truncate
 from homearbiter.preferences import PreferenceTable
 
-from conftest import make_request
+from conftest import hms, make_request
 
 WORKED = np.array(
     [
@@ -267,28 +266,35 @@ def test_baselines_match_fold_oracle():
             assert values == sorted(values, reverse=True)
 
 
+def _situation(*requests):
+    (situation,) = detect_conflicts(list(requests))
+    return situation
+
+
 def test_use_first():
     early = make_request("r2", "Ch2", start="20:00:00", end="20:30:00", request_id="B")
     later = make_request("r1", "Ch3", start="20:05:00", end="20:30:00", request_id="A")
-    assert use_first_choice([early, later]) == "Ch2"
+    resolution = resolve(_situation(early, later), [], RunConfig(k=2), "use-first")
+    assert resolution.ranked == (("Ch2", float(hms("20:00:00"))),)
+    assert resolution.chosen == ("Ch2",)
     tie_a = make_request("ra", "Chx", start="20:00:00", end="20:30:00")
     tie_b = make_request("rb", "Chy", start="20:00:00", end="20:30:00")
-    assert use_first_choice([tie_a, tie_b]) == "Chx"
-    assert use_first_choice([tie_b]) == "Chy"
-    with pytest.raises(ValueError):
-        use_first_choice([])
+    assert resolve(_situation(tie_b, tie_a), [], RunConfig(), "use-first").chosen == ("Chx",)
 
 
 def test_resolve_with_strategy_dispatch(reference_history, reference_situation):
     cfg = RunConfig(k=2)
     for strategy in ("svd", "avg", "lm", "mp", "use-first"):
-        resolution = resolve_with_strategy(reference_situation, reference_history, cfg, strategy)
+        resolution = resolve(reference_situation, reference_history, cfg, strategy)
         assert resolution.strategy == strategy
         assert resolution.chosen
+    assert resolve(reference_situation, reference_history, cfg).ranked == resolve(
+        reference_situation, reference_history, cfg, "svd"
+    ).ranked
     with pytest.raises(ValueError):
-        resolve_with_strategy(reference_situation, reference_history, cfg, "zmp")
+        resolve(reference_situation, reference_history, cfg, "zmp")
 
 
 def test_resolve_with_strategy_use_first(reference_history, reference_situation):
-    resolution = resolve_with_strategy(reference_situation, reference_history, RunConfig(), "use-first")
+    resolution = resolve(reference_situation, reference_history, RunConfig(), "use-first")
     assert resolution.chosen == ("Ch3",)  # r1 is the lexicographically first of the tied starts

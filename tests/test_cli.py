@@ -152,6 +152,23 @@ def test_evaluate_rerun_is_byte_identical(workspace, tmp_path):
     assert (tmp_path / "one.json").read_bytes() == (tmp_path / "two.json").read_bytes()
 
 
+def test_evaluate_unknown_strategy_is_usage_error(workspace, tmp_path, monkeypatch, capsys):
+    import homearbiter.cli as cli_module
+
+    def fail(*args, **kwargs):
+        raise AssertionError("no strategy may be scored before all names are checked")
+
+    monkeypatch.setattr(cli_module, "run_experiment", fail)
+    rc = main([
+        "evaluate", "--store", str(workspace / "store.jsonl"),
+        "--requests", str(workspace / "requests.jsonl"),
+        "--out-prefix", str(tmp_path / "report"), "--strategies", "svd,zmp",
+    ])
+    assert rc == 1
+    assert "unknown strategy 'zmp'" in capsys.readouterr().err
+    assert not (tmp_path / "report.csv").exists()
+
+
 def test_demo_passes(capsys):
     assert main(["demo"]) == 0
     out = capsys.readouterr().out
@@ -251,6 +268,56 @@ def test_malformed_conflict_stream_exits_two(workspace, tmp_path, capsys):
     ])
     assert rc == 2
     capsys.readouterr()
+
+
+def test_conflict_stream_header_must_match_inputs(workspace, tmp_path, capsys):
+    renamed = tmp_path / "renamed-requests.jsonl"
+    renamed.write_bytes((workspace / "requests.jsonl").read_bytes())
+    conflicts = tmp_path / "conflicts.jsonl"
+    assert main([
+        "detect", "--store", str(workspace / "store.jsonl"), "--requests", str(renamed), "--out", str(conflicts),
+    ]) == 0
+    header, *records = conflicts.read_text().splitlines()
+
+    def resolve_stream(lines, requests=workspace / "requests.jsonl"):
+        stream = tmp_path / "stream.jsonl"
+        stream.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rc = main([
+            "resolve", "--store", str(workspace / "store.jsonl"), "--requests", str(requests),
+            "--conflicts", str(stream), "--out", str(tmp_path / "out.jsonl"),
+        ])
+        return rc, capsys.readouterr().err
+
+    # digests, not file names, tie the stream to its inputs
+    assert resolve_stream(["", header, *records]) == (0, "")
+
+    bogus = json.loads(header)
+    bogus["schema"] = "bogus/9"
+    rc, err = resolve_stream(["", json.dumps(bogus), *records])
+    assert rc == 2 and "stream.jsonl:2: conflict stream schema 'bogus/9'" in err
+
+    rc, err = resolve_stream(records)
+    assert rc == 2 and "stream.jsonl:1: conflict stream schema None" in err
+
+    ghost = json.loads(records[0])
+    ghost["request_ids"] = ["ghost-1", "ghost-2"]
+    rc, err = resolve_stream([header, json.dumps(ghost)])
+    assert rc == 2 and "stream.jsonl:2: conflict stream references unknown key 'ghost-1'" in err
+
+    rc, err = resolve_stream([])
+    assert rc == 2 and "empty conflict stream" in err
+
+    other = tmp_path / "other-requests.jsonl"
+    other.write_text(renamed.read_text(encoding="utf-8") + "\n", encoding="utf-8")
+    rc, err = resolve_stream([header, *records], requests=other)
+    assert rc == 2 and "stream.jsonl:1: conflict stream was detected from a different" in err
+
+    stale = json.loads(header)
+    stale["inputs"][0]["sha256"] = "0" * 64
+    rc, err = resolve_stream([json.dumps(stale), *records])
+    assert rc == 2 and "input sha256 digests differ" in err
+    for broken in ({k: v for k, v in stale.items() if k != "inputs"}, {**stale, "inputs": "x"}):
+        assert resolve_stream([json.dumps(broken), *records])[0] == 2
 
 
 def test_malformed_location_map_exits_two(tmp_path, capsys):

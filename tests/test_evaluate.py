@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from homearbiter.aggregate import resolve
 from homearbiter.config import RunConfig
+from homearbiter.detect import detect_conflicts
 from homearbiter.evaluate import (
     EvaluationConfig,
     adopted_items,
@@ -217,6 +219,49 @@ def test_run_experiment_no_conflicts_yields_null_rows():
     assert row.conflict_count == 0
     assert row.sg is None and row.harmonic is None and row.avg_satisfaction is None
     assert report.details == ()
+
+
+def test_run_experiment_matches_per_strategy_resolve(monkeypatch):
+    # Sharing one prepared matrix and one adopted-item set per situation
+    # must score exactly as resolving each strategy on its own.
+    import homearbiter.aggregate as aggregate
+
+    history, requests = _experiment_inputs()
+    run_cfg = RunConfig(k=2)
+    cfg = EvaluationConfig(group_sizes=(2, 3), recommendation_list_size=2)
+    builds = []
+    build = aggregate.build_preference_table
+
+    def counting_build(*args, **kwargs):
+        builds.append(args[1])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(aggregate, "build_preference_table", counting_build)
+    report = run_experiment(history, requests, cfg, run_cfg)
+    monkeypatch.undo()
+    situations = detect_conflicts(requests)
+    assert builds == situations  # one build per situation, in detection order
+
+    expected = []
+    for strategy in cfg.strategies:
+        for size in cfg.group_sizes:
+            for situation in (s for s in situations if len(s.requests) == size):
+                resolution = resolve(situation, history, run_cfg, strategy)
+                table = resolution.diagnostics.table
+                members = sorted(situation.residents)
+                recommended = tuple(item for item, _ in resolution.ranked[:2])
+                adopted = set().union(*(
+                    adopted_items(history, m, situation.window, service_id=situation.service_id,
+                                  location=situation.location, attribute=situation.attribute)
+                    for m in members
+                ))
+                expected.append((strategy, size, resolution.chosen, recommended,
+                                 satisfaction_gain(table, members, recommended, adopted),
+                                 harmonic_satisfaction(table, members, recommended),
+                                 average_satisfaction(table, members, resolution.ranked[0][0])))
+    got = [(d.strategy, d.group_size, d.chosen, d.recommended, d.sg, d.harmonic, d.avg_satisfaction)
+           for d in report.details]
+    assert got == expected
 
 
 def test_run_experiment_rejects_unknown_strategy():

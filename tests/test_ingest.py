@@ -141,6 +141,25 @@ def test_parse_serialize_parse_roundtrip(tmp_path):
     assert store_path.read_bytes() == first
 
 
+def test_store_header_is_first_non_blank_line(tmp_path):
+    path = write_log(tmp_path, "2026-01-01,20:00:00,TV,ON,channel=Ch1,r1,living room\n"
+                               "2026-01-01,21:00:00,TV,OFF,,r1,living room\n")
+    events = parse_event_log(path).events
+    store_path = tmp_path / "store.jsonl"
+    write_store(store_path, events, header={"config": {}})
+    store_path.write_text("\n  \n" + store_path.read_text(encoding="utf-8"), encoding="utf-8")
+    assert load_store(store_path).events == events
+
+    event_first = tmp_path / "event_first.jsonl"
+    event_first.write_text("\n" + "\n".join(store_path.read_text().splitlines()[3:]) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=r"event_first\.jsonl:2: unknown store schema None"):
+        load_store(event_first)
+    for body in ("", "\n\n"):
+        store_path.write_text(body, encoding="utf-8")
+        with pytest.raises(ParseError, match="no store header"):
+            load_store(store_path)
+
+
 # ---------------------------------------------------------------------------
 # stabilize
 
