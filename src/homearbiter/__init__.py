@@ -5,16 +5,7 @@ from .errors import ArbiterError, ConvergenceError, DataError, ParseError
 from .intervals import TimeOfDayInterval, intersect, overlap_length
 from .model import AttributeValue, ConflictSituation, ServiceEvent, ServiceRequest
 from .detect import detect_conflicts, is_conflict
-from .preferences import (
-    OverlappingEvent,
-    PreferenceTable,
-    build_preference_table,
-    event_window_proximity,
-    find_overlapping_events,
-    frequency,
-    preference_score,
-    temporal_proximity,
-)
+from .preferences import PreferenceTable, build_preference_table, temporal_proximity, window_events
 from .linalg import SvdResult, TruncatedSvd, svd, truncate
 from .aggregate import (
     PreferenceMatrix,

@@ -26,7 +26,7 @@ from .config import RunConfig
 from .errors import DataError
 from .linalg import TruncatedSvd, svd, truncate
 from .model import ConflictSituation, ServiceEvent
-from .preferences import PreferenceTable, build_preference_table
+from .preferences import PreferenceTable, build_preference_table, window_events
 
 SVD_STRATEGY = "svd"
 
@@ -150,9 +150,12 @@ def consensus_distance(matrix: PreferenceMatrix, item: str, consensus: np.ndarra
     return float(np.linalg.norm(column - consensus))
 
 
-def prepare(situation: ConflictSituation, history: Sequence[ServiceEvent], cfg: RunConfig) -> ResolutionDiagnostics:
-    """Preference table -> item set -> matrix: the inputs every strategy ranks."""
-    table = build_preference_table(history, situation, lookback_days=cfg.lookback_days)
+def prepare(situation: ConflictSituation, events: Sequence[ServiceEvent], cfg: RunConfig) -> ResolutionDiagnostics:
+    """Preference table -> item set -> matrix: the inputs every strategy ranks.
+
+    ``events`` are the situation's :func:`~homearbiter.preferences.window_events`.
+    """
+    table = build_preference_table(events, situation)
     item_set = build_item_set(table, situation, cfg.top_n)
     matrix = build_preference_matrix(table, item_set, tuple(sorted(situation.residents)))
     return ResolutionDiagnostics(table=table, matrix=matrix)
@@ -222,4 +225,5 @@ def resolve(situation: ConflictSituation, history: Sequence[ServiceEvent], cfg: 
 
     Ranked items tie-break lexicographically.
     """
-    return rank_prepared(prepare(situation, history, cfg), situation, cfg, strategy)
+    events = window_events(history, situation, cfg.lookback_days)
+    return rank_prepared(prepare(situation, events, cfg), situation, cfg, strategy)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, asdict
-from typing import Any, Mapping
+from typing import Any
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,3 @@ class RunConfig:
 
     def as_dict(self) -> dict[str, Any]:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, obj: Mapping[str, Any]) -> "RunConfig":
-        return cls(**{k: obj[k] for k in cls.__dataclass_fields__ if k in obj})

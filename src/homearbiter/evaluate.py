@@ -9,9 +9,8 @@ from typing import Iterable, Sequence
 from .aggregate import STRATEGIES, ResolutionDiagnostics, prepare, rank_prepared
 from .config import RunConfig
 from .detect import detect_conflicts
-from .intervals import TimeOfDayInterval, intervals_overlap
-from .model import ConflictSituation, ServiceEvent, ServiceRequest, normalize_location
-from .preferences import PreferenceTable, filter_lookback
+from .model import ConflictSituation, ServiceEvent, ServiceRequest
+from .preferences import PreferenceTable, window_events
 
 
 @dataclass(frozen=True)
@@ -27,6 +26,9 @@ class EvaluationConfig:
         unknown = [s for s in self.strategies if s not in STRATEGIES]
         if unknown:
             raise ValueError(f"unknown strategy {unknown[0]!r}; expected one of {', '.join(STRATEGIES)}")
+        for name, values in (("strategy", self.strategies), ("group size", self.group_sizes)):
+            if len(set(values)) != len(values):
+                raise ValueError(f"duplicate {name} in {','.join(map(str, values))!r}")
         if any(g < 2 for g in self.group_sizes):
             raise ValueError("group sizes must be at least 2")
         if not 0 < self.adopted_threshold <= 1:
@@ -49,34 +51,19 @@ def satisfaction_gain(
     return sum(table.score(member, item) for member in group for item in counted) / len(group)
 
 
-def adopted_items(
-    history: Sequence[ServiceEvent],
-    resident: str,
-    window: TimeOfDayInterval,
-    *,
-    service_id: str | None = None,
-    location: str | None = None,
-    attribute: str = "channel",
-    threshold: float = 0.6,
-    lookback_days: int | None = None,
-) -> set[str]:
+def adopted_items(events: Sequence[ServiceEvent], resident: str, attribute: str,
+                  threshold: float = 0.6) -> set[str]:
     """Items the resident used on strictly more than ``threshold`` of active days.
 
-    A day is active when the resident has any window-overlapping usage on it;
-    an item is adopted when the number of distinct active days carrying that
-    item exceeds ``threshold`` times the number of active days.
+    ``events`` are a situation's window events.  A day is active when the
+    resident has any event on it; an item is adopted when the number of
+    distinct active days carrying that item exceeds ``threshold`` times the
+    number of active days.
     """
-    loc = normalize_location(location) if location is not None else None
     item_days: dict[str, set[dt.date]] = {}
     active_days: set[dt.date] = set()
-    for event in filter_lookback(history, lookback_days):
+    for event in events:
         if event.resident != resident:
-            continue
-        if service_id is not None and event.service_id != service_id:
-            continue
-        if loc is not None and event.location != loc:
-            continue
-        if not intervals_overlap(event.interval, window):
             continue
         active_days.add(event.date)
         value = event.attribute(attribute)
@@ -226,26 +213,19 @@ def run_experiment(
     run_cfg = run_cfg or RunConfig(adopted_threshold=cfg.adopted_threshold)
     situations = detect_conflicts(requests)
     # Every strategy ranks the same prepared matrix and is scored against the
-    # same adopted items, so each situation is prepared once.
+    # same adopted items, and both read the same window events, so each
+    # situation scans the history once and is prepared once.
     by_size: dict[int, list[tuple[ConflictSituation, ResolutionDiagnostics, set[str]]]] = {
         g: [] for g in cfg.group_sizes
     }
     for situation in situations:
         size = len(situation.requests)
         if size in by_size:
+            events = window_events(history, situation, run_cfg.lookback_days)
             adopted: set[str] = set()
             for member in sorted(situation.residents):
-                adopted |= adopted_items(
-                    history,
-                    member,
-                    situation.window,
-                    service_id=situation.service_id,
-                    location=situation.location,
-                    attribute=situation.attribute,
-                    threshold=cfg.adopted_threshold,
-                    lookback_days=run_cfg.lookback_days,
-                )
-            by_size[size].append((situation, prepare(situation, history, run_cfg), adopted))
+                adopted |= adopted_items(events, member, situation.attribute, cfg.adopted_threshold)
+            by_size[size].append((situation, prepare(situation, events, run_cfg), adopted))
 
     details: list[SituationMetrics] = []
     rows: list[ReportRow] = []

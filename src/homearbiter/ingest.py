@@ -8,10 +8,12 @@ with date ``YYYY-MM-DD``, time ``HH:MM:SS``, status one of ON/OFF/SET and a
 free-form value field.  A value of the form ``name=val`` sets the attribute
 ``name``; a bare value sets the attribute ``value``; an empty value marks a
 plain activation (attribute ``state=on``).  Values that parse as numbers
-become numeric attributes, everything else is categorical.
+become numeric attributes, everything else is categorical; non-finite
+numbers (``nan``, ``inf``) are rejected.  Rows must be in (date, time) order.
 
 Request file: one JSON object per line with keys request_id, service_id,
-attribute, value, start, end (HH:MM:SS), location, resident.
+attribute, value, start, end (HH:MM:SS), location, resident.  The value
+follows the log rule, whether it is given as a JSON number or a string.
 
 Ratings table CSV: ``resident,item,score`` with scores in [1, 100], loaded
 directly as a preference table.
@@ -47,7 +49,7 @@ class RawLogRecord:
     time: int  # seconds since midnight
     sensor: str
     status: str
-    value: str
+    attribute: tuple[str, AttributeValue]
     resident: str
     location: str
 
@@ -112,10 +114,19 @@ def _parse_attribute(raw: str) -> tuple[str, AttributeValue]:
         raw = val.strip()
     else:
         name = "value"
+    return (name, parse_value(raw))
+
+
+def parse_value(raw: str) -> AttributeValue:
+    """A number if ``raw`` parses as one, else a label.
+
+    Raises ``ValueError`` for non-finite numbers and empty labels.
+    """
     try:
-        return (name, AttributeValue.numeric(float(raw)))
+        number = float(raw)
     except ValueError:
-        return (name, AttributeValue.categorical(raw))
+        return AttributeValue.categorical(raw)
+    return AttributeValue.numeric(number)
 
 
 def _read_log_records(path: str | Path, resident: str | None) -> Iterable[RawLogRecord]:
@@ -128,6 +139,7 @@ def _read_log_records(path: str | Path, resident: str | None) -> Iterable[RawLog
             return
         if [h.strip() for h in header] != LOG_COLUMNS:
             raise ParseError(f"expected header {','.join(LOG_COLUMNS)!r}", path=str(path), line=1)
+        previous = None
         for lineno, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
@@ -137,8 +149,13 @@ def _read_log_records(path: str | Path, resident: str | None) -> Iterable[RawLog
             try:
                 date = dt.date.fromisoformat(date_s)
                 time = parse_hms(time_s)
+                attribute = _parse_attribute(value)
             except ValueError as exc:
                 raise ParseError(str(exc), path=str(path), line=lineno) from exc
+            if previous is not None and (date, time) < previous:
+                raise ParseError(f"row at {date_s} {time_s} is earlier than the previous row; "
+                                 "rows must be in (date, time) order", path=str(path), line=lineno)
+            previous = (date, time)
             if not sensor:
                 raise ParseError("empty sensor label", path=str(path), line=lineno)
             status = status.upper()
@@ -147,7 +164,7 @@ def _read_log_records(path: str | Path, resident: str | None) -> Iterable[RawLog
             effective_resident = resident if resident is not None else row_resident
             if not effective_resident:
                 raise ParseError("no resident id (column empty and none supplied)", path=str(path), line=lineno)
-            yield RawLogRecord(date, time, sensor, status, value, effective_resident, location)
+            yield RawLogRecord(date, time, sensor, status, attribute, effective_resident, location)
 
 
 class _OpenSession:
@@ -183,12 +200,10 @@ def parse_event_log(
     def effective_location(sensor: str, row_location: str) -> str:
         return normalize_location(location_map.get(sensor, row_location))
 
-    def emit(sensor: str, res: str, session: _OpenSession, end: int, wraps: bool) -> None:
+    def emit(sensor: str, res: str, session: _OpenSession, end: int) -> None:
         nonlocal counter
-        if not wraps and end <= session.start:
-            if end == session.start:
-                return  # zero-length segment: value changed within one second
-            raise ParseError(f"event for {sensor} ends before it starts", path=str(path))
+        if end == session.start:
+            return  # zero-length segment: value changed within one second
         counter += 1
         events.append(
             ServiceEvent(
@@ -203,7 +218,7 @@ def parse_event_log(
         )
 
     def close_at_day_end(key: tuple[str, str], session: _OpenSession) -> None:
-        emit(key[0], key[1], session, END_OF_DAY, wraps=False)
+        emit(key[0], key[1], session, END_OF_DAY)
         warnings.append(
             f"{key[0]}/{key[1]}: ON at {session.date} {format_hms(session.start)} without OFF; closed at end of day"
         )
@@ -214,7 +229,7 @@ def parse_event_log(
         if session is not None and rec.date != session.date:
             next_day = session.date + dt.timedelta(days=1)
             if rec.status == "OFF" and rec.date == next_day and rec.time < session.start:
-                emit(rec.sensor, rec.resident, session, rec.time, wraps=True)
+                emit(rec.sensor, rec.resident, session, rec.time)
                 del open_sessions[key]
                 continue
             close_at_day_end(key, session)
@@ -222,16 +237,16 @@ def parse_event_log(
             session = None
         if rec.status == "ON":
             if session is not None:
-                emit(rec.sensor, rec.resident, session, rec.time, wraps=False)
+                emit(rec.sensor, rec.resident, session, rec.time)
                 warnings.append(f"{rec.sensor}/{rec.resident}: ON at {rec.date} {format_hms(rec.time)} while already on")
-            attrs = dict([_parse_attribute(rec.value)])
+            attrs = dict([rec.attribute])
             open_sessions[key] = _OpenSession(rec.date, rec.time, attrs, effective_location(rec.sensor, rec.location))
         elif rec.status == "SET":
             if session is None:
                 warnings.append(f"{rec.sensor}/{rec.resident}: SET at {rec.date} {format_hms(rec.time)} while off; ignored")
                 continue
-            emit(rec.sensor, rec.resident, session, rec.time, wraps=False)
-            name, value = _parse_attribute(rec.value)
+            emit(rec.sensor, rec.resident, session, rec.time)
+            name, value = rec.attribute
             attrs = dict(session.attributes)
             attrs[name] = value
             open_sessions[key] = _OpenSession(rec.date, rec.time, attrs, session.location)
@@ -239,7 +254,7 @@ def parse_event_log(
             if session is None:
                 warnings.append(f"{rec.sensor}/{rec.resident}: OFF at {rec.date} {format_hms(rec.time)} while not on; ignored")
                 continue
-            emit(rec.sensor, rec.resident, session, rec.time, wraps=False)
+            emit(rec.sensor, rec.resident, session, rec.time)
             del open_sessions[key]
 
     for key in sorted(open_sessions):
@@ -447,11 +462,7 @@ def load_requests(path: str | Path, bin_specs: Mapping[tuple[str, str], BinningS
             except json.JSONDecodeError as exc:
                 raise ParseError(f"bad JSON: {exc.msg}", path=str(path), line=lineno) from exc
             try:
-                raw_value = obj["value"]
-                if isinstance(raw_value, (int, float)) and not isinstance(raw_value, bool):
-                    value = AttributeValue.numeric(float(raw_value))
-                else:
-                    value = AttributeValue.categorical(str(raw_value))
+                value = parse_value(str(obj["value"]))
                 service_id = str(obj["service_id"])
                 attribute = str(obj["attribute"])
                 if value.kind == "numeric" and bin_specs:
@@ -495,11 +506,19 @@ def _event_to_json(e: ServiceEvent) -> dict:
     }
 
 
-def _event_from_json(obj: Mapping) -> ServiceEvent:
+def _event_from_json(obj) -> ServiceEvent:
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+    for name in ("event_id", "service_id", "date", "location", "resident"):
+        if not isinstance(obj[name], str):
+            raise ValueError(f"{name} must be a string")
+    attributes = obj["attributes"]
+    if not isinstance(attributes, dict) or not all(isinstance(v, dict) for v in attributes.values()):
+        raise ValueError("attributes must be an object of objects")
     return ServiceEvent(
         event_id=obj["event_id"],
         service_id=obj["service_id"],
-        attributes={k: AttributeValue.from_json(v) for k, v in obj["attributes"].items()},
+        attributes={k: AttributeValue.from_json(v) for k, v in attributes.items()},
         date=dt.date.fromisoformat(obj["date"]),
         interval=TimeOfDayInterval(obj["start"], obj["end"]),
         location=obj["location"],
@@ -563,7 +582,7 @@ def load_store(path: str | Path) -> EventStore:
                 continue
             try:
                 events.append(_event_from_json(obj))
-            except (KeyError, ValueError) as exc:
+            except (LookupError, TypeError, ValueError) as exc:
                 raise ParseError(f"bad event record: {exc}", path=str(path), line=lineno) from exc
     if header is None:
         raise ParseError(f"no store header, expected schema {STORE_SCHEMA!r}", path=str(path))

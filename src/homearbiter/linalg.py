@@ -65,9 +65,6 @@ class TruncatedSvd:
     V_w: np.ndarray
     rank: int
 
-    def diagonal_matrix(self) -> np.ndarray:
-        return np.diag(self.singular_values)
-
 
 def svd(matrix) -> SvdResult:
     """Full singular value decomposition of a real matrix.

@@ -7,6 +7,7 @@ concurrent readers.
 from __future__ import annotations
 
 import datetime as dt
+import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -46,11 +47,11 @@ class AttributeValue:
 
     def __post_init__(self) -> None:
         if self.kind == "categorical":
-            if not self.label:
+            if not isinstance(self.label, str) or not self.label:
                 raise ValueError("categorical value needs a label")
         elif self.kind == "numeric":
-            if self.value is None:
-                raise ValueError("numeric value needs a number")
+            if self.value is None or not math.isfinite(self.value):
+                raise ValueError(f"numeric value needs a finite number, got {self.value}")
         elif self.kind == "binned":
             if self.bin_index is None or self.bin_bounds is None:
                 raise ValueError("binned value needs index and bounds")

@@ -10,23 +10,11 @@ one partial overlap of weight ``p`` score ``k + p``.
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 from .intervals import TimeOfDayInterval, covering_span, intervals_overlap
-from .model import ServiceEvent, ConflictSituation, normalize_location
-
-
-@dataclass
-class OverlappingEvent:
-    """A historical event paired with its (lazily computed) window weight."""
-
-    event: ServiceEvent
-    proximity: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.proximity is not None and not 0.0 < self.proximity <= 1.0:
-            raise ValueError(f"proximity must be in (0, 1], got {self.proximity}")
+from .model import ServiceEvent, ConflictSituation
 
 
 def temporal_proximity(intervals: Sequence[TimeOfDayInterval]) -> float:
@@ -43,62 +31,6 @@ def temporal_proximity(intervals: Sequence[TimeOfDayInterval]) -> float:
     total = sum(iv.duration() for iv in intervals)
     span = covering_span(intervals)
     return total / (span * n)
-
-
-def event_window_proximity(event_interval: TimeOfDayInterval, window: TimeOfDayInterval) -> float:
-    """Weight of one historical event against a conflict window.
-
-    The pair proximity of the event's interval and the window: 1.0 when they
-    coincide, strictly less otherwise.  Raises ``ValueError`` when the event
-    does not overlap the window at all.
-    """
-    if not intervals_overlap(event_interval, window):
-        raise ValueError(f"event interval {event_interval} does not overlap window {window}")
-    return temporal_proximity((event_interval, window))
-
-
-def frequency(items: Iterable[str], item: str) -> int:
-    """Occurrence count of ``item`` in a sequence of item labels."""
-    return sum(1 for x in items if x == item)
-
-
-def find_overlapping_events(
-    history: Sequence[ServiceEvent],
-    window: TimeOfDayInterval,
-    service_id: str,
-    location: str,
-) -> list[OverlappingEvent]:
-    """All events of the service/location whose time of day touches the window.
-
-    Matching is by time of day only: an event from any past date counts as
-    long as its daily interval overlaps the window.  Proximities are left
-    unset.
-    """
-    loc = normalize_location(location)
-    return [
-        OverlappingEvent(event=e)
-        for e in history
-        if e.service_id == service_id
-        and e.location == loc
-        and intervals_overlap(e.interval, window)
-    ]
-
-
-def weight_by_window(events: Iterable[OverlappingEvent], window: TimeOfDayInterval) -> list[OverlappingEvent]:
-    return [replace(oe, proximity=event_window_proximity(oe.event.interval, window)) for oe in events]
-
-
-def preference_score(overlapping: Sequence[OverlappingEvent], attribute: str, item: str) -> float:
-    """Proximity-weighted usage count of ``item`` among weighted events."""
-    score = 0.0
-    for oe in overlapping:
-        value = oe.event.attribute(attribute)
-        if value is None or value.item_label() != item:
-            continue
-        if oe.proximity is None:
-            raise ValueError(f"event {oe.event.event_id} has no proximity weight")
-        score += oe.proximity
-    return score
 
 
 @dataclass(frozen=True)
@@ -134,44 +66,50 @@ class PreferenceTable:
         row = self.row(resident)
         return max(row.values()) if row else 0.0
 
-    def to_csv_text(self) -> str:
-        lines = ["resident,item,score"]
-        for (resident, item) in sorted(self.entries):
-            lines.append(f"{resident},{item},{self.entries[(resident, item)]:.4f}")
-        return "\n".join(lines) + "\n"
 
-
-def filter_lookback(history: Sequence[ServiceEvent], lookback_days: int | None) -> list[ServiceEvent]:
-    """Keep only events within the trailing ``lookback_days`` of the log."""
-    events = list(history)
-    if lookback_days is None or not events:
-        return events
-    horizon = max(e.date for e in events) - dt.timedelta(days=lookback_days - 1)
-    return [e for e in events if e.date >= horizon]
-
-
-def build_preference_table(
+def window_events(
     history: Sequence[ServiceEvent],
     situation: ConflictSituation,
     lookback_days: int | None = None,
-) -> PreferenceTable:
-    """Score every item each situation member used in window-overlapping events.
+) -> list[ServiceEvent]:
+    """The situation's service/location events whose time of day touches its window.
 
-    Residents with no matching history get an empty row (no entries).
+    Matching is by time of day only: an event from any past date counts as
+    long as its daily interval overlaps the window.  ``lookback_days`` keeps
+    the trailing days of the whole history, counted back from its latest
+    date.  History order is kept, so sums over the result do not depend on
+    how it was filtered.
     """
-    scoped = filter_lookback(history, lookback_days)
-    overlapping = weight_by_window(
-        find_overlapping_events(scoped, situation.window, situation.service_id, situation.location),
-        situation.window,
-    )
+    horizon = None
+    if lookback_days is not None and history:
+        horizon = max(e.date for e in history) - dt.timedelta(days=lookback_days - 1)
+    window = situation.window
+    return [
+        e
+        for e in history
+        if e.service_id == situation.service_id
+        and e.location == situation.location
+        and (horizon is None or e.date >= horizon)
+        and intervals_overlap(e.interval, window)
+    ]
+
+
+def build_preference_table(events: Sequence[ServiceEvent], situation: ConflictSituation) -> PreferenceTable:
+    """Score every item the situation's members used in ``events``.
+
+    ``events`` are the situation's :func:`window_events`; each member's
+    event adds its temporal proximity to the window to that member's item.
+    Residents with no matching event get an empty row (no entries).
+    """
     entries: dict[tuple[str, str], float] = {}
     members = set(situation.residents)
-    for oe in overlapping:
-        if oe.event.resident not in members:
+    window = situation.window
+    for event in events:
+        if event.resident not in members:
             continue
-        value = oe.event.attribute(situation.attribute)
+        value = event.attribute(situation.attribute)
         if value is None:
             continue
-        key = (oe.event.resident, value.item_label())
-        entries[key] = entries.get(key, 0.0) + oe.proximity
-    return PreferenceTable(entries=entries, window=situation.window, service_id=situation.service_id)
+        key = (event.resident, value.item_label())
+        entries[key] = entries.get(key, 0.0) + temporal_proximity((event.interval, window))
+    return PreferenceTable(entries=entries, window=window, service_id=situation.service_id)

@@ -91,6 +91,6 @@ def reference_situation(reference_requests):
 
 @pytest.fixture
 def reference_table(reference_history, reference_situation):
-    from homearbiter.preferences import build_preference_table
+    from homearbiter.preferences import build_preference_table, window_events
 
-    return build_preference_table(reference_history, reference_situation)
+    return build_preference_table(window_events(reference_history, reference_situation), reference_situation)

@@ -26,12 +26,7 @@ from homearbiter.ingest import compute_bins, binning_sse, load_requests, load_st
 from homearbiter.intervals import TimeOfDayInterval
 from homearbiter.linalg import TruncatedSvd, svd, truncate
 from homearbiter.model import AttributeValue, ServiceRequest
-from homearbiter.preferences import (
-    OverlappingEvent,
-    build_preference_table,
-    preference_score,
-    temporal_proximity,
-)
+from homearbiter.preferences import build_preference_table, temporal_proximity, window_events
 
 from conftest import interval, make_event, make_request
 from test_detect import _detected_keys, sweep_oracle
@@ -138,14 +133,14 @@ def test_acceptance_3_temporal_proximity_goldens(capsys):
         second = temporal_proximity([interval("18:00:00", "19:00:00"), interval("18:10:00", "19:10:00")])
         assert second == pytest.approx(0.857, abs=0.005)
 
-        events = [
-            OverlappingEvent(event=make_event("r1", "20:00:00", "20:30:00", channel="Ch1"), proximity=1.0)
-            for _ in range(19)
-        ]
-        events.append(
-            OverlappingEvent(event=make_event("r1", "20:10:00", "20:40:00", channel="Ch1"), proximity=0.44)
-        )
-        assert preference_score(events, "channel", "Ch1") == 19.44
+        # 18 exact-window events plus two suffix events of the 20:00-20:30
+        # window, whose pair proximities are 0.9375 and 0.5025.
+        history = [make_event("r1", "20:00:00", "20:30:00", channel="Ch1") for _ in range(18)]
+        history.append(make_event("r1", "20:03:45", "20:30:00", channel="Ch1"))
+        history.append(make_event("r1", "20:29:51", "20:30:00", channel="Ch1"))
+        situation = _worked_situation()
+        table = build_preference_table(window_events(history, situation), situation)
+        assert table.score("r1", "Ch1") == 19.44
 
 
 def test_acceptance_4_property_suites(capsys):
@@ -226,9 +221,9 @@ def test_acceptance_4_property_suites(capsys):
 
         history = reference_history()
         situation = _worked_situation()
-        base_table = build_preference_table(history, situation)
+        base_table = build_preference_table(window_events(history, situation), situation)
         doubled = history + [dataclasses.replace(e, event_id=e.event_id + "b") for e in history]
-        double_table = build_preference_table(doubled, situation)
+        double_table = build_preference_table(window_events(doubled, situation), situation)
         for key, score in base_table.entries.items():
             assert double_table.entries[key] == pytest.approx(2 * score, rel=1e-12)
 

@@ -159,14 +159,21 @@ def test_evaluate_unknown_strategy_is_usage_error(workspace, tmp_path, monkeypat
         raise AssertionError("no strategy may be scored before all names are checked")
 
     monkeypatch.setattr(cli_module, "run_experiment", fail)
-    rc = main([
-        "evaluate", "--store", str(workspace / "store.jsonl"),
-        "--requests", str(workspace / "requests.jsonl"),
-        "--out-prefix", str(tmp_path / "report"), "--strategies", "svd,zmp",
-    ])
-    assert rc == 1
-    assert "unknown strategy 'zmp'" in capsys.readouterr().err
-    assert not (tmp_path / "report.csv").exists()
+    cases = (
+        (["--strategies", "svd,zmp"], "unknown strategy 'zmp'"),
+        (["--strategies", "avg,avg"], "duplicate strategy in 'avg,avg'"),
+        (["--group-sizes", "2,2"], "duplicate group size in '2,2'"),
+        (["--strategies", "avg,avg", "--group-sizes", "2,2"], "duplicate strategy"),
+    )
+    for options, message in cases:
+        rc = main([
+            "evaluate", "--store", str(workspace / "store.jsonl"),
+            "--requests", str(workspace / "requests.jsonl"),
+            "--out-prefix", str(tmp_path / "report"), *options,
+        ])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "report.csv").exists()
 
 
 def test_demo_passes(capsys):
@@ -194,6 +201,48 @@ def test_data_errors_exit_two(workspace, tmp_path, capsys):
     rc = main(["detect", "--store", str(workspace / "store.jsonl"), "--requests", str(bad_requests)])
     assert rc == 2
     capsys.readouterr()
+
+
+def test_reversed_log_exits_two_with_line(tmp_path, capsys):
+    header, *rows = (DATA_DIR / "household60.csv").read_text(encoding="utf-8").splitlines()
+    reversed_log = tmp_path / "reversed.csv"
+    reversed_log.write_text("\n".join([header, *reversed(rows)]) + "\n", encoding="utf-8")
+    assert main(["ingest", str(reversed_log), "--out", str(tmp_path / "s.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert f"{reversed_log}:3: row at" in err and "warning" not in err
+    assert not (tmp_path / "s.jsonl").exists()
+
+
+def test_store_line_that_is_not_an_event_object_exits_two(workspace, tmp_path, capsys):
+    header, *events = (workspace / "store.jsonl").read_text(encoding="utf-8").splitlines()
+    event = json.loads(events[0])
+    bad_attribute = dict(event, attributes={name: [1] for name in event["attributes"]})
+    requests = ["--requests", str(workspace / "requests.jsonl")]
+    for line in ("[1, 2]", '"text"', json.dumps(dict(event, attributes=[1])), json.dumps(bad_attribute)):
+        store = tmp_path / "store.jsonl"
+        store.write_text("\n".join([header, events[0], line, *events[1:]]) + "\n", encoding="utf-8")
+        for command in (["detect"], ["resolve"], ["evaluate", "--out-prefix", str(tmp_path / "report")]):
+            assert main([*command, "--store", str(store), *requests]) == 2
+            assert f"{store}:3: bad event record" in capsys.readouterr().err
+
+
+def test_string_request_value_is_binned_like_a_number(workspace, tmp_path):
+    text = (workspace / "requests.jsonl").read_text(encoding="utf-8")
+    records = [json.loads(line) for line in text.splitlines()]
+    thermostat = [r for r in records if r["service_id"] == "thermostat"]
+    assert thermostat and all(isinstance(r["value"], float) for r in thermostat)
+    as_text = tmp_path / "requests.jsonl"
+    as_text.write_text("".join(
+        json.dumps(dict(r, value=f"{r['value']:g}") if r["service_id"] == "thermostat" else r) + "\n"
+        for r in records), encoding="utf-8")
+    outputs = []
+    for requests in (workspace / "requests.jsonl", as_text):
+        out = tmp_path / "resolved.jsonl"
+        assert main(["resolve", "--store", str(workspace / "store.jsonl"), "--requests", str(requests),
+                     "--out", str(out)]) == 0
+        outputs.append(out.read_text(encoding="utf-8").splitlines()[1:])
+    assert outputs[0] == outputs[1]
+    assert any('"thermostat"' in line for line in outputs[1])
 
 
 def test_empty_request_file_resolves_cleanly(workspace, tmp_path, capsys):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from homearbiter.aggregate import resolve
 from homearbiter.config import RunConfig
 from homearbiter.detect import detect_conflicts
+from homearbiter.intervals import intervals_overlap
 from homearbiter.evaluate import (
     EvaluationConfig,
     adopted_items,
@@ -15,9 +16,9 @@ from homearbiter.evaluate import (
     run_experiment,
     satisfaction_gain,
 )
-from homearbiter.preferences import PreferenceTable
+from homearbiter.preferences import PreferenceTable, window_events
 
-from conftest import interval, make_event, make_request
+from conftest import make_event, make_request
 
 WORKED_ENTRIES = {
     ("r1", "Ch1"): 19.44, ("r1", "Ch2"): 14.48, ("r1", "Ch3"): 15.20, ("r1", "Ch5"): 11.04,
@@ -85,24 +86,25 @@ def _usage_events(days_with_item, active_days, item="Ch1", other="Ch9"):
 
 
 def test_adopted_items_strictly_above_threshold():
-    window = interval("20:00:00", "20:30:00")
-    adopted = adopted_items(_usage_events(7, 10), "r1", window, threshold=0.6)
+    adopted = adopted_items(_usage_events(7, 10), "r1", "channel", threshold=0.6)
     assert "Ch1" in adopted
-    not_adopted = adopted_items(_usage_events(6, 10), "r1", window, threshold=0.6)
+    not_adopted = adopted_items(_usage_events(6, 10), "r1", "channel", threshold=0.6)
     assert "Ch1" not in not_adopted
+    assert adopted_items(_usage_events(7, 10), "r2", "channel") == set()
 
 
 def test_adopted_items_empty_history():
-    assert adopted_items([], "r1", interval("20:00:00", "20:30:00")) == set()
+    assert adopted_items([], "r1", "channel") == set()
 
 
 def test_adopted_items_only_window_overlap_counts():
-    window = interval("20:00:00", "20:30:00")
+    situation = detect_conflicts([make_request("r1", "Ch1"), make_request("r2", "Ch2")])[0]
     busy_morning = [
         make_event("r1", "08:00:00", "09:00:00", channel="Ch1", date=dt.date(2026, 2, 1) + dt.timedelta(days=d))
         for d in range(10)
     ]
-    assert adopted_items(busy_morning, "r1", window) == set()
+    assert adopted_items(window_events(busy_morning, situation), "r1", "channel") == set()
+    assert adopted_items(window_events(_usage_events(7, 10), situation), "r1", "channel") == {"Ch1"}
 
 
 # ---------------------------------------------------------------------------
@@ -221,26 +223,45 @@ def test_run_experiment_no_conflicts_yields_null_rows():
     assert report.details == ()
 
 
+def _adopted_by_scan(history, resident, situation, threshold=0.6):
+    """Adopted items from a scan of the raw history, independent of window_events."""
+    item_days, active_days = {}, set()
+    for event in history:
+        if (event.resident != resident or event.service_id != situation.service_id
+                or event.location != situation.location
+                or not intervals_overlap(event.interval, situation.window)):
+            continue
+        active_days.add(event.date)
+        value = event.attribute(situation.attribute)
+        if value is not None:
+            item_days.setdefault(value.item_label(), set()).add(event.date)
+    return {item for item, days in item_days.items() if len(days) > threshold * len(active_days)}
+
+
 def test_run_experiment_matches_per_strategy_resolve(monkeypatch):
-    # Sharing one prepared matrix and one adopted-item set per situation
-    # must score exactly as resolving each strategy on its own.
+    # Sharing one window scan, one prepared matrix and one adopted-item set
+    # per situation must score exactly as resolving each strategy on its own.
     import homearbiter.aggregate as aggregate
+    import homearbiter.evaluate as evaluate
 
     history, requests = _experiment_inputs()
     run_cfg = RunConfig(k=2)
     cfg = EvaluationConfig(group_sizes=(2, 3), recommendation_list_size=2)
-    builds = []
-    build = aggregate.build_preference_table
+    builds, scans = [], []
 
-    def counting_build(*args, **kwargs):
-        builds.append(args[1])
-        return build(*args, **kwargs)
+    def counting(calls, func):
+        def wrapper(*args, **kwargs):
+            calls.append(args[1])
+            return func(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(aggregate, "build_preference_table", counting_build)
+    monkeypatch.setattr(aggregate, "build_preference_table", counting(builds, aggregate.build_preference_table))
+    monkeypatch.setattr(evaluate, "window_events", counting(scans, evaluate.window_events))
     report = run_experiment(history, requests, cfg, run_cfg)
     monkeypatch.undo()
     situations = detect_conflicts(requests)
-    assert builds == situations  # one build per situation, in detection order
+    # One history scan and one table build per situation, in detection order.
+    assert builds == situations and scans == situations
 
     expected = []
     for strategy in cfg.strategies:
@@ -250,11 +271,7 @@ def test_run_experiment_matches_per_strategy_resolve(monkeypatch):
                 table = resolution.diagnostics.table
                 members = sorted(situation.residents)
                 recommended = tuple(item for item, _ in resolution.ranked[:2])
-                adopted = set().union(*(
-                    adopted_items(history, m, situation.window, service_id=situation.service_id,
-                                  location=situation.location, attribute=situation.attribute)
-                    for m in members
-                ))
+                adopted = set().union(*(_adopted_by_scan(history, m, situation) for m in members))
                 expected.append((strategy, size, resolution.chosen, recommended,
                                  satisfaction_gain(table, members, recommended, adopted),
                                  harmonic_satisfaction(table, members, recommended),

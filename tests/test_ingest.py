@@ -1,10 +1,11 @@
 import dataclasses
 import datetime as dt
 import itertools
+import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from homearbiter.errors import DataError, ParseError
 from homearbiter.ingest import (
@@ -78,6 +79,26 @@ def test_parse_malformed_line_reports_position(tmp_path):
     with pytest.raises(ParseError) as err:
         parse_event_log(path)
     assert ":3:" in str(err.value)
+
+
+def test_parse_rejects_out_of_order_rows(tmp_path):
+    rows = ("2026-01-01,20:00:00,TV,ON,channel=Ch1,r1,living room\n"
+            "2026-01-01,21:00:00,TV,OFF,,r1,living room\n")
+    for late_row in ("2026-01-01,20:30:00,TV,ON,channel=Ch2,r2,living room\n",
+                     "2025-12-31,23:00:00,TV,ON,channel=Ch2,r2,living room\n"):
+        path = write_log(tmp_path, rows + "\n" + late_row)
+        with pytest.raises(ParseError, match=r"log\.csv:5: row at .* is earlier than the previous row"):
+            parse_event_log(path)
+    same_time = write_log(tmp_path, rows + "2026-01-01,21:00:00,TV,ON,channel=Ch2,r2,living room\n")
+    assert len(parse_event_log(same_time).events) == 2
+
+
+def test_parse_rejects_non_finite_values(tmp_path):
+    for value in ("temp=nan", "temp=inf", "-Infinity", "temp="):
+        path = write_log(tmp_path, "2026-01-01,20:00:00,thermostat,ON,temp=20,r1,bedroom\n"
+                                   f"2026-01-01,20:10:00,thermostat,SET,{value},r1,bedroom\n")
+        with pytest.raises(ParseError, match=r"log\.csv:3: "):
+            parse_event_log(path)
 
 
 def test_parse_bad_header(tmp_path):
@@ -158,6 +179,48 @@ def test_store_header_is_first_non_blank_line(tmp_path):
         store_path.write_text(body, encoding="utf-8")
         with pytest.raises(ParseError, match="no store header"):
             load_store(store_path)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+_STORE_EVENT = {
+    "event_id": "r1-000001", "service_id": "TV", "date": "2026-01-01", "start": 72000, "end": 73800,
+    "location": "living room", "resident": "r1",
+    "attributes": {"channel": {"kind": "cat", "label": "Ch1"}, "temp": {"kind": "num", "value": 20.5}},
+}
+
+
+def _store_event_with(field, value):
+    """The valid store event with one field, or one attribute value, replaced."""
+    event = json.loads(json.dumps(_STORE_EVENT))
+    if field in ("channel", "temp"):
+        event["attributes"][field] = value
+    else:
+        event[field] = value
+    return event
+
+
+@settings(max_examples=150, deadline=None)
+@given(line=_json_values | st.builds(_store_event_with, st.sampled_from([*_STORE_EVENT, "channel", "temp"]),
+                                     _json_values))
+@example(line=[1, 2])
+@example(line=_store_event_with("attributes", [1]))
+@example(line=_store_event_with("channel", "Ch1"))
+@example(line=_store_event_with("temp", {"kind": "num", "value": float("nan")}))
+def test_load_store_either_loads_an_event_line_or_names_it(tmp_path_factory, line):
+    store_path = tmp_path_factory.mktemp("store") / "store.jsonl"
+    valid = json.dumps(_STORE_EVENT)
+    store_path.write_text("\n".join([json.dumps({"schema": "homearbiter-store/1"}), valid, json.dumps(line), valid])
+                          + "\n", encoding="utf-8")
+    try:
+        store = load_store(store_path)
+    except ParseError as exc:
+        assert str(exc).startswith(f"{store_path}:3: ")
+    else:
+        assert len(store.events) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +501,30 @@ def test_load_requests_bins_numeric_values(tmp_path):
     requests = load_requests(path, bin_specs={("thermostat", "temp"): spec})
     assert requests[0].value.kind == "binned"
     assert requests[0].value.bin_index == 0
+
+
+def _request_line(value):
+    return json.dumps({"request_id": f"r-{value!r}", "service_id": "thermostat", "attribute": "temp",
+                       "value": value, "start": "22:00:00", "end": "22:30:00", "location": "bedroom",
+                       "resident": "r1"})
+
+
+def test_request_values_follow_the_log_rule(tmp_path):
+    path = tmp_path / "requests.jsonl"
+    path.write_text("\n".join(_request_line(v) for v in (19.0, "19", " 23.5 ", "warm", True)) + "\n",
+                    encoding="utf-8")
+    spec = BinningSpec(attribute="temp", bin_count=2, boundaries=(21.0,), lo=18.0, hi=25.0)
+    binned = [r.value.item_label() for r in load_requests(path, bin_specs={("thermostat", "temp"): spec})]
+    assert binned == ["bin0", "bin0", "bin1", "warm", "True"]
+    assert [r.value.item_label() for r in load_requests(path)] == ["19", "19", "23.5", "warm", "True"]
+
+
+def test_request_non_finite_values_carry_line(tmp_path):
+    path = tmp_path / "requests.jsonl"
+    for value in ("nan", "inf", "-Infinity", float("nan"), 1e400, 10**400):
+        path.write_text(_request_line(19.0) + "\n" + _request_line(value) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=r"requests\.jsonl:2: .*finite"):
+            load_requests(path)
 
 
 def test_load_requests_errors_carry_line(tmp_path):

@@ -1,18 +1,12 @@
-import numpy as np
+import dataclasses
+import datetime as dt
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from homearbiter.intervals import TimeOfDayInterval
-from homearbiter.preferences import (
-    OverlappingEvent,
-    build_preference_table,
-    event_window_proximity,
-    find_overlapping_events,
-    frequency,
-    preference_score,
-    temporal_proximity,
-    weight_by_window,
-)
+from homearbiter.intervals import SECONDS_PER_DAY, TimeOfDayInterval
+from homearbiter.model import AttributeValue, ConflictSituation
+from homearbiter.preferences import build_preference_table, temporal_proximity, window_events
 
 from conftest import interval, make_event, make_request
 
@@ -61,124 +55,116 @@ def test_temporal_proximity_properties(data, seed):
         assert value == pytest.approx(1.0)
 
 
-def test_event_window_proximity_goldens():
+def test_temporal_proximity_event_window_goldens():
     window = interval("20:00:00", "20:30:00")
-    assert event_window_proximity(interval("20:00:00", "20:30:00"), window) == 1.0
-    assert event_window_proximity(interval("20:15:00", "20:45:00"), window) == pytest.approx(0.667, abs=5e-4)
-    assert event_window_proximity(interval("20:00:00", "21:00:00"), window) == pytest.approx(0.75, abs=1e-12)
+    assert temporal_proximity((interval("20:00:00", "20:30:00"), window)) == 1.0
+    assert temporal_proximity((interval("20:15:00", "20:45:00"), window)) == pytest.approx(0.667, abs=5e-4)
+    assert temporal_proximity((interval("20:00:00", "21:00:00"), window)) == pytest.approx(0.75, abs=1e-12)
 
 
-def test_event_window_proximity_requires_overlap():
-    with pytest.raises(ValueError):
-        event_window_proximity(interval("08:00:00", "09:00:00"), interval("10:00:00", "11:00:00"))
+def _situation(window=interval("20:00:00", "20:30:00"), location="living room"):
+    requests = tuple(
+        dataclasses.replace(make_request(resident, value, location=location, request_id=resident), interval=window)
+        for resident, value in (("r1", "Ch1"), ("r2", "Ch2"))
+    )
+    return ConflictSituation(service_id="TV", location=location, attribute="channel", window=window,
+                             requests=requests)
 
 
-def test_frequency_counts():
-    items = ["Fox", "Disc", "Fox", "Fox", "Disc"]
-    assert frequency(items, "Fox") == 3
-    assert frequency([], "Fox") == 0
-    ten_days = ["Discovery"] * 6 + ["Fox"] * 4
-    assert frequency(ten_days, "Discovery") == 6
-
-
-def _weighted(events_spec):
-    events = []
-    for proximity, channel in events_spec:
-        event = make_event("r1", "20:00:00", "20:30:00", channel=channel)
-        events.append(OverlappingEvent(event=event, proximity=proximity))
-    return events
-
-
-def test_preference_score_worked_value():
-    overlapping = _weighted([(1.0, "Ch1")] * 19 + [(0.44, "Ch1")])
-    assert preference_score(overlapping, "channel", "Ch1") == 19.44
-
-
-def test_preference_score_missing_item_is_zero():
-    overlapping = _weighted([(1.0, "Ch1")])
-    assert preference_score(overlapping, "channel", "Ch9") == 0.0
-
-
-def test_preference_score_mixed_proximities():
-    overlapping = _weighted([(1.0, "Ch1"), (0.5, "Ch1"), (0.25, "Ch1")])
-    assert preference_score(overlapping, "channel", "Ch1") == 1.75
-
-
-def test_preference_score_requires_weights():
-    event = make_event("r1", "20:00:00", "20:30:00")
-    with pytest.raises(ValueError):
-        preference_score([OverlappingEvent(event=event)], "channel", "Ch1")
-
-
-def test_find_overlapping_events_filters():
-    window = interval("20:00:00", "20:30:00")
+def test_window_events_filters():
+    situation = _situation(location="Living Room")
     keep = make_event("r1", "20:10:00", "20:40:00")
     other_location = make_event("r1", "20:10:00", "20:40:00", location="kitchen")
     other_service = make_event("r1", "20:10:00", "20:40:00", service="radio")
     too_early = make_event("r1", "19:00:00", "19:30:00")
-    got = find_overlapping_events([keep, other_location, other_service, too_early], window, "TV", "Living Room")
-    assert [oe.event for oe in got] == [keep]
-    assert got[0].proximity is None
-    assert find_overlapping_events([], window, "TV", "living room") == []
+    also_keep = make_event("r3", "19:59:59", "20:00:01", attributes={"state": AttributeValue.categorical("on")})
+    history = [keep, other_location, other_service, too_early, also_keep]
+    assert window_events(history, situation) == [keep, also_keep]
+    assert window_events([], situation) == []
 
 
-def brute_force_table(history, situation):
+def test_window_events_drops_disjoint_and_touching_events():
+    situation = _situation(interval("10:00:00", "11:00:00"))
+    disjoint = make_event("r1", "08:00:00", "09:00:00")
+    touching = [make_event("r1", "09:30:00", "10:00:00"), make_event("r1", "11:00:00", "11:30:00")]
+    wrapped = make_event("r1", "23:00:00", "10:00:01")
+    assert window_events([disjoint, *touching, wrapped], situation) == [wrapped]
+
+
+def test_build_preference_table_missing_item_is_zero():
+    situation = _situation()
+    table = build_preference_table(window_events([make_event("r1", "20:00:00", "20:30:00")], situation), situation)
+    assert table.score("r1", "Ch1") == 1.0
+    assert table.score("r1", "Ch9") == 0.0
+
+
+def test_build_preference_table_mixed_proximities():
+    situation = _situation()
+    history = [
+        make_event("r1", "20:00:00", "20:30:00"),  # 1.0
+        make_event("r1", "20:00:00", "21:00:00"),  # 0.75
+        make_event("r1", "20:03:45", "20:30:00"),  # 0.9375
+        make_event("r3", "20:00:00", "20:30:00"),  # not a member
+    ]
+    table = build_preference_table(window_events(history, situation), situation)
+    assert table.entries == {("r1", "Ch1"): 2.6875}
+
+
+def _arcs_overlap(a, b):
+    """Whether two daily arcs share time, from their starts and lengths alone."""
+    length_a = (a.end - a.start) % SECONDS_PER_DAY
+    length_b = (b.end - b.start) % SECONDS_PER_DAY
+    return (b.start - a.start) % SECONDS_PER_DAY < length_a or (a.start - b.start) % SECONDS_PER_DAY < length_b
+
+
+def brute_force_table(history, situation, lookback_days):
     """Direct per-event evaluation of the extraction rules."""
+    latest = max((event.date for event in history), default=None)
     entries = {}
     for event in history:
         if event.service_id != situation.service_id or event.location != situation.location:
             continue
+        if lookback_days is not None and (latest - event.date).days >= lookback_days:
+            continue
         value = event.attribute(situation.attribute)
         if value is None or event.resident not in situation.residents:
             continue
-        # overlap via second scan
-        seconds = {
-            t
-            for s, e in event.interval.segments()
-            for t in range(s, e)
-        }
-        window_seconds = {
-            t for s, e in situation.window.segments() for t in range(s, e)
-        }
-        if not seconds & window_seconds:
+        if not _arcs_overlap(event.interval, situation.window):
             continue
-        weight = temporal_proximity([event.interval, situation.window])
         key = (event.resident, value.item_label())
-        entries[key] = entries.get(key, 0.0) + weight
+        entries[key] = entries.get(key, 0.0) + temporal_proximity([event.interval, situation.window])
     return entries
 
 
-def test_build_preference_table_matches_brute_force():
-    rng = np.random.RandomState(23)
-    requests = [make_request("r1", "Ch1", request_id="A"), make_request("r2", "Ch2", request_id="B")]
-    from homearbiter.detect import detect_conflicts
+_arcs = st.tuples(st.integers(0, SECONDS_PER_DAY - 1), st.integers(1, SECONDS_PER_DAY - 1)).map(
+    lambda p: TimeOfDayInterval(p[0], (p[0] + p[1]) % SECONDS_PER_DAY)
+)
+_events = st.builds(
+    lambda resident, service, location, channel, day, arc: dataclasses.replace(
+        make_event(resident, "20:00:00", "20:30:00", channel=channel, service=service, location=location,
+                   date=dt.date(2026, 1, 1) + dt.timedelta(days=day),
+                   attributes=None if channel else {"state": AttributeValue.categorical("on")}),
+        interval=arc,
+    ),
+    st.sampled_from(("r1", "r2", "r3")),
+    st.sampled_from(("TV", "TV", "radio")),
+    st.sampled_from(("living room", "living room", "kitchen")),
+    st.sampled_from(("Ch1", "Ch2", "Ch3", None)),
+    st.integers(0, 9),
+    _arcs,
+)
 
-    situation = detect_conflicts(requests)[0]
-    history = []
-    for i in range(20):
-        start = int(rng.randint(70000, 74000))
-        end = start + int(rng.randint(300, 4000))
-        history.append(
-            make_event(
-                f"r{1 + rng.randint(0, 2)}",
-                "20:00:00",
-                "20:30:00",
-                channel=f"Ch{1 + rng.randint(0, 3)}",
-                event_id=f"h{i}",
-            )
-        )
-        import dataclasses
 
-        history[-1] = dataclasses.replace(history[-1], interval=TimeOfDayInterval(start, min(end, 86399)))
-    table = build_preference_table(history, situation)
-    oracle = brute_force_table(history, situation)
-    assert set(table.entries) == set(oracle)
-    for key, score in oracle.items():
-        assert table.entries[key] == pytest.approx(score, abs=1e-12)
+@settings(max_examples=150, deadline=None)
+@given(history=st.lists(_events, max_size=25), window=_arcs, lookback_days=st.none() | st.integers(1, 11))
+def test_build_preference_table_matches_brute_force(history, window, lookback_days):
+    situation = _situation(window)
+    table = build_preference_table(window_events(history, situation, lookback_days), situation)
+    assert table.entries == brute_force_table(history, situation, lookback_days)
 
 
 def test_build_preference_table_worked_cell(reference_history, reference_situation):
-    table = build_preference_table(reference_history, reference_situation)
+    table = build_preference_table(window_events(reference_history, reference_situation), reference_situation)
     assert table.score("r1", "Ch1") == pytest.approx(19.44, abs=1e-9)
 
 
@@ -189,20 +175,18 @@ def test_build_preference_table_empty_history(reference_situation):
 
 
 def test_preference_linearity_under_duplication(reference_history, reference_situation):
-    import dataclasses
-
     doubled = list(reference_history) + [
         dataclasses.replace(e, event_id=e.event_id + "-copy") for e in reference_history
     ]
-    base = build_preference_table(reference_history, reference_situation)
-    double = build_preference_table(doubled, reference_situation)
+    base = build_preference_table(window_events(reference_history, reference_situation), reference_situation)
+    double = build_preference_table(window_events(doubled, reference_situation), reference_situation)
     assert set(double.entries) == set(base.entries)
     for key, score in base.entries.items():
         assert double.entries[key] == pytest.approx(2 * score, rel=1e-12)
 
 
 def test_preference_bounded_by_event_count(reference_history, reference_situation):
-    table = build_preference_table(reference_history, reference_situation)
+    table = build_preference_table(window_events(reference_history, reference_situation), reference_situation)
     counts = {}
     for event in reference_history:
         key = (event.resident, event.attributes["channel"].label)
@@ -212,18 +196,16 @@ def test_preference_bounded_by_event_count(reference_history, reference_situatio
 
 
 def test_lookback_filter(reference_situation):
-    import datetime as dt
-
     recent = make_event("r1", "20:00:00", "20:30:00", channel="Ch1", date=dt.date(2026, 3, 1))
     stale = make_event("r1", "20:00:00", "20:30:00", channel="Ch1", date=dt.date(2025, 1, 1))
-    table_all = build_preference_table([recent, stale], reference_situation)
-    table_recent = build_preference_table([recent, stale], reference_situation, lookback_days=30)
+    assert window_events([recent, stale], reference_situation, lookback_days=30) == [recent]
+    table_all = build_preference_table(window_events([recent, stale], reference_situation), reference_situation)
     assert table_all.score("r1", "Ch1") == pytest.approx(2.0)
-    assert table_recent.score("r1", "Ch1") == pytest.approx(1.0)
-
-
-def test_weight_by_window_fills_proximity():
-    window = interval("20:00:00", "20:30:00")
-    events = find_overlapping_events([make_event("r1", "20:00:00", "20:30:00")], window, "TV", "living room")
-    weighted = weight_by_window(events, window)
-    assert weighted[0].proximity == 1.0
+    # The horizon counts back from the latest date of the whole history,
+    # whatever service that last event used.
+    later_radio = make_event("r1", "08:00:00", "09:00:00", service="radio", date=dt.date(2026, 6, 1))
+    assert window_events([recent, stale, later_radio], reference_situation, lookback_days=30) == []
+    assert window_events([recent, stale, later_radio], reference_situation, lookback_days=93) == [recent]
+    edge = make_event("r1", "20:00:00", "20:30:00", channel="Ch1", date=dt.date(2026, 1, 31))
+    assert window_events([edge, stale, recent], reference_situation, lookback_days=30) == [edge, recent]
+    assert window_events([edge, stale, recent], reference_situation, lookback_days=29) == [recent]
