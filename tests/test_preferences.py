@@ -91,6 +91,17 @@ def test_window_events_drops_disjoint_and_touching_events():
     assert window_events([disjoint, *touching, wrapped], situation) == [wrapped]
 
 
+def test_preference_score_worked_value():
+    # 18 exact-window events plus two suffix events whose pair proximities are
+    # 0.9375 and 0.5025: the paper's worked score of 19.44.
+    situation = _situation()
+    history = [make_event("r1", "20:00:00", "20:30:00") for _ in range(18)]
+    history.append(make_event("r1", "20:03:45", "20:30:00"))
+    history.append(make_event("r1", "20:29:51", "20:30:00"))
+    table = build_preference_table(window_events(history, situation), situation)
+    assert table.score("r1", "Ch1") == 19.44
+
+
 def test_build_preference_table_missing_item_is_zero():
     situation = _situation()
     table = build_preference_table(window_events([make_event("r1", "20:00:00", "20:30:00")], situation), situation)
