@@ -2,7 +2,7 @@
 
 from .config import RunConfig
 from .errors import ArbiterError, ConvergenceError, DataError, ParseError
-from .intervals import TimeOfDayInterval, intersect, overlap_length
+from .intervals import TimeOfDayInterval, overlap_length
 from .model import AttributeValue, ConflictSituation, ServiceEvent, ServiceRequest
 from .detect import detect_conflicts, is_conflict
 from .preferences import PreferenceTable, build_preference_table, temporal_proximity, window_events
@@ -31,7 +31,6 @@ from .evaluate import (
 )
 from .ingest import (
     BinningSpec,
-    StabilizationConfig,
     apply_bins,
     augment_channels,
     compute_bins,

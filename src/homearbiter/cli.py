@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import click
@@ -22,10 +23,10 @@ from .errors import ArbiterError, DataError
 from .evaluate import EvaluationConfig, run_experiment
 from .ingest import (
     PRNG_NAME,
-    StabilizationConfig,
     apply_bins,
     augment_channels,
     compute_bins,
+    continue_ids,
     dumps_json,
     load_requests,
     load_store,
@@ -43,42 +44,31 @@ RESOLUTIONS_SCHEMA = "homearbiter-resolutions/1"
 REPORT_SCHEMA = "homearbiter-report/1"
 
 
+# Type and help text of each RunConfig field's flag; defaults come from the field.
+CONFIG_FLAGS = {
+    "alpha": (float, "Spectrum share kept by the low-rank truncation."),
+    "top_n": (int, "Scored items per resident feeding the candidate set."),
+    "k": (int, "Number of items chosen per resolution."),
+    "settling_window": (int, "Seconds under which rapid value changes fold together."),
+    "bin_count": (int, "Bins for numeric attributes."),
+    "lookback_days": (int, "Only use history from the trailing N days."),
+    "seed": (int, "Seed for all randomized steps."),
+    "adopted_threshold": (float, "Active-day share above which an item counts as adopted."),
+}
+EVALUATION_DEFAULTS = EvaluationConfig()
+
+
 def config_options(command):
-    options = [
-        click.option("--alpha", type=float, default=0.97, show_default=True,
-                     help="Spectrum share kept by the low-rank truncation."),
-        click.option("--top-n", type=int, default=3, show_default=True,
-                     help="Scored items per resident feeding the candidate set."),
-        click.option("--k", type=int, default=1, show_default=True,
-                     help="Number of items chosen per resolution."),
-        click.option("--settling-window", type=int, default=60, show_default=True,
-                     help="Seconds under which rapid value changes fold together."),
-        click.option("--bin-count", type=int, default=5, show_default=True,
-                     help="Bins for numeric attributes."),
-        click.option("--lookback-days", type=int, default=None,
-                     help="Only use history from the trailing N days."),
-        click.option("--seed", type=int, default=0, show_default=True,
-                     help="Seed for all randomized steps."),
-        click.option("--adopted-threshold", type=float, default=0.6, show_default=True,
-                     help="Active-day share above which an item counts as adopted."),
-    ]
-    for option in reversed(options):
-        command = option(command)
+    for field in reversed(fields(RunConfig)):
+        kind, text = CONFIG_FLAGS[field.name]
+        command = click.option(f"--{field.name.replace('_', '-')}", type=kind, default=field.default,
+                               show_default=True, help=text)(command)
     return command
 
 
 def _build_config(kwargs: dict) -> RunConfig:
     try:
-        return RunConfig(
-            alpha=kwargs.pop("alpha"),
-            top_n=kwargs.pop("top_n"),
-            k=kwargs.pop("k"),
-            settling_window=kwargs.pop("settling_window"),
-            bin_count=kwargs.pop("bin_count"),
-            lookback_days=kwargs.pop("lookback_days"),
-            seed=kwargs.pop("seed"),
-            adopted_threshold=kwargs.pop("adopted_threshold"),
-        )
+        return RunConfig(**{field.name: kwargs.pop(field.name) for field in fields(RunConfig)})
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
 
@@ -143,17 +133,15 @@ def ingest(logs, out, residents, location_map, channels, **kwargs) -> None:
         for path in logs:
             result = parse_event_log(path, location_map=loc_map)
             warnings.extend(f"{Path(path).name}: {w}" for w in result.warnings)
-            events.extend(result.events)
-        events.sort(key=lambda e: (e.date, e.interval.start, e.resident, e.event_id))
+            events.extend(continue_ids(result.events, len(events)))
 
-    events = stabilize(events, StabilizationConfig(settling_window=cfg.settling_window))
+    events = stabilize(events, cfg.settling_window)
 
     numeric_values: dict[tuple[str, str], list[float]] = {}
     for event in events:
         for name, value in event.attributes.items():
             if value.kind == "numeric":
                 numeric_values.setdefault((event.service_id, name), []).append(value.value)
-    bins = []
     specs = {}
     for (service_id, attribute), values in sorted(numeric_values.items()):
         if len(set(values)) < cfg.bin_count:
@@ -162,16 +150,7 @@ def ingest(logs, out, residents, location_map, channels, **kwargs) -> None:
                 f"{cfg.bin_count} bins; left numeric"
             )
             continue
-        spec = compute_bins(values, cfg.bin_count, attribute=attribute)
-        specs[(service_id, attribute)] = spec
-        bins.append({
-            "service_id": service_id,
-            "attribute": attribute,
-            "bin_count": spec.bin_count,
-            "boundaries": list(spec.boundaries),
-            "lo": spec.lo,
-            "hi": spec.hi,
-        })
+        specs[(service_id, attribute)] = compute_bins(values, cfg.bin_count, attribute=attribute)
     if specs:
         binned = []
         for event in events:
@@ -189,7 +168,7 @@ def ingest(logs, out, residents, location_map, channels, **kwargs) -> None:
     header = {
         "config": cfg.as_dict(),
         "inputs": _input_digests(logs),
-        "bins": bins,
+        "bins": specs,
         "prng": PRNG_NAME,
         "warnings": warnings,
     }
@@ -354,11 +333,11 @@ def resolve(store_path, requests_path, conflicts_path, strategy, dump_preference
 @click.option("--store", "store_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--requests", "requests_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--out-prefix", required=True, help="Reports are written as PREFIX.csv and PREFIX.json.")
-@click.option("--strategies", default=",".join(STRATEGIES), show_default=True,
+@click.option("--strategies", default=",".join(EVALUATION_DEFAULTS.strategies), show_default=True,
               help="Comma-separated strategy labels to score.")
-@click.option("--group-sizes", default="2,3", show_default=True,
+@click.option("--group-sizes", default=",".join(map(str, EVALUATION_DEFAULTS.group_sizes)), show_default=True,
               help="Comma-separated conflict group sizes to bucket.")
-@click.option("--list-size", type=int, default=2, show_default=True,
+@click.option("--list-size", type=int, default=EVALUATION_DEFAULTS.recommendation_list_size, show_default=True,
               help="Length of each strategy's recommendation list.")
 @click.option("--plot-data", is_flag=True, help="Also write PREFIX.<metric>.tsv series.")
 @config_options
@@ -370,7 +349,6 @@ def evaluate(store_path, requests_path, out_prefix, strategies, group_sizes, lis
         eval_cfg = EvaluationConfig(
             strategies=tuple(s.strip() for s in strategies.split(",") if s.strip()),
             group_sizes=tuple(int(g) for g in group_sizes.split(",") if g.strip()),
-            adopted_threshold=cfg.adopted_threshold,
             recommendation_list_size=list_size,
         )
     except ValueError as exc:

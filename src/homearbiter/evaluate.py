@@ -17,7 +17,6 @@ from .preferences import PreferenceTable, window_events
 class EvaluationConfig:
     strategies: tuple[str, ...] = STRATEGIES
     group_sizes: tuple[int, ...] = (2, 3)
-    adopted_threshold: float = 0.6
     recommendation_list_size: int = 2
 
     def __post_init__(self) -> None:
@@ -31,8 +30,6 @@ class EvaluationConfig:
                 raise ValueError(f"duplicate {name} in {','.join(map(str, values))!r}")
         if any(g < 2 for g in self.group_sizes):
             raise ValueError("group sizes must be at least 2")
-        if not 0 < self.adopted_threshold <= 1:
-            raise ValueError("adopted_threshold must be in (0, 1]")
         if self.recommendation_list_size < 1:
             raise ValueError("recommendation_list_size must be positive")
 
@@ -51,8 +48,7 @@ def satisfaction_gain(
     return sum(table.score(member, item) for member in group for item in counted) / len(group)
 
 
-def adopted_items(events: Sequence[ServiceEvent], resident: str, attribute: str,
-                  threshold: float = 0.6) -> set[str]:
+def adopted_items(events: Sequence[ServiceEvent], resident: str, attribute: str, threshold: float) -> set[str]:
     """Items the resident used on strictly more than ``threshold`` of active days.
 
     ``events`` are a situation's window events.  A day is active when the
@@ -203,14 +199,13 @@ def run_experiment(
     history: Sequence[ServiceEvent],
     requests: Sequence[ServiceRequest],
     cfg: EvaluationConfig,
-    run_cfg: RunConfig | None = None,
+    run_cfg: RunConfig,
 ) -> MetricReport:
     """Score every strategy on every detected conflict, bucketed by group size.
 
     Deterministic for fixed inputs and configuration: conflicts come from a
     canonical detection pass and all aggregation is order-independent.
     """
-    run_cfg = run_cfg or RunConfig(adopted_threshold=cfg.adopted_threshold)
     situations = detect_conflicts(requests)
     # Every strategy ranks the same prepared matrix and is scored against the
     # same adopted items, and both read the same window events, so each
@@ -224,7 +219,7 @@ def run_experiment(
             events = window_events(history, situation, run_cfg.lookback_days)
             adopted: set[str] = set()
             for member in sorted(situation.residents):
-                adopted |= adopted_items(events, member, situation.attribute, cfg.adopted_threshold)
+                adopted |= adopted_items(events, member, situation.attribute, run_cfg.adopted_threshold)
             by_size[size].append((situation, prepare(situation, events, run_cfg), adopted))
 
     details: list[SituationMetrics] = []

@@ -55,17 +55,6 @@ class RawLogRecord:
 
 
 @dataclass(frozen=True)
-class StabilizationConfig:
-    """Fold bursts of value changes closer together than ``settling_window``."""
-
-    settling_window: int = 60
-
-    def __post_init__(self) -> None:
-        if self.settling_window <= 0:
-            raise ValueError("settling_window must be positive")
-
-
-@dataclass(frozen=True)
 class BinningSpec:
     """Cut points for one numeric attribute.
 
@@ -82,8 +71,8 @@ class BinningSpec:
     hi: float
 
     def __post_init__(self) -> None:
-        if self.bin_count < 1:
-            raise ValueError("bin_count must be positive")
+        if isinstance(self.bin_count, bool) or not isinstance(self.bin_count, int) or self.bin_count < 1:
+            raise ValueError("bin_count must be a positive integer")
         if len(self.boundaries) != self.bin_count - 1:
             raise ValueError("need bin_count - 1 boundaries")
         if any(b2 <= b1 for b1, b2 in zip(self.boundaries, self.boundaries[1:])):
@@ -96,6 +85,15 @@ class BinningSpec:
         lower = self.lo if index == 0 else self.boundaries[index - 1]
         upper = self.hi if index == self.bin_count - 1 else self.boundaries[index]
         return (lower, upper)
+
+
+def store_order(event: ServiceEvent) -> tuple:
+    """Sort key of the canonical event order: date, start, resident, event id."""
+    return (event.date, event.interval.start, event.resident, event.event_id)
+
+
+def _event_id(resident: str, number: int) -> str:
+    return f"{resident}-{number:06d}"
 
 
 @dataclass
@@ -207,7 +205,7 @@ def parse_event_log(
         counter += 1
         events.append(
             ServiceEvent(
-                event_id=f"{res}-{counter:06d}",
+                event_id=_event_id(res, counter),
                 service_id=sensor,
                 attributes=dict(session.attributes),
                 date=session.date,
@@ -260,18 +258,34 @@ def parse_event_log(
     for key in sorted(open_sessions):
         close_at_day_end(key, open_sessions[key])
 
-    events.sort(key=lambda e: (e.date, e.interval.start, e.resident, e.event_id))
+    events.sort(key=store_order)
     return ParseResult(events=events, warnings=warnings)
 
 
-def stabilize(events: Sequence[ServiceEvent], cfg: StabilizationConfig) -> list[ServiceEvent]:
+def continue_ids(events: Sequence[ServiceEvent], offset: int) -> list[ServiceEvent]:
+    """A later log's events, numbered after the ``offset`` events of the logs before it.
+
+    Each :func:`parse_event_log` call numbers from 1; the shift keeps a multi-log store's ids unique.
+    """
+    if offset == 0:
+        return list(events)
+    return [
+        replace(e, event_id=_event_id(e.resident, int(e.event_id.rpartition("-")[2]) + offset))
+        for e in events
+    ]
+
+
+def stabilize(events: Sequence[ServiceEvent], settling_window: int) -> list[ServiceEvent]:
     """Keep only the settled value of each burst of rapid changes.
 
     Within one (resident, service, location, day), consecutive events whose
-    start times are closer than the settling window form a run; only the
-    run's final event survives, its interval stretched back to the first
-    change.  Idempotent: surviving starts are at least a window apart.
+    start times are closer than ``settling_window`` seconds form a run; only
+    the run's final event survives, its interval stretched back to the first
+    change.  Idempotent: surviving starts are at least a window apart.  With
+    unique event ids the result does not depend on the input order.
     """
+    if settling_window <= 0:
+        raise ValueError("settling_window must be positive")
     groups: dict[tuple, list[ServiceEvent]] = {}
     for e in events:
         groups.setdefault((e.resident, e.service_id, e.location, e.date), []).append(e)
@@ -279,7 +293,7 @@ def stabilize(events: Sequence[ServiceEvent], cfg: StabilizationConfig) -> list[
     for key in groups:
         run: list[ServiceEvent] = []
         for e in sorted(groups[key], key=lambda e: (e.interval.start, e.event_id)):
-            if run and e.interval.start - run[-1].interval.start < cfg.settling_window:
+            if run and e.interval.start - run[-1].interval.start < settling_window:
                 run.append(e)
             else:
                 if run:
@@ -287,7 +301,7 @@ def stabilize(events: Sequence[ServiceEvent], cfg: StabilizationConfig) -> list[
                 run = [e]
         if run:
             out.append(_fold_run(run))
-    out.sort(key=lambda e: (e.date, e.interval.start, e.resident, e.event_id))
+    out.sort(key=store_order)
     return out
 
 
@@ -362,18 +376,6 @@ def compute_bins(values: Sequence[float], bin_count: int, attribute: str = "valu
     return BinningSpec(attribute=attribute, bin_count=bin_count, boundaries=boundaries, lo=vals[0], hi=vals[-1])
 
 
-def binning_sse(values: Sequence[float], spec: BinningSpec) -> float:
-    """Total within-bin SSE of the values under the spec's boundaries."""
-    groups: dict[int, list[float]] = {}
-    for v in values:
-        groups.setdefault(spec.bin_index(float(v)), []).append(float(v))
-    total = 0.0
-    for vs in groups.values():
-        mean = sum(vs) / len(vs)
-        total += sum((v - mean) ** 2 for v in vs)
-    return total
-
-
 def bin_value(value: float, spec: BinningSpec) -> tuple[AttributeValue, str | None]:
     """Bin a numeric value; out-of-observed-range values clamp with a warning."""
     warning = None
@@ -408,7 +410,7 @@ def merge_households(logs: Sequence[tuple[str, Sequence[ServiceEvent]]]) -> list
             if e.resident != resident:
                 raise DataError(f"event {e.event_id} belongs to {e.resident!r}, not {resident!r}")
             merged.append(e)
-    merged.sort(key=lambda e: (e.date, e.interval.start, e.resident, e.event_id))
+    merged.sort(key=store_order)
     return merged
 
 
@@ -461,6 +463,8 @@ def load_requests(path: str | Path, bin_specs: Mapping[tuple[str, str], BinningS
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"bad JSON: {exc.msg}", path=str(path), line=lineno) from exc
+            if not isinstance(obj, dict):
+                raise ParseError(f"expected a JSON object, got {type(obj).__name__}", path=str(path), line=lineno)
             try:
                 value = parse_value(str(obj["value"]))
                 service_id = str(obj["service_id"])
@@ -482,7 +486,7 @@ def load_requests(path: str | Path, bin_specs: Mapping[tuple[str, str], BinningS
                 )
             except KeyError as exc:
                 raise ParseError(f"missing field {exc.args[0]!r}", path=str(path), line=lineno) from exc
-            except ValueError as exc:
+            except (TypeError, ValueError) as exc:
                 raise ParseError(str(exc), path=str(path), line=lineno) from exc
     ids = [r.request_id for r in requests]
     if len(set(ids)) != len(ids):
@@ -530,35 +534,49 @@ def dumps_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _bins_to_json(specs: Mapping[tuple[str, str], BinningSpec]) -> list[dict]:
+    return [{"service_id": service_id, "attribute": attribute, "bin_count": spec.bin_count,
+             "boundaries": list(spec.boundaries), "lo": spec.lo, "hi": spec.hi}
+            for (service_id, attribute), spec in sorted(specs.items())]
+
+
+def _finite(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _bins_from_json(entries) -> dict[tuple[str, str], BinningSpec]:
+    specs = {}
+    for entry in entries:
+        key = (entry["service_id"], entry["attribute"])
+        if not all(isinstance(name, str) for name in key):
+            raise ValueError("service_id and attribute must be strings")
+        specs[key] = BinningSpec(attribute=key[1], bin_count=entry["bin_count"],
+                                 boundaries=tuple(map(_finite, entry["boundaries"])),
+                                 lo=_finite(entry["lo"]), hi=_finite(entry["hi"]))
+    return specs
+
+
 @dataclass
 class EventStore:
+    """A loaded store; ``header["bins"]``, when present, maps (service_id, attribute) to its spec."""
+
     events: list[ServiceEvent]
     header: dict
 
     def bin_specs(self) -> dict[tuple[str, str], BinningSpec]:
-        specs = {}
-        for entry in self.header.get("bins", []):
-            spec = BinningSpec(
-                attribute=entry["attribute"],
-                bin_count=entry["bin_count"],
-                boundaries=tuple(entry["boundaries"]),
-                lo=entry["lo"],
-                hi=entry["hi"],
-            )
-            specs[(entry["service_id"], entry["attribute"])] = spec
-        return specs
-
-
-def store_to_text(events: Sequence[ServiceEvent], header: Mapping) -> str:
-    header = {"schema": STORE_SCHEMA, **header}
-    ordered = sorted(events, key=lambda e: (e.date, e.interval.start, e.resident, e.event_id))
-    lines = [dumps_json(header)]
-    lines.extend(dumps_json(_event_to_json(e)) for e in ordered)
-    return "\n".join(lines) + "\n"
+        return dict(self.header.get("bins", {}))
 
 
 def write_store(path: str | Path, events: Sequence[ServiceEvent], header: Mapping) -> None:
-    Path(path).write_text(store_to_text(events, header), encoding="utf-8", newline="\n")
+    """Write the store; ``header["bins"]``, when present, maps (service_id, attribute) to its spec."""
+    header = {"schema": STORE_SCHEMA, **header}
+    if "bins" in header:
+        header["bins"] = _bins_to_json(header["bins"])
+    lines = [dumps_json(header)]
+    lines.extend(dumps_json(_event_to_json(e)) for e in sorted(events, key=store_order))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
 def load_store(path: str | Path) -> EventStore:
@@ -578,11 +596,16 @@ def load_store(path: str | Path) -> EventStore:
                 schema = obj.get("schema") if isinstance(obj, dict) else None
                 if schema != STORE_SCHEMA:
                     raise ParseError(f"unknown store schema {schema!r}", path=str(path), line=lineno)
+                if "bins" in obj:
+                    try:
+                        obj["bins"] = _bins_from_json(obj["bins"])
+                    except (LookupError, TypeError, ValueError, OverflowError) as exc:
+                        raise ParseError(f"bad bins entry: {exc}", path=str(path), line=lineno) from exc
                 header = obj
                 continue
             try:
                 events.append(_event_from_json(obj))
-            except (LookupError, TypeError, ValueError) as exc:
+            except (LookupError, TypeError, ValueError, OverflowError) as exc:
                 raise ParseError(f"bad event record: {exc}", path=str(path), line=lineno) from exc
     if header is None:
         raise ParseError(f"no store header, expected schema {STORE_SCHEMA!r}", path=str(path))
@@ -621,7 +644,7 @@ def load_ratings_table(path: str | Path):
             if (resident, item) in entries:
                 raise ParseError(f"duplicate rating for ({resident}, {item})", path=str(path), line=lineno)
             entries[(resident, item)] = score
-    return PreferenceTable(entries=entries, window=None, service_id="ratings")
+    return PreferenceTable(entries=entries)
 
 
 def sha256_file(path: str | Path) -> str:

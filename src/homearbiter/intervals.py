@@ -18,6 +18,8 @@ SECONDS_PER_DAY = 86400
 
 def parse_hms(text: str) -> int:
     """Parse ``HH:MM:SS`` into seconds since midnight."""
+    if not isinstance(text, str):
+        raise ValueError(f"expected HH:MM:SS, got {text!r}")
     parts = text.strip().split(":")
     if len(parts) != 3:
         raise ValueError(f"expected HH:MM:SS, got {text!r}")
@@ -54,10 +56,6 @@ class TimeOfDayInterval:
         if self.start == self.end:
             raise ValueError("zero-length interval")
 
-    @classmethod
-    def from_hms(cls, start: str, end: str) -> "TimeOfDayInterval":
-        return cls(parse_hms(start), parse_hms(end))
-
     @property
     def wraps(self) -> bool:
         return self.end < self.start
@@ -92,37 +90,6 @@ def overlap_length(a: TimeOfDayInterval, b: TimeOfDayInterval) -> int:
     endpoint.
     """
     return sum(_segment_overlap(sa, sb) for sa in a.segments() for sb in b.segments())
-
-
-def _interval_from_segment(s: int, e: int) -> TimeOfDayInterval:
-    return TimeOfDayInterval(s, e % SECONDS_PER_DAY)
-
-
-def intersect(a: TimeOfDayInterval, b: TimeOfDayInterval) -> TimeOfDayInterval | None:
-    """Common sub-window of two intervals, or ``None`` when they do not overlap.
-
-    With wrapping inputs the true intersection can consist of two arcs; the
-    longest one is returned (ties: the one starting earliest).
-    """
-    pieces = []
-    for sa in a.segments():
-        for sb in b.segments():
-            s, e = max(sa[0], sb[0]), min(sa[1], sb[1])
-            if e > s:
-                pieces.append((s, e))
-    if not pieces:
-        return None
-    pieces.sort()
-    # Join pieces that are contiguous across midnight (…,86400) + (0,…).
-    if len(pieces) > 1 and pieces[0][0] == 0 and pieces[-1][1] == SECONDS_PER_DAY:
-        first, last = pieces[0], pieces[-1]
-        merged = (last[0], last[1] + first[1])  # end measured past midnight
-        rest = pieces[1:-1]
-        candidates = rest + [merged]
-    else:
-        candidates = pieces
-    best = max(candidates, key=lambda p: (p[1] - p[0], -p[0]))
-    return _interval_from_segment(best[0], best[1])
 
 
 def covering_span(intervals: Sequence[TimeOfDayInterval]) -> int:

@@ -41,20 +41,6 @@ class SvdResult:
     singular_values: np.ndarray
     V: np.ndarray
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.A.shape[0], self.V.shape[0])
-
-    def diagonal_matrix(self) -> np.ndarray:
-        m, n = self.shape
-        d = np.zeros((m, n))
-        k = len(self.singular_values)
-        d[:k, :k] = np.diag(self.singular_values)
-        return d
-
-    def reconstruct(self) -> np.ndarray:
-        return self.A @ self.diagonal_matrix() @ self.V.T
-
 
 @dataclass(frozen=True)
 class TruncatedSvd:

@@ -168,12 +168,6 @@ class ConflictSituation:
     def residents(self) -> tuple[str, ...]:
         return tuple(r.resident for r in self.requests)
 
-    def request_for(self, resident: str) -> ServiceRequest:
-        for r in self.requests:
-            if r.resident == resident:
-                return r
-        raise KeyError(resident)
-
     def key(self) -> tuple:
         return (
             self.service_id,

@@ -38,19 +38,11 @@ class PreferenceTable:
     """Nonnegative scores per (resident, item) for one conflict window."""
 
     entries: dict[tuple[str, str], float]
-    window: TimeOfDayInterval | None
-    service_id: str
 
     def __post_init__(self) -> None:
         for (resident, item), score in self.entries.items():
             if score < 0:
                 raise ValueError(f"negative score for ({resident}, {item})")
-
-    def residents(self) -> tuple[str, ...]:
-        return tuple(sorted({r for r, _ in self.entries}))
-
-    def items(self) -> tuple[str, ...]:
-        return tuple(sorted({i for _, i in self.entries}))
 
     def score(self, resident: str, item: str) -> float:
         return self.entries.get((resident, item), 0.0)
@@ -112,4 +104,4 @@ def build_preference_table(events: Sequence[ServiceEvent], situation: ConflictSi
             continue
         key = (event.resident, value.item_label())
         entries[key] = entries.get(key, 0.0) + temporal_proximity((event.interval, window))
-    return PreferenceTable(entries=entries, window=window, service_id=situation.service_id)
+    return PreferenceTable(entries=entries)

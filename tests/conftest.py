@@ -1,5 +1,6 @@
 import datetime as dt
 
+import numpy as np
 import pytest
 
 from homearbiter.intervals import TimeOfDayInterval, parse_hms
@@ -11,7 +12,27 @@ def hms(text: str) -> int:
 
 
 def interval(start: str, end: str) -> TimeOfDayInterval:
-    return TimeOfDayInterval.from_hms(start, end)
+    return TimeOfDayInterval(parse_hms(start), parse_hms(end))
+
+
+def reconstruct(result) -> np.ndarray:
+    """``A @ D @ V.T`` of an ``SvdResult``, with ``D`` the full m-by-n diagonal."""
+    d = np.zeros((result.A.shape[0], result.V.shape[0]))
+    k = len(result.singular_values)
+    d[:k, :k] = np.diag(result.singular_values)
+    return result.A @ d @ result.V.T
+
+
+def binning_sse(values, spec) -> float:
+    """Total within-bin SSE of the values under the spec's boundaries: the binning oracle."""
+    groups: dict[int, list[float]] = {}
+    for v in values:
+        groups.setdefault(spec.bin_index(float(v)), []).append(float(v))
+    total = 0.0
+    for vs in groups.values():
+        mean = sum(vs) / len(vs)
+        total += sum((v - mean) ** 2 for v in vs)
+    return total
 
 
 _EVENT_COUNTER = [0]

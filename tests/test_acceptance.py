@@ -22,13 +22,13 @@ from homearbiter.cli import main
 from homearbiter.config import RunConfig
 from homearbiter.detect import detect_conflicts
 from homearbiter.evaluate import EvaluationConfig, harmonic_satisfaction, run_experiment
-from homearbiter.ingest import compute_bins, binning_sse, load_requests, load_store
+from homearbiter.ingest import compute_bins, load_requests, load_store
 from homearbiter.intervals import TimeOfDayInterval
 from homearbiter.linalg import TruncatedSvd, svd, truncate
 from homearbiter.model import AttributeValue, ServiceRequest
 from homearbiter.preferences import build_preference_table, temporal_proximity, window_events
 
-from conftest import interval, make_event, make_request
+from conftest import binning_sse, interval, make_event, make_request, reconstruct
 from test_detect import _detected_keys, sweep_oracle
 from test_ingest import brute_force_bins
 
@@ -81,7 +81,7 @@ def test_acceptance_1_worked_example_pipeline(capsys):
         }
         from homearbiter.preferences import PreferenceTable
 
-        table = PreferenceTable(entries=table_entries, window=situation.window, service_id="TV")
+        table = PreferenceTable(entries=table_entries)
         item_set = build_item_set(table, situation, top_n=3)
         assert item_set == ITEMS
         matrix = build_preference_matrix(table, item_set, sorted(situation.residents))
@@ -155,7 +155,7 @@ def test_acceptance_4_property_suites(capsys):
                 m[rows - 1] = m[0]
             result = svd(m)
             scale = max(1.0, float(np.max(np.abs(m))))
-            assert np.max(np.abs(result.reconstruct() - m)) / scale < 1e-8
+            assert np.max(np.abs(reconstruct(result) - m)) / scale < 1e-8
             assert np.max(np.abs(result.A.T @ result.A - np.eye(rows))) < 1e-8
             assert np.max(np.abs(result.V.T @ result.V - np.eye(cols))) < 1e-8
 
@@ -234,7 +234,7 @@ def test_acceptance_4_property_suites(capsys):
         for _ in range(100):
             sums = np.abs(rng.randn(int(rng.randint(1, 6)))) + 1e-3
             entries = {(f"m{i}", "x"): float(s) for i, s in enumerate(sums)}
-            table = PreferenceTable(entries=entries, window=None, service_id="TV")
+            table = PreferenceTable(entries=entries)
             members = sorted(r for r, _ in entries)
             assert harmonic_satisfaction(table, members, ["x"]) <= float(np.mean(sums)) + 1e-9
 

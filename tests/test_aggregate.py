@@ -44,7 +44,7 @@ def worked_table() -> PreferenceTable:
         for ri, r in enumerate(RESIDENTS)
         for ii, i in enumerate(ITEMS)
     }
-    return PreferenceTable(entries=entries, window=None, service_id="TV")
+    return PreferenceTable(entries=entries)
 
 
 # ---------------------------------------------------------------------------
@@ -55,9 +55,7 @@ def test_item_set_worked_example(reference_table, reference_situation):
 
 
 def test_item_set_single_resident_keeps_everything():
-    table = PreferenceTable(
-        entries={("r1", "Cha"): 3.0, ("r1", "Chb"): 1.0}, window=None, service_id="TV"
-    )
+    table = PreferenceTable(entries={("r1", "Cha"): 3.0, ("r1", "Chb"): 1.0})
     situation_requests = [make_request("r1", "Cha", request_id="A"), make_request("r2", "Chb", request_id="B")]
     from homearbiter.detect import detect_conflicts
 
@@ -73,7 +71,7 @@ def test_item_set_includes_requested_outside_top_n(reference_table, reference_si
 
 
 def test_item_set_missing_resident_everywhere_errors(reference_situation):
-    empty = PreferenceTable(entries={}, window=None, service_id="TV")
+    empty = PreferenceTable(entries={})
     # every situation member still has a request, so this must not raise
     assert build_item_set(empty, reference_situation, 3) == ("Ch2", "Ch3", "Ch5")
 
@@ -85,13 +83,13 @@ def test_build_matrix_worked_rows(reference_table, reference_situation):
 
 
 def test_build_matrix_single_cell():
-    table = PreferenceTable(entries={("r1", "x"): 7.0}, window=None, service_id="TV")
+    table = PreferenceTable(entries={("r1", "x"): 7.0})
     matrix = build_preference_matrix(table, ("x",), ("r1",))
     assert matrix.scores.tolist() == [[7.0]]
 
 
 def test_build_matrix_zero_fill():
-    table = PreferenceTable(entries={("r1", "x"): 7.0}, window=None, service_id="TV")
+    table = PreferenceTable(entries={("r1", "x"): 7.0})
     matrix = build_preference_matrix(table, ("x", "y"), ("r1", "r2"))
     assert matrix.scores[1].tolist() == [0.0, 0.0]
     assert matrix.scores[0, 1] == 0.0

@@ -226,6 +226,55 @@ def test_store_line_that_is_not_an_event_object_exits_two(workspace, tmp_path, c
             assert f"{store}:3: bad event record" in capsys.readouterr().err
 
 
+def test_request_line_that_is_not_a_request_object_exits_two(workspace, tmp_path, capsys):
+    first, *rest = (workspace / "requests.jsonl").read_text(encoding="utf-8").splitlines()
+    requests = tmp_path / "requests.jsonl"
+    for line in ("[1]", json.dumps(dict(json.loads(first), start=5))):
+        requests.write_text("\n".join([first, line, *rest]) + "\n", encoding="utf-8")
+        for command in (["detect"], ["resolve"], ["evaluate", "--out-prefix", str(tmp_path / "report")]):
+            assert main([*command, "--store", str(workspace / "store.jsonl"), "--requests", str(requests)]) == 2
+            assert f"data error: {requests}:2: " in capsys.readouterr().err
+
+
+def test_store_header_bins_are_checked_at_load(workspace, tmp_path, capsys):
+    header, *events = (workspace / "store.jsonl").read_text(encoding="utf-8").splitlines()
+    header = json.loads(header)
+    entry = header["bins"][0]
+    store = tmp_path / "store.jsonl"
+    requests = ["--requests", str(workspace / "requests.jsonl")]
+    broken = [
+        [{k: v for k, v in entry.items() if k != "lo"}],
+        [{"service_id": "thermostat"}],
+        [dict(entry, boundaries=entry["boundaries"][::-1])],
+        [dict(entry, bin_count=str(entry["bin_count"]))],
+        [dict(entry, hi=None)],
+        {"temp": entry},
+    ]
+    for bins in broken:
+        store.write_text("\n".join([json.dumps(dict(header, bins=bins)), *events]) + "\n", encoding="utf-8")
+        for command in (["detect"], ["resolve"], ["evaluate", "--out-prefix", str(tmp_path / "report")]):
+            assert main([*command, "--store", str(store), *requests]) == 2
+            assert f"data error: {store}:1: bad bins entry: " in capsys.readouterr().err
+
+
+def test_multi_log_store_has_unique_event_ids(tmp_path, capsys):
+    header, *rows = (DATA_DIR / "household60.csv").read_text(encoding="utf-8").splitlines()
+    dates = sorted({row.split(",")[0] for row in rows})
+    middle = dates[len(dates) // 2]
+    halves = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    halves[0].write_text("\n".join([header, *(r for r in rows if r < middle)]) + "\n", encoding="utf-8")
+    halves[1].write_text("\n".join([header, *(r for r in rows if r >= middle)]) + "\n", encoding="utf-8")
+    for name, logs in (("a", halves[:1]), ("ab", halves)):
+        assert main(["ingest", *map(str, logs), "--out", str(tmp_path / f"{name}.jsonl"), "--bin-count", "1000"]) == 0
+    capsys.readouterr()
+    first_half = (tmp_path / "a.jsonl").read_text(encoding="utf-8").splitlines()[1:]
+    both = (tmp_path / "ab.jsonl").read_text(encoding="utf-8").splitlines()[1:]
+    ids = [json.loads(line)["event_id"] for line in both]
+    assert len(set(ids)) == len(ids) > len(first_half) > 0
+    # The first log keeps its own ids; later logs number on after it.
+    assert both[:len(first_half)] == first_half
+
+
 def test_string_request_value_is_binned_like_a_number(workspace, tmp_path):
     text = (workspace / "requests.jsonl").read_text(encoding="utf-8")
     records = [json.loads(line) for line in text.splitlines()]
@@ -317,6 +366,20 @@ def test_malformed_conflict_stream_exits_two(workspace, tmp_path, capsys):
     ])
     assert rc == 2
     capsys.readouterr()
+    detected, numeric_start = tmp_path / "detected.jsonl", tmp_path / "numeric-start.jsonl"
+    assert main(["detect", "--store", str(workspace / "store.jsonl"), "--requests", str(workspace / "requests.jsonl"),
+                 "--out", str(detected)]) == 0
+    header, situation, *_ = detected.read_text(encoding="utf-8").splitlines()
+    situation = json.loads(situation)
+    situation["window"]["start"] = 5
+    numeric_start.write_text("\n".join([header, json.dumps(situation)]) + "\n", encoding="utf-8")
+    rc = main([
+        "resolve", "--store", str(workspace / "store.jsonl"),
+        "--requests", str(workspace / "requests.jsonl"),
+        "--conflicts", str(numeric_start), "--out", str(tmp_path / "out3.jsonl"),
+    ])
+    assert rc == 2
+    assert f"{numeric_start}:2: bad conflict record: expected HH:MM:SS, got 5" in capsys.readouterr().err
 
 
 def test_conflict_stream_header_must_match_inputs(workspace, tmp_path, capsys):

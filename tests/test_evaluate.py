@@ -28,14 +28,14 @@ WORKED_ENTRIES = {
 
 
 def worked_table() -> PreferenceTable:
-    return PreferenceTable(entries=dict(WORKED_ENTRIES), window=None, service_id="TV")
+    return PreferenceTable(entries=dict(WORKED_ENTRIES))
 
 
 # ---------------------------------------------------------------------------
 # satisfaction gain
 
 def test_sg_single_member():
-    table = PreferenceTable(entries={("r1", "Ch1"): 19.44}, window=None, service_id="TV")
+    table = PreferenceTable(entries={("r1", "Ch1"): 19.44})
     assert satisfaction_gain(table, ["r1"], ["Ch1"], {"Ch1"}) == pytest.approx(19.44)
 
 
@@ -45,9 +45,7 @@ def test_sg_nothing_adopted_is_zero():
 
 
 def test_sg_mean_over_members():
-    table = PreferenceTable(
-        entries={("a", "x"): 10.0, ("b", "x"): 20.0}, window=None, service_id="TV"
-    )
+    table = PreferenceTable(entries={("a", "x"): 10.0, ("b", "x"): 20.0})
     assert satisfaction_gain(table, ["a", "b"], ["x"], {"x"}) == pytest.approx(15.0)
 
 
@@ -90,11 +88,11 @@ def test_adopted_items_strictly_above_threshold():
     assert "Ch1" in adopted
     not_adopted = adopted_items(_usage_events(6, 10), "r1", "channel", threshold=0.6)
     assert "Ch1" not in not_adopted
-    assert adopted_items(_usage_events(7, 10), "r2", "channel") == set()
+    assert adopted_items(_usage_events(7, 10), "r2", "channel", threshold=0.6) == set()
 
 
 def test_adopted_items_empty_history():
-    assert adopted_items([], "r1", "channel") == set()
+    assert adopted_items([], "r1", "channel", threshold=0.6) == set()
 
 
 def test_adopted_items_only_window_overlap_counts():
@@ -103,25 +101,25 @@ def test_adopted_items_only_window_overlap_counts():
         make_event("r1", "08:00:00", "09:00:00", channel="Ch1", date=dt.date(2026, 2, 1) + dt.timedelta(days=d))
         for d in range(10)
     ]
-    assert adopted_items(window_events(busy_morning, situation), "r1", "channel") == set()
-    assert adopted_items(window_events(_usage_events(7, 10), situation), "r1", "channel") == {"Ch1"}
+    assert adopted_items(window_events(busy_morning, situation), "r1", "channel", threshold=0.6) == set()
+    assert adopted_items(window_events(_usage_events(7, 10), situation), "r1", "channel", threshold=0.6) == {"Ch1"}
 
 
 # ---------------------------------------------------------------------------
 # harmonic
 
 def test_harmonic_equal_sums():
-    table = PreferenceTable(entries={("a", "x"): 10.0, ("b", "x"): 10.0}, window=None, service_id="TV")
+    table = PreferenceTable(entries={("a", "x"): 10.0, ("b", "x"): 10.0})
     assert harmonic_satisfaction(table, ["a", "b"], ["x"]) == pytest.approx(10.0)
 
 
 def test_harmonic_derived_value():
-    table = PreferenceTable(entries={("a", "x"): 4.0, ("b", "x"): 12.0}, window=None, service_id="TV")
+    table = PreferenceTable(entries={("a", "x"): 4.0, ("b", "x"): 12.0})
     assert harmonic_satisfaction(table, ["a", "b"], ["x"]) == pytest.approx(6.0)
 
 
 def test_harmonic_zero_sum_member():
-    table = PreferenceTable(entries={("a", "x"): 4.0}, window=None, service_id="TV")
+    table = PreferenceTable(entries={("a", "x"): 4.0})
     assert harmonic_satisfaction(table, ["a", "b"], ["x"]) == 0.0
 
 
@@ -129,7 +127,7 @@ def test_harmonic_zero_sum_member():
 @given(sums=st.lists(st.floats(min_value=1e-3, max_value=1e6), min_size=1, max_size=6))
 def test_harmonic_at_most_arithmetic(sums):
     entries = {(f"m{i}", "x"): value for i, value in enumerate(sums)}
-    table = PreferenceTable(entries=entries, window=None, service_id="TV")
+    table = PreferenceTable(entries=entries)
     members = sorted(r for r, _ in entries)
     harmonic = harmonic_satisfaction(table, members, ["x"])
     arithmetic = sum(sums) / len(sums)
@@ -142,14 +140,12 @@ def test_harmonic_at_most_arithmetic(sums):
 # average satisfaction
 
 def test_average_satisfaction_everyone_top_item():
-    table = PreferenceTable(
-        entries={("a", "x"): 5.0, ("a", "y"): 1.0, ("b", "x"): 9.0}, window=None, service_id="TV"
-    )
+    table = PreferenceTable(entries={("a", "x"): 5.0, ("a", "y"): 1.0, ("b", "x"): 9.0})
     assert average_satisfaction(table, ["a", "b"], "x") == 1.0
 
 
 def test_average_satisfaction_half():
-    table = PreferenceTable(entries={("a", "x"): 10.0, ("a", "y"): 20.0}, window=None, service_id="TV")
+    table = PreferenceTable(entries={("a", "x"): 10.0, ("a", "y"): 20.0})
     assert average_satisfaction(table, ["a"], "x") == pytest.approx(0.5)
 
 
@@ -159,7 +155,7 @@ def test_average_satisfaction_worked_value():
 
 
 def test_average_satisfaction_excludes_zero_rows():
-    table = PreferenceTable(entries={("a", "x"): 10.0}, window=None, service_id="TV")
+    table = PreferenceTable(entries={("a", "x"): 10.0})
     assert average_satisfaction(table, ["a", "ghost"], "x") == 1.0
     assert average_satisfaction(table, ["ghost"], "x") == 0.0
 
@@ -172,7 +168,7 @@ def test_average_satisfaction_in_unit_interval():
             for i in range(3)
             for j in range(4)
         }
-        table = PreferenceTable(entries=entries, window=None, service_id="TV")
+        table = PreferenceTable(entries=entries)
         value = average_satisfaction(table, [f"m{i}" for i in range(3)], "i1")
         assert 0.0 <= value <= 1.0
 
@@ -279,6 +275,17 @@ def test_run_experiment_matches_per_strategy_resolve(monkeypatch):
     got = [(d.strategy, d.group_size, d.chosen, d.recommended, d.sg, d.harmonic, d.avg_satisfaction)
            for d in report.details]
     assert got == expected
+
+
+def test_run_experiment_reads_the_run_config_adopted_threshold():
+    history, requests = _experiment_inputs()
+    cfg = EvaluationConfig(strategies=("svd",))
+    low, high = (run_experiment(history, requests, cfg, RunConfig(adopted_threshold=t)) for t in (0.1, 0.9))
+    # The threshold picks the adopted items only: rankings stay, sg moves.
+    assert [(d.chosen, d.recommended, d.harmonic) for d in low.details] == \
+        [(d.chosen, d.recommended, d.harmonic) for d in high.details]
+    assert all(lo.sg >= hi.sg for lo, hi in zip(low.details, high.details))
+    assert [d.sg for d in low.details] != [d.sg for d in high.details]
 
 
 def test_run_experiment_rejects_unknown_strategy():

