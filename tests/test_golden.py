@@ -1,0 +1,53 @@
+"""Byte-for-byte goldens of every command's outputs on the bundled household.
+
+The files under ``tests/golden/household60/`` were written by these same
+commands and are compared byte for byte, so any change to ingest, detection,
+extraction, ranking or scoring that moves an output shows here.  To write
+them again after an intended change::
+
+    PYTHONPATH=src python -c "import sys; sys.path[:0] = ['tests']; \\
+        import test_golden; test_golden.write_outputs(test_golden.GOLDEN)"
+"""
+
+from __future__ import annotations
+
+import tempfile
+from pathlib import Path
+
+from homearbiter.aggregate import STRATEGIES
+from homearbiter.cli import main
+
+DATA = Path(__file__).resolve().parent.parent / "data"
+GOLDEN = Path(__file__).resolve().parent / "golden" / "household60"
+LOOKBACKS = {"all": [], "lookback20": ["--lookback-days", "20"]}
+
+
+def write_outputs(out: Path) -> None:
+    """Ingest the bundled log, then resolve with every strategy and evaluate, with and without a lookback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        # The store's file name is part of every output header, so it is fixed.
+        store = Path(tmp) / "household60.store.jsonl"
+        assert main(["ingest", str(DATA / "household60.csv"), "--out", str(store)]) == 0
+        inputs = ["--store", str(store), "--requests", str(DATA / "household60_requests.jsonl")]
+        for tag, lookback in LOOKBACKS.items():
+            target = out / tag
+            target.mkdir(parents=True, exist_ok=True)
+            for strategy in STRATEGIES:
+                assert main(["resolve", *inputs, *lookback, "--strategy", strategy, "--debug", "--k", "2",
+                             "--dump-preferences", str(target / f"preferences-{strategy}.csv"),
+                             "--out", str(target / f"resolve-{strategy}.jsonl")]) == 0
+            assert main(["evaluate", *inputs, *lookback, "--plot-data",
+                         "--out-prefix", str(target / "report")]) == 0
+
+
+def _files(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_household60_outputs_match_goldens(tmp_path, capsys):
+    write_outputs(tmp_path)
+    got, want = _files(tmp_path), _files(GOLDEN)
+    assert sorted(got) == sorted(want)
+    assert len(want) == len(LOOKBACKS) * (2 * len(STRATEGIES) + 5)
+    for name in want:
+        assert got[name] == want[name], f"{name} differs from its golden"
