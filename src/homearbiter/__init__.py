@@ -4,8 +4,8 @@ from .config import RunConfig
 from .errors import ArbiterError, ConvergenceError, DataError, ParseError
 from .intervals import TimeOfDayInterval, overlap_length
 from .model import AttributeValue, ConflictSituation, ServiceEvent, ServiceRequest
-from .detect import detect_conflicts, is_conflict
-from .preferences import PreferenceTable, build_preference_table, temporal_proximity, window_events
+from .detect import detect_conflicts
+from .preferences import History, PreferenceTable, build_preference_table, temporal_proximity, window_events
 from .linalg import SvdResult, TruncatedSvd, svd, truncate
 from .aggregate import (
     PreferenceMatrix,

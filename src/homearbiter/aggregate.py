@@ -26,7 +26,7 @@ from .config import RunConfig
 from .errors import DataError
 from .linalg import TruncatedSvd, svd, truncate
 from .model import ConflictSituation, ServiceEvent
-from .preferences import PreferenceTable, build_preference_table, window_events
+from .preferences import History, PreferenceTable, WindowEvents, build_preference_table, window_events
 
 SVD_STRATEGY = "svd"
 
@@ -150,7 +150,7 @@ def consensus_distance(matrix: PreferenceMatrix, item: str, consensus: np.ndarra
     return float(np.linalg.norm(column - consensus))
 
 
-def prepare(situation: ConflictSituation, events: Sequence[ServiceEvent], cfg: RunConfig) -> ResolutionDiagnostics:
+def prepare(situation: ConflictSituation, events: WindowEvents, cfg: RunConfig) -> ResolutionDiagnostics:
     """Preference table -> item set -> matrix: the inputs every strategy ranks.
 
     ``events`` are the situation's :func:`~homearbiter.preferences.window_events`.
@@ -219,11 +219,13 @@ def rank_prepared(prepared: ResolutionDiagnostics, situation: ConflictSituation,
     return Resolution(strategy, ranked, tuple(item for item, _ in ranked[: cfg.k]), diagnostics)
 
 
-def resolve(situation: ConflictSituation, history: Sequence[ServiceEvent], cfg: RunConfig,
+def resolve(situation: ConflictSituation, history: History | Sequence[ServiceEvent], cfg: RunConfig,
             strategy: str = SVD_STRATEGY) -> Resolution:
     """Resolve one situation with any strategy in :data:`STRATEGIES` (default: latent consensus).
 
-    Ranked items tie-break lexicographically.
+    A plain event sequence is indexed on the spot; to resolve many
+    situations, index it once as a :class:`~homearbiter.preferences.History`
+    and pass that.  Ranked items tie-break lexicographically.
     """
     events = window_events(history, situation, cfg.lookback_days)
     return rank_prepared(prepare(situation, events, cfg), situation, cfg, strategy)

@@ -7,7 +7,6 @@ and the SHA-256 digests of the inputs, so any result can be reproduced.
 
 from __future__ import annotations
 
-import json
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -32,12 +31,14 @@ from .ingest import (
     load_store,
     merge_households,
     parse_event_log,
+    parse_json,
     sha256_file,
     stabilize,
     write_store,
 )
 from .intervals import TimeOfDayInterval, format_hms, parse_hms
 from .model import ConflictSituation
+from .preferences import History
 
 CONFLICTS_SCHEMA = "homearbiter-conflicts/1"
 RESOLUTIONS_SCHEMA = "homearbiter-resolutions/1"
@@ -110,10 +111,7 @@ def ingest(logs, out, residents, location_map, channels, **kwargs) -> None:
     cfg = _build_config(kwargs)
     loc_map = None
     if location_map:
-        try:
-            loc_map = json.loads(Path(location_map).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{location_map}: bad JSON location map: {exc.msg}") from exc
+        loc_map = parse_json(Path(location_map).read_text(encoding="utf-8"), location_map)
         if not isinstance(loc_map, dict):
             raise DataError(f"{location_map}: location map must be a JSON object")
 
@@ -225,10 +223,7 @@ def _load_conflict_stream(path: str, requests, inputs: list[dict]) -> list[Confl
         line = line.strip()
         if not line:
             continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{where}:{lineno}: bad JSON in conflict stream: {exc.msg}") from exc
+        obj = parse_json(line, where, lineno)
         if header is None:
             header = obj if isinstance(obj, dict) else {}
             if header.get("schema") != CONFLICTS_SCHEMA:
@@ -294,8 +289,9 @@ def resolve(store_path, requests_path, conflicts_path, strategy, dump_preference
         f"# config: {dumps_json(header['config'])}",
         f"# inputs: {dumps_json(header['inputs'])}",
     ]
+    history = History(store.events)
     for situation in situations:
-        resolution = resolve_situation(situation, store.events, cfg, strategy)
+        resolution = resolve_situation(situation, history, cfg, strategy)
         record = _situation_json(situation)
         record["strategy"] = strategy
         record["ranked"] = [[item, round(value, 6)] for item, value in resolution.ranked]

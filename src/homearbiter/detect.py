@@ -17,20 +17,8 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Sequence
 
-from .intervals import SECONDS_PER_DAY, TimeOfDayInterval, intervals_overlap
+from .intervals import SECONDS_PER_DAY, TimeOfDayInterval
 from .model import ConflictSituation, ServiceRequest
-
-
-def is_conflict(a: ServiceRequest, b: ServiceRequest) -> bool:
-    """Pairwise conflict predicate; symmetric in its arguments."""
-    return (
-        a.service_id == b.service_id
-        and a.location == b.location
-        and a.attribute == b.attribute
-        and a.resident != b.resident
-        and a.value.key() != b.value.key()
-        and intervals_overlap(a.interval, b.interval)
-    )
 
 
 def _dedupe_by_resident(requests: list[ServiceRequest]) -> list[ServiceRequest]:

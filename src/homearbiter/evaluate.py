@@ -6,11 +6,13 @@ import datetime as dt
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .aggregate import STRATEGIES, ResolutionDiagnostics, prepare, rank_prepared
 from .config import RunConfig
 from .detect import detect_conflicts
 from .model import ConflictSituation, ServiceEvent, ServiceRequest
-from .preferences import PreferenceTable, window_events
+from .preferences import History, PreferenceTable, WindowEvents, window_events
 
 
 @dataclass(frozen=True)
@@ -34,6 +36,11 @@ class EvaluationConfig:
             raise ValueError("recommendation_list_size must be positive")
 
 
+# Every date ordinal is below this, so ``item * _DAYS + ordinal`` names one
+# (item, date) pair.
+_DAYS = dt.date.max.toordinal() + 1
+
+
 def satisfaction_gain(
     table: PreferenceTable,
     group: Sequence[str],
@@ -48,27 +55,32 @@ def satisfaction_gain(
     return sum(table.score(member, item) for member in group for item in counted) / len(group)
 
 
-def adopted_items(events: Sequence[ServiceEvent], resident: str, attribute: str, threshold: float) -> set[str]:
+def adopted_items(events: WindowEvents, resident: str, attribute: str, threshold: float) -> set[str]:
     """Items the resident used on strictly more than ``threshold`` of active days.
 
     ``events`` are a situation's window events.  A day is active when the
-    resident has any event on it; an item is adopted when the number of
-    distinct active days carrying that item exceeds ``threshold`` times the
-    number of active days.
+    resident has any event on it, with or without ``attribute``; an item is
+    adopted when the number of distinct active days carrying that item
+    exceeds ``threshold`` times the number of active days.
     """
-    item_days: dict[str, set[dt.date]] = {}
-    active_days: set[dt.date] = set()
-    for event in events:
-        if event.resident != resident:
-            continue
-        active_days.add(event.date)
-        value = event.attribute(attribute)
-        if value is not None:
-            item_days.setdefault(value.item_label(), set()).add(event.date)
-    if not active_days:
+    mine = events.resident == events.history.resident_code(resident)
+    dates = events.date[mine]
+    if not len(dates):
         return set()
-    cutoff = threshold * len(active_days)
-    return {item for item, days in item_days.items() if len(days) > cutoff}
+    items = events.items(attribute)[mine]
+    used = items >= 0
+    # The item code of each distinct (item, date) pair, counted per item.
+    day_counts = np.bincount(_distinct(items[used] * _DAYS + dates[used]) // _DAYS)
+    cutoff = threshold * len(_distinct(dates))
+    return {events.history.items[c] for c in np.flatnonzero(day_counts > cutoff).tolist()}
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values, as ``np.unique`` gives them without importing ``numpy.ma`` (about 2 MB)."""
+    ordered = np.sort(values)
+    first = np.ones(len(ordered), dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    return ordered[first]
 
 
 def harmonic_satisfaction(table: PreferenceTable, group: Sequence[str], recommended: Sequence[str]) -> float:
@@ -196,7 +208,7 @@ def _situation_key(situation: ConflictSituation) -> str:
 
 
 def run_experiment(
-    history: Sequence[ServiceEvent],
+    history: History | Sequence[ServiceEvent],
     requests: Sequence[ServiceRequest],
     cfg: EvaluationConfig,
     run_cfg: RunConfig,
@@ -204,9 +216,11 @@ def run_experiment(
     """Score every strategy on every detected conflict, bucketed by group size.
 
     Deterministic for fixed inputs and configuration: conflicts come from a
-    canonical detection pass and all aggregation is order-independent.
+    canonical detection pass and all aggregation is order-independent.  A
+    plain event sequence is indexed once for all situations.
     """
     situations = detect_conflicts(requests)
+    history = History.of(history)
     # Every strategy ranks the same prepared matrix and is scored against the
     # same adopted items, and both read the same window events, so each
     # situation scans the history once and is prepared once.

@@ -459,10 +459,7 @@ def load_requests(path: str | Path, bin_specs: Mapping[tuple[str, str], BinningS
             line = line.strip()
             if not line:
                 continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"bad JSON: {exc.msg}", path=str(path), line=lineno) from exc
+            obj = parse_json(line, str(path), lineno)
             if not isinstance(obj, dict):
                 raise ParseError(f"expected a JSON object, got {type(obj).__name__}", path=str(path), line=lineno)
             try:
@@ -530,6 +527,16 @@ def _event_from_json(obj) -> ServiceEvent:
     )
 
 
+def parse_json(text: str, path: str, line: int | None = None):
+    """``json.loads`` of one input, with any bad JSON raised as a :class:`ParseError` naming ``path:line``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"bad JSON: {exc.msg}", path=path, line=line) from exc
+    except ValueError as exc:  # valid syntax past a parser limit: an integer of more than 4300 digits
+        raise ParseError(f"bad JSON: {exc}", path=path, line=line) from exc
+
+
 def dumps_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
@@ -588,10 +595,7 @@ def load_store(path: str | Path) -> EventStore:
             line = line.strip()
             if not line:
                 continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"bad JSON: {exc.msg}", path=str(path), line=lineno) from exc
+            obj = parse_json(line, str(path), lineno)
             if header is None:
                 schema = obj.get("schema") if isinstance(obj, dict) else None
                 if schema != STORE_SCHEMA:

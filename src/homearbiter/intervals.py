@@ -120,7 +120,3 @@ def covering_span(intervals: Sequence[TimeOfDayInterval]) -> int:
     wrap_gap = merged[0][0] + SECONDS_PER_DAY - merged[-1][1]
     max_gap = max(max_gap, wrap_gap)
     return SECONDS_PER_DAY - max_gap
-
-
-def intervals_overlap(a: TimeOfDayInterval, b: TimeOfDayInterval) -> bool:
-    return overlap_length(a, b) > 0

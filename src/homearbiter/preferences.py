@@ -5,15 +5,22 @@ events that overlap the conflict window and carry that item value, of each
 event's temporal proximity to the window.  An event occupying exactly the
 window weighs 1; partial overlaps weigh less, so ``k`` exact repeats plus
 one partial overlap of weight ``p`` score ``k + p``.
+
+The history is read through a :class:`History`, numpy columns of every
+event built once per command.  A situation's :func:`window_events` are a
+mask over the columns of its service and location, and the table sums the
+matched events' proximities in closed form.
 """
 
 from __future__ import annotations
 
-import datetime as dt
+from array import array
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .intervals import TimeOfDayInterval, covering_span, intervals_overlap
+import numpy as np
+
+from .intervals import SECONDS_PER_DAY, TimeOfDayInterval, covering_span
 from .model import ServiceEvent, ConflictSituation
 
 
@@ -59,49 +66,165 @@ class PreferenceTable:
         return max(row.values()) if row else 0.0
 
 
+class _Columns:
+    """One (service, location)'s events as parallel arrays, in history order.
+
+    Each time of day is split into a first segment ``[start, end1)`` and a
+    second one ``[0, end2)``, which is empty unless the event wraps past
+    midnight.
+    """
+
+    def __init__(self, date: array, start: array, end: array, resident: array,
+                 items: dict[str, tuple[array, array]]):
+        self.date = np.asarray(date, dtype=np.int64)
+        self.start = np.asarray(start, dtype=np.int64)
+        end_ = np.asarray(end, dtype=np.int64)
+        wraps = end_ < self.start
+        self.end1 = np.where(wraps, SECONDS_PER_DAY, end_)
+        self.end2 = np.where(wraps, end_, 0)
+        self.duration = self.end1 - self.start + self.end2
+        self.resident = np.asarray(resident, dtype=np.int64)
+        self.items: dict[str, np.ndarray] = {}
+        for name, (rows, codes) in items.items():
+            column = np.full(len(date), -1, dtype=np.int64)
+            column[np.asarray(rows, dtype=np.int64)] = np.asarray(codes, dtype=np.int64)
+            self.items[name] = column
+
+    def overlap(self, window: TimeOfDayInterval) -> np.ndarray:
+        """Seconds each event shares with ``window``, summed over the segment pairs."""
+        total = np.zeros(len(self.date), dtype=np.int64)
+        for s, e in window.segments():
+            total += np.maximum(0, np.minimum(self.end1, e) - np.maximum(self.start, s))
+            total += np.maximum(0, np.minimum(self.end2, e) - s)
+        return total
+
+
+_NO_EVENTS = _Columns(array("q"), array("q"), array("q"), array("q"), {})
+
+
+class History:
+    """A columnar index of an event history, built once and read by every situation.
+
+    Per (service, location) it holds numpy arrays in history order: the date
+    ordinal, the time of day, a resident code and, per attribute, an item
+    code (-1 where the event lacks the attribute).  Codes index
+    :attr:`residents` and :attr:`items`; ``latest`` is the latest date
+    ordinal of the whole history, from which a lookback counts back.
+    """
+
+    def __init__(self, events: Iterable[ServiceEvent]):
+        resident_codes: dict[str, int] = {}
+        item_codes: dict[str, int] = {}
+        # (service, location) -> date, start, end, resident, {attribute: (rows, item codes)};
+        # typed arrays hold no Python int objects, and numpy reads them without a copy.
+        rows: dict[tuple[str, str], tuple[array, array, array, array, dict]] = {}
+        for event in events:
+            group = rows.get((event.service_id, event.location))
+            if group is None:
+                group = rows[(event.service_id, event.location)] = (
+                    array("q"), array("q"), array("q"), array("q"), {})
+            date, start, end, resident, items = group
+            row = len(date)
+            date.append(event.date.toordinal())
+            start.append(event.interval.start)
+            end.append(event.interval.end)
+            resident.append(resident_codes.setdefault(event.resident, len(resident_codes)))
+            for name, value in event.attributes.items():
+                column = items.get(name)
+                if column is None:
+                    column = items[name] = (array("q"), array("q"))
+                column[0].append(row)
+                column[1].append(item_codes.setdefault(value.item_label(), len(item_codes)))
+        self.residents = tuple(resident_codes)
+        self.items = tuple(item_codes)
+        self._resident_codes = resident_codes
+        self.groups = {key: _Columns(*group) for key, group in rows.items()}
+        self.latest = max((int(c.date.max()) for c in self.groups.values()), default=None)
+
+    @classmethod
+    def of(cls, history: History | Iterable[ServiceEvent]) -> History:
+        """``history`` itself when it is already indexed, else a new index of its events."""
+        return history if isinstance(history, History) else cls(history)
+
+    def resident_code(self, resident: str) -> int:
+        """The resident's code, or -1 when the history holds no event of theirs."""
+        return self._resident_codes.get(resident, -1)
+
+
+class WindowEvents:
+    """A situation's window events: one entry per matched event, in history order.
+
+    ``resident``, ``date`` and ``proximity`` (to the window) are arrays over
+    the matched events; :meth:`items` gives their item codes for one
+    attribute.  Codes index the :class:`History` the events came from.
+    """
+
+    def __init__(self, history: History, columns: _Columns, matched: np.ndarray, proximity: np.ndarray):
+        self.history = history
+        self._items = columns.items
+        self._matched = matched
+        self.resident = columns.resident[matched]
+        self.date = columns.date[matched]
+        self.proximity = proximity
+
+    def __len__(self) -> int:
+        return len(self._matched)
+
+    def items(self, attribute: str) -> np.ndarray:
+        """Item codes of ``attribute``, -1 for each event that lacks it."""
+        column = self._items.get(attribute)
+        return column[self._matched] if column is not None else np.full(len(self), -1, dtype=np.int64)
+
+
 def window_events(
-    history: Sequence[ServiceEvent],
+    history: History | Sequence[ServiceEvent],
     situation: ConflictSituation,
     lookback_days: int | None = None,
-) -> list[ServiceEvent]:
+) -> WindowEvents:
     """The situation's service/location events whose time of day touches its window.
 
     Matching is by time of day only: an event from any past date counts as
     long as its daily interval overlaps the window.  ``lookback_days`` keeps
     the trailing days of the whole history, counted back from its latest
-    date.  History order is kept, so sums over the result do not depend on
-    how it was filtered.
+    date.  A plain event sequence is indexed on the spot; pass a
+    :class:`History` to index once for many situations.
+
+    An event of duration ``d_e`` sharing ``overlap`` seconds with a window
+    of duration ``d_w`` has the pair proximity
+    ``(d_e + d_w) / (2 * (d_e + d_w - overlap))``: two overlapping arcs
+    cover their union, so that is :func:`temporal_proximity` of the pair.
     """
-    horizon = None
-    if lookback_days is not None and history:
-        horizon = max(e.date for e in history) - dt.timedelta(days=lookback_days - 1)
-    window = situation.window
-    return [
-        e
-        for e in history
-        if e.service_id == situation.service_id
-        and e.location == situation.location
-        and (horizon is None or e.date >= horizon)
-        and intervals_overlap(e.interval, window)
-    ]
+    history = History.of(history)
+    columns = history.groups.get((situation.service_id, situation.location))
+    if columns is None:
+        return WindowEvents(history, _NO_EVENTS, np.zeros(0, dtype=np.int64), np.zeros(0))
+    overlap = columns.overlap(situation.window)
+    mask = overlap > 0
+    if lookback_days is not None:
+        mask &= columns.date >= history.latest - (lookback_days - 1)
+    matched = np.flatnonzero(mask)
+    total = columns.duration[matched] + situation.window.duration()
+    proximity = total / (2 * (total - overlap[matched]))
+    return WindowEvents(history, columns, matched, proximity)
 
 
-def build_preference_table(events: Sequence[ServiceEvent], situation: ConflictSituation) -> PreferenceTable:
+def build_preference_table(events: WindowEvents, situation: ConflictSituation) -> PreferenceTable:
     """Score every item the situation's members used in ``events``.
 
     ``events`` are the situation's :func:`window_events`; each member's
     event adds its temporal proximity to the window to that member's item.
+    ``np.bincount`` adds in history order, as a sequential sum would.
     Residents with no matching event get an empty row (no entries).
     """
-    entries: dict[tuple[str, str], float] = {}
-    members = set(situation.residents)
-    window = situation.window
-    for event in events:
-        if event.resident not in members:
-            continue
-        value = event.attribute(situation.attribute)
-        if value is None:
-            continue
-        key = (event.resident, value.item_label())
-        entries[key] = entries.get(key, 0.0) + temporal_proximity((event.interval, window))
-    return PreferenceTable(entries=entries)
+    history = events.history
+    member = np.zeros(len(history.residents), dtype=bool)
+    member[[c for c in map(history.resident_code, situation.residents) if c >= 0]] = True
+    items = events.items(situation.attribute)
+    keep = member[events.resident] & (items >= 0)
+    cells, cell_of = np.unique(events.resident[keep] * len(history.items) + items[keep], return_inverse=True)
+    sums = np.bincount(cell_of, weights=events.proximity[keep])
+    residents, labels = divmod(cells, len(history.items))
+    return PreferenceTable(entries={
+        (history.residents[r], history.items[i]): score
+        for r, i, score in zip(residents.tolist(), labels.tolist(), sums.tolist())
+    })

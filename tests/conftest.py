@@ -3,7 +3,7 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from homearbiter.intervals import TimeOfDayInterval, parse_hms
+from homearbiter.intervals import TimeOfDayInterval, overlap_length, parse_hms
 from homearbiter.model import AttributeValue, ServiceEvent, ServiceRequest
 
 
@@ -13,6 +13,10 @@ def hms(text: str) -> int:
 
 def interval(start: str, end: str) -> TimeOfDayInterval:
     return TimeOfDayInterval(parse_hms(start), parse_hms(end))
+
+
+def intervals_overlap(a: TimeOfDayInterval, b: TimeOfDayInterval) -> bool:
+    return overlap_length(a, b) > 0
 
 
 def reconstruct(result) -> np.ndarray:

@@ -452,3 +452,84 @@ def test_malformed_location_map_exits_two(tmp_path, capsys):
     ])
     assert rc == 2
     capsys.readouterr()
+
+
+# An integer literal past the interpreter's 4300-digit limit on int-string
+# conversion: valid JSON syntax that json.loads rejects with a plain ValueError.
+HUGE_INTEGER = "9" * 5000
+
+
+def test_request_line_with_a_huge_integer_exits_two(workspace, tmp_path, capsys):
+    first, *rest = (workspace / "requests.jsonl").read_text(encoding="utf-8").splitlines()
+    requests = tmp_path / "requests.jsonl"
+    requests.write_text("\n".join([first, f'{{"value": {HUGE_INTEGER}}}', *rest]) + "\n", encoding="utf-8")
+    assert main(["detect", "--store", str(workspace / "store.jsonl"), "--requests", str(requests)]) == 2
+    assert f"data error: {requests}:2: bad JSON" in capsys.readouterr().err
+
+
+def test_store_line_with_a_huge_integer_exits_two(workspace, tmp_path, capsys):
+    header, *events = (workspace / "store.jsonl").read_text(encoding="utf-8").splitlines()
+    store = tmp_path / "store.jsonl"
+    requests = ["--requests", str(workspace / "requests.jsonl")]
+    for lineno in (1, 2):
+        lines = [header, *events]
+        lines[lineno - 1] = lines[lineno - 1][:-1] + f',"extra":{HUGE_INTEGER}}}'
+        store.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["resolve", "--store", str(store), *requests]) == 2
+        assert f"data error: {store}:{lineno}: bad JSON" in capsys.readouterr().err
+
+
+def test_conflict_stream_line_with_a_huge_integer_exits_two(workspace, tmp_path, capsys):
+    inputs = ["--store", str(workspace / "store.jsonl"), "--requests", str(workspace / "requests.jsonl")]
+    stream = tmp_path / "conflicts.jsonl"
+    assert main(["detect", *inputs, "--out", str(stream)]) == 0
+    header, *records = stream.read_text(encoding="utf-8").splitlines()
+    stream.write_text("\n".join([header, f'{{"window": {HUGE_INTEGER}}}', *records]) + "\n", encoding="utf-8")
+    assert main(["resolve", *inputs, "--conflicts", str(stream)]) == 2
+    assert f"data error: {stream}:2: bad JSON" in capsys.readouterr().err
+
+
+def test_location_map_with_a_huge_integer_exits_two(tmp_path, capsys):
+    location_map = tmp_path / "map.json"
+    location_map.write_text(f'{{"TV": {HUGE_INTEGER}}}', encoding="utf-8")
+    rc = main(["ingest", str(DATA_DIR / "household60.csv"), "--out", str(tmp_path / "store.jsonl"),
+               "--location-map", str(location_map)])
+    assert rc == 2
+    assert f"data error: {location_map}: bad JSON" in capsys.readouterr().err
+    assert not (tmp_path / "store.jsonl").exists()
+
+
+def test_history_is_indexed_once_per_call(workspace, tmp_path, monkeypatch, capsys):
+    from homearbiter.preferences import History
+
+    builds = []
+    index = History.__init__
+
+    def counting(self, events):
+        builds.append(len(events))
+        index(self, events)
+
+    monkeypatch.setattr(History, "__init__", counting)
+    inputs = ["--store", str(workspace / "store.jsonl"), "--requests", str(workspace / "requests.jsonl")]
+    out = tmp_path / "resolutions.jsonl"
+    assert main(["resolve", *inputs, "--out", str(out)]) == 0
+    situations = len(out.read_text(encoding="utf-8").splitlines()) - 1
+    assert situations >= 2 and len(builds) == 1
+    builds.clear()
+    assert main(["evaluate", *inputs, "--out-prefix", str(tmp_path / "report")]) == 0
+    assert len(builds) == 1
+    capsys.readouterr()
+
+
+def test_readme_library_use_runs(workspace, monkeypatch, capsys):
+    readme = (DATA_DIR.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library use", 1)[1].split("\n## ", 1)[0]
+    blocks = section.split("```python\n")[1:]
+    assert len(blocks) == 2
+    monkeypatch.chdir(workspace)  # the snippets read store.jsonl and requests.jsonl
+    namespace = {}
+    for block in blocks:
+        exec(block.split("```", 1)[0], namespace)
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == len(namespace["resolutions"]) >= 2
+    assert [line.split(" ", 2)[2] for line in printed] == [str(r.chosen) for r in namespace["resolutions"]]

@@ -1,10 +1,22 @@
 import numpy as np
 
-from homearbiter.detect import detect_conflicts, is_conflict
+from homearbiter.detect import detect_conflicts
 from homearbiter.intervals import SECONDS_PER_DAY, TimeOfDayInterval
 from homearbiter.model import AttributeValue, ServiceRequest
 
-from conftest import make_request
+from conftest import intervals_overlap, make_request
+
+
+def is_conflict(a: ServiceRequest, b: ServiceRequest) -> bool:
+    """Pairwise conflict predicate; symmetric in its arguments."""
+    return (
+        a.service_id == b.service_id
+        and a.location == b.location
+        and a.attribute == b.attribute
+        and a.resident != b.resident
+        and a.value.key() != b.value.key()
+        and intervals_overlap(a.interval, b.interval)
+    )
 
 
 def test_is_conflict_motivation_case():
@@ -54,6 +66,8 @@ def test_is_conflict_symmetric_random():
             )
         a, b = rand_request(0), rand_request(1)
         assert is_conflict(a, b) == is_conflict(b, a)
+        # The sweep finds a situation in a pair exactly when the pairwise rule holds.
+        assert bool(detect_conflicts([a, b])) == is_conflict(a, b)
 
 
 def test_detect_motivation_scenario():

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from homearbiter.aggregate import resolve
 from homearbiter.config import RunConfig
 from homearbiter.detect import detect_conflicts
-from homearbiter.intervals import intervals_overlap
 from homearbiter.evaluate import (
     EvaluationConfig,
     adopted_items,
@@ -18,7 +17,7 @@ from homearbiter.evaluate import (
 )
 from homearbiter.preferences import PreferenceTable, window_events
 
-from conftest import make_event, make_request
+from conftest import intervals_overlap, make_event, make_request
 
 WORKED_ENTRIES = {
     ("r1", "Ch1"): 19.44, ("r1", "Ch2"): 14.48, ("r1", "Ch3"): 15.20, ("r1", "Ch5"): 11.04,
@@ -83,20 +82,25 @@ def _usage_events(days_with_item, active_days, item="Ch1", other="Ch9"):
     return events
 
 
+def _evening_situation():
+    return detect_conflicts([make_request("r1", "Ch1"), make_request("r2", "Ch2")])[0]
+
+
 def test_adopted_items_strictly_above_threshold():
-    adopted = adopted_items(_usage_events(7, 10), "r1", "channel", threshold=0.6)
+    situation = _evening_situation()
+    adopted = adopted_items(window_events(_usage_events(7, 10), situation), "r1", "channel", threshold=0.6)
     assert "Ch1" in adopted
-    not_adopted = adopted_items(_usage_events(6, 10), "r1", "channel", threshold=0.6)
+    not_adopted = adopted_items(window_events(_usage_events(6, 10), situation), "r1", "channel", threshold=0.6)
     assert "Ch1" not in not_adopted
-    assert adopted_items(_usage_events(7, 10), "r2", "channel", threshold=0.6) == set()
+    assert adopted_items(window_events(_usage_events(7, 10), situation), "r2", "channel", threshold=0.6) == set()
 
 
 def test_adopted_items_empty_history():
-    assert adopted_items([], "r1", "channel", threshold=0.6) == set()
+    assert adopted_items(window_events([], _evening_situation()), "r1", "channel", threshold=0.6) == set()
 
 
 def test_adopted_items_only_window_overlap_counts():
-    situation = detect_conflicts([make_request("r1", "Ch1"), make_request("r2", "Ch2")])[0]
+    situation = _evening_situation()
     busy_morning = [
         make_event("r1", "08:00:00", "09:00:00", channel="Ch1", date=dt.date(2026, 2, 1) + dt.timedelta(days=d))
         for d in range(10)

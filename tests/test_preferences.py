@@ -2,13 +2,14 @@ import dataclasses
 import datetime as dt
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from homearbiter.evaluate import adopted_items
 from homearbiter.intervals import SECONDS_PER_DAY, TimeOfDayInterval
 from homearbiter.model import AttributeValue, ConflictSituation
-from homearbiter.preferences import build_preference_table, temporal_proximity, window_events
+from homearbiter.preferences import History, build_preference_table, temporal_proximity, window_events
 
-from conftest import interval, make_event, make_request
+from conftest import interval, intervals_overlap, make_event, make_request
 
 
 def test_temporal_proximity_worked_values():
@@ -71,6 +72,25 @@ def _situation(window=interval("20:00:00", "20:30:00"), location="living room"):
                              requests=requests)
 
 
+def _described(window, attribute="channel"):
+    """(resident, date, item or None, proximity) of each window event, in order."""
+    history = window.history
+    return [
+        (history.residents[r], dt.date.fromordinal(d), history.items[i] if i >= 0 else None, p)
+        for r, d, i, p in zip(window.resident.tolist(), window.date.tolist(),
+                              window.items(attribute).tolist(), window.proximity.tolist())
+    ]
+
+
+def _describe(events, situation, attribute="channel"):
+    """The same description, straight from the events."""
+    return [
+        (e.resident, e.date, e.attribute(attribute).item_label() if e.attribute(attribute) else None,
+         temporal_proximity((e.interval, situation.window)))
+        for e in events
+    ]
+
+
 def test_window_events_filters():
     situation = _situation(location="Living Room")
     keep = make_event("r1", "20:10:00", "20:40:00")
@@ -79,8 +99,8 @@ def test_window_events_filters():
     too_early = make_event("r1", "19:00:00", "19:30:00")
     also_keep = make_event("r3", "19:59:59", "20:00:01", attributes={"state": AttributeValue.categorical("on")})
     history = [keep, other_location, other_service, too_early, also_keep]
-    assert window_events(history, situation) == [keep, also_keep]
-    assert window_events([], situation) == []
+    assert _described(window_events(history, situation)) == _describe([keep, also_keep], situation)
+    assert len(window_events([], situation)) == 0
 
 
 def test_window_events_drops_disjoint_and_touching_events():
@@ -88,7 +108,7 @@ def test_window_events_drops_disjoint_and_touching_events():
     disjoint = make_event("r1", "08:00:00", "09:00:00")
     touching = [make_event("r1", "09:30:00", "10:00:00"), make_event("r1", "11:00:00", "11:30:00")]
     wrapped = make_event("r1", "23:00:00", "10:00:01")
-    assert window_events([disjoint, *touching, wrapped], situation) == [wrapped]
+    assert _described(window_events([disjoint, *touching, wrapped], situation)) == _describe([wrapped], situation)
 
 
 def test_preference_score_worked_value():
@@ -180,7 +200,7 @@ def test_build_preference_table_worked_cell(reference_history, reference_situati
 
 
 def test_build_preference_table_empty_history(reference_situation):
-    table = build_preference_table([], reference_situation)
+    table = build_preference_table(window_events([], reference_situation), reference_situation)
     assert table.entries == {}
     assert table.entries == {}
 
@@ -209,14 +229,76 @@ def test_preference_bounded_by_event_count(reference_history, reference_situatio
 def test_lookback_filter(reference_situation):
     recent = make_event("r1", "20:00:00", "20:30:00", channel="Ch1", date=dt.date(2026, 3, 1))
     stale = make_event("r1", "20:00:00", "20:30:00", channel="Ch1", date=dt.date(2025, 1, 1))
-    assert window_events([recent, stale], reference_situation, lookback_days=30) == [recent]
+    def matched(history, lookback_days):
+        return _described(window_events(history, reference_situation, lookback_days=lookback_days))
+
+    assert matched([recent, stale], 30) == _describe([recent], reference_situation)
     table_all = build_preference_table(window_events([recent, stale], reference_situation), reference_situation)
     assert table_all.score("r1", "Ch1") == pytest.approx(2.0)
     # The horizon counts back from the latest date of the whole history,
     # whatever service that last event used.
     later_radio = make_event("r1", "08:00:00", "09:00:00", service="radio", date=dt.date(2026, 6, 1))
-    assert window_events([recent, stale, later_radio], reference_situation, lookback_days=30) == []
-    assert window_events([recent, stale, later_radio], reference_situation, lookback_days=93) == [recent]
+    assert matched([recent, stale, later_radio], 30) == []
+    assert matched([recent, stale, later_radio], 93) == _describe([recent], reference_situation)
     edge = make_event("r1", "20:00:00", "20:30:00", channel="Ch1", date=dt.date(2026, 1, 31))
-    assert window_events([edge, stale, recent], reference_situation, lookback_days=30) == [edge, recent]
-    assert window_events([edge, stale, recent], reference_situation, lookback_days=29) == [recent]
+    assert matched([edge, stale, recent], 30) == _describe([edge, recent], reference_situation)
+    assert matched([edge, stale, recent], 29) == _describe([recent], reference_situation)
+
+
+def _scan(history, situation, lookback_days):
+    """The window events by a plain per-event scan: the reference for the columnar index."""
+    latest = max((event.date for event in history), default=None)
+    return [
+        event for event in history
+        if event.service_id == situation.service_id and event.location == situation.location
+        and (lookback_days is None or (latest - event.date).days < lookback_days)
+        and intervals_overlap(event.interval, situation.window)
+    ]
+
+
+def _scan_table(events, situation):
+    entries = {}
+    for event in events:
+        value = event.attribute(situation.attribute)
+        if value is not None and event.resident in situation.residents:
+            key = (event.resident, value.item_label())
+            entries[key] = entries.get(key, 0.0) + temporal_proximity((event.interval, situation.window))
+    return entries
+
+
+def _scan_adopted(events, resident, attribute, threshold):
+    item_days, active_days = {}, set()
+    for event in events:
+        if event.resident == resident:
+            active_days.add(event.date)
+            value = event.attribute(attribute)
+            if value is not None:
+                item_days.setdefault(value.item_label(), set()).add(event.date)
+    return {item for item, days in item_days.items() if len(days) > threshold * len(active_days)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    history=st.lists(_events, max_size=30),
+    windows=st.lists(_arcs, min_size=1, max_size=3),
+    lookback_days=st.none() | st.integers(1, 11),
+    later_radio=st.booleans(),
+    threshold=st.sampled_from((0.1, 0.5, 0.6, 1.0)),
+)
+@example(history=[], windows=[TimeOfDayInterval(72000, 73800)], lookback_days=3, later_radio=False, threshold=0.6)
+def test_history_index_matches_per_event_scan(history, windows, lookback_days, later_radio, threshold):
+    if later_radio:
+        # The lookback horizon counts back from this event, on another service.
+        history = history + [make_event("r1", "08:00:00", "09:00:00", service="radio", date=dt.date(2026, 1, 13))]
+    for ordered in (history, history[::-1]):
+        index = History(ordered)
+        for window in windows:
+            situation = _situation(window)
+            events = window_events(index, situation, lookback_days)
+            expected = _scan(ordered, situation, lookback_days)
+            assert len(events) == len(expected)
+            assert build_preference_table(events, situation).entries == _scan_table(expected, situation)
+            for resident in ("r1", "r2", "r3", "r9"):
+                for attribute in ("channel", "state"):
+                    assert adopted_items(events, resident, attribute, threshold) == \
+                        _scan_adopted(expected, resident, attribute, threshold)
