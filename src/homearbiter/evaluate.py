@@ -72,7 +72,7 @@ def adopted_items(events: WindowEvents, resident: str, attribute: str, threshold
     # The item code of each distinct (item, date) pair, counted per item.
     day_counts = np.bincount(_distinct(items[used] * _DAYS + dates[used]) // _DAYS)
     cutoff = threshold * len(_distinct(dates))
-    return {events.history.items[c] for c in np.flatnonzero(day_counts > cutoff).tolist()}
+    return {events.history.item_labels[c] for c in np.flatnonzero(day_counts > cutoff).tolist()}
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:

@@ -108,7 +108,7 @@ class History:
     Per (service, location) it holds numpy arrays in history order: the date
     ordinal, the time of day, a resident code and, per attribute, an item
     code (-1 where the event lacks the attribute).  Codes index
-    :attr:`residents` and :attr:`items`; ``latest`` is the latest date
+    :attr:`residents` and :attr:`item_labels`; ``latest`` is the latest date
     ordinal of the whole history, from which a lookback counts back.
     """
 
@@ -136,7 +136,7 @@ class History:
                 column[0].append(row)
                 column[1].append(item_codes.setdefault(value.item_label(), len(item_codes)))
         self.residents = tuple(resident_codes)
-        self.items = tuple(item_codes)
+        self.item_labels = tuple(item_codes)
         self._resident_codes = resident_codes
         self.groups = {key: _Columns(*group) for key, group in rows.items()}
         self.latest = max((int(c.date.max()) for c in self.groups.values()), default=None)
@@ -221,10 +221,10 @@ def build_preference_table(events: WindowEvents, situation: ConflictSituation) -
     member[[c for c in map(history.resident_code, situation.residents) if c >= 0]] = True
     items = events.items(situation.attribute)
     keep = member[events.resident] & (items >= 0)
-    cells, cell_of = np.unique(events.resident[keep] * len(history.items) + items[keep], return_inverse=True)
+    cells, cell_of = np.unique(events.resident[keep] * len(history.item_labels) + items[keep], return_inverse=True)
     sums = np.bincount(cell_of, weights=events.proximity[keep])
-    residents, labels = divmod(cells, len(history.items))
+    resident_of, item_of = divmod(cells, len(history.item_labels))
     return PreferenceTable(entries={
-        (history.residents[r], history.items[i]): score
-        for r, i, score in zip(residents.tolist(), labels.tolist(), sums.tolist())
+        (history.residents[r], history.item_labels[i]): score
+        for r, i, score in zip(resident_of.tolist(), item_of.tolist(), sums.tolist())
     })

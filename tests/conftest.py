@@ -19,6 +19,29 @@ def intervals_overlap(a: TimeOfDayInterval, b: TimeOfDayInterval) -> bool:
     return overlap_length(a, b) > 0
 
 
+def window_scan(history, situation, lookback_days=None):
+    """A situation's window events by a plain per-event scan: the reference for ``window_events``."""
+    latest = max((event.date for event in history), default=None)
+    return [
+        event for event in history
+        if event.service_id == situation.service_id and event.location == situation.location
+        and (lookback_days is None or (latest - event.date).days < lookback_days)
+        and intervals_overlap(event.interval, situation.window)
+    ]
+
+
+def adopted_scan(events, resident, attribute, threshold):
+    """Adopted items by a plain scan of window events: the reference for ``adopted_items``."""
+    item_days, active_days = {}, set()
+    for event in events:
+        if event.resident == resident:
+            active_days.add(event.date)
+            value = event.attribute(attribute)
+            if value is not None:
+                item_days.setdefault(value.item_label(), set()).add(event.date)
+    return {item for item, days in item_days.items() if len(days) > threshold * len(active_days)}
+
+
 def reconstruct(result) -> np.ndarray:
     """``A @ D @ V.T`` of an ``SvdResult``, with ``D`` the full m-by-n diagonal."""
     d = np.zeros((result.A.shape[0], result.V.shape[0]))

@@ -17,7 +17,7 @@ from homearbiter.evaluate import (
 )
 from homearbiter.preferences import PreferenceTable, window_events
 
-from conftest import intervals_overlap, make_event, make_request
+from conftest import adopted_scan, make_event, make_request, window_scan
 
 WORKED_ENTRIES = {
     ("r1", "Ch1"): 19.44, ("r1", "Ch2"): 14.48, ("r1", "Ch3"): 15.20, ("r1", "Ch5"): 11.04,
@@ -223,21 +223,6 @@ def test_run_experiment_no_conflicts_yields_null_rows():
     assert report.details == ()
 
 
-def _adopted_by_scan(history, resident, situation, threshold=0.6):
-    """Adopted items from a scan of the raw history, independent of window_events."""
-    item_days, active_days = {}, set()
-    for event in history:
-        if (event.resident != resident or event.service_id != situation.service_id
-                or event.location != situation.location
-                or not intervals_overlap(event.interval, situation.window)):
-            continue
-        active_days.add(event.date)
-        value = event.attribute(situation.attribute)
-        if value is not None:
-            item_days.setdefault(value.item_label(), set()).add(event.date)
-    return {item for item, days in item_days.items() if len(days) > threshold * len(active_days)}
-
-
 def test_run_experiment_matches_per_strategy_resolve(monkeypatch):
     # Sharing one window scan, one prepared matrix and one adopted-item set
     # per situation must score exactly as resolving each strategy on its own.
@@ -271,7 +256,8 @@ def test_run_experiment_matches_per_strategy_resolve(monkeypatch):
                 table = resolution.diagnostics.table
                 members = sorted(situation.residents)
                 recommended = tuple(item for item, _ in resolution.ranked[:2])
-                adopted = set().union(*(_adopted_by_scan(history, m, situation) for m in members))
+                window = window_scan(history, situation)
+                adopted = set().union(*(adopted_scan(window, m, situation.attribute, 0.6) for m in members))
                 expected.append((strategy, size, resolution.chosen, recommended,
                                  satisfaction_gain(table, members, recommended, adopted),
                                  harmonic_satisfaction(table, members, recommended),

@@ -9,7 +9,7 @@ from homearbiter.intervals import SECONDS_PER_DAY, TimeOfDayInterval
 from homearbiter.model import AttributeValue, ConflictSituation
 from homearbiter.preferences import History, build_preference_table, temporal_proximity, window_events
 
-from conftest import interval, intervals_overlap, make_event, make_request
+from conftest import adopted_scan, interval, make_event, make_request, window_scan
 
 
 def test_temporal_proximity_worked_values():
@@ -76,7 +76,7 @@ def _described(window, attribute="channel"):
     """(resident, date, item or None, proximity) of each window event, in order."""
     history = window.history
     return [
-        (history.residents[r], dt.date.fromordinal(d), history.items[i] if i >= 0 else None, p)
+        (history.residents[r], dt.date.fromordinal(d), history.item_labels[i] if i >= 0 else None, p)
         for r, d, i, p in zip(window.resident.tolist(), window.date.tolist(),
                               window.items(attribute).tolist(), window.proximity.tolist())
     ]
@@ -229,6 +229,7 @@ def test_preference_bounded_by_event_count(reference_history, reference_situatio
 def test_lookback_filter(reference_situation):
     recent = make_event("r1", "20:00:00", "20:30:00", channel="Ch1", date=dt.date(2026, 3, 1))
     stale = make_event("r1", "20:00:00", "20:30:00", channel="Ch1", date=dt.date(2025, 1, 1))
+
     def matched(history, lookback_days):
         return _described(window_events(history, reference_situation, lookback_days=lookback_days))
 
@@ -243,38 +244,8 @@ def test_lookback_filter(reference_situation):
     edge = make_event("r1", "20:00:00", "20:30:00", channel="Ch1", date=dt.date(2026, 1, 31))
     assert matched([edge, stale, recent], 30) == _describe([edge, recent], reference_situation)
     assert matched([edge, stale, recent], 29) == _describe([recent], reference_situation)
-
-
-def _scan(history, situation, lookback_days):
-    """The window events by a plain per-event scan: the reference for the columnar index."""
-    latest = max((event.date for event in history), default=None)
-    return [
-        event for event in history
-        if event.service_id == situation.service_id and event.location == situation.location
-        and (lookback_days is None or (latest - event.date).days < lookback_days)
-        and intervals_overlap(event.interval, situation.window)
-    ]
-
-
-def _scan_table(events, situation):
-    entries = {}
-    for event in events:
-        value = event.attribute(situation.attribute)
-        if value is not None and event.resident in situation.residents:
-            key = (event.resident, value.item_label())
-            entries[key] = entries.get(key, 0.0) + temporal_proximity((event.interval, situation.window))
-    return entries
-
-
-def _scan_adopted(events, resident, attribute, threshold):
-    item_days, active_days = {}, set()
-    for event in events:
-        if event.resident == resident:
-            active_days.add(event.date)
-            value = event.attribute(attribute)
-            if value is not None:
-                item_days.setdefault(value.item_label(), set()).add(event.date)
-    return {item for item, days in item_days.items() if len(days) > threshold * len(active_days)}
+    # A lookback reaching past the first calendar day keeps the whole history.
+    assert matched([edge, stale, recent], 10**7) == _describe([edge, stale, recent], reference_situation)
 
 
 @settings(max_examples=150, deadline=None)
@@ -295,10 +266,11 @@ def test_history_index_matches_per_event_scan(history, windows, lookback_days, l
         for window in windows:
             situation = _situation(window)
             events = window_events(index, situation, lookback_days)
-            expected = _scan(ordered, situation, lookback_days)
+            expected = window_scan(ordered, situation, lookback_days)
             assert len(events) == len(expected)
-            assert build_preference_table(events, situation).entries == _scan_table(expected, situation)
+            assert build_preference_table(events, situation).entries == \
+                brute_force_table(ordered, situation, lookback_days)
             for resident in ("r1", "r2", "r3", "r9"):
                 for attribute in ("channel", "state"):
                     assert adopted_items(events, resident, attribute, threshold) == \
-                        _scan_adopted(expected, resident, attribute, threshold)
+                        adopted_scan(expected, resident, attribute, threshold)
