@@ -78,10 +78,10 @@ class _Columns:
                  items: dict[str, tuple[array, array]]):
         self.date = np.asarray(date, dtype=np.int64)
         self.start = np.asarray(start, dtype=np.int64)
-        end_ = np.asarray(end, dtype=np.int64)
-        wraps = end_ < self.start
-        self.end1 = np.where(wraps, SECONDS_PER_DAY, end_)
-        self.end2 = np.where(wraps, end_, 0)
+        end = np.asarray(end, dtype=np.int64)
+        wraps = end < self.start
+        self.end1 = np.where(wraps, SECONDS_PER_DAY, end)
+        self.end2 = np.where(wraps, end, 0)
         self.duration = self.end1 - self.start + self.end2
         self.resident = np.asarray(resident, dtype=np.int64)
         self.items: dict[str, np.ndarray] = {}
