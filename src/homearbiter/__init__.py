@@ -2,7 +2,7 @@
 
 from .config import RunConfig
 from .errors import ArbiterError, ConvergenceError, DataError, ParseError
-from .intervals import TimeOfDayInterval, overlap_length
+from .intervals import TimeOfDayInterval
 from .model import AttributeValue, ConflictSituation, ServiceEvent, ServiceRequest
 from .detect import detect_conflicts
 from .preferences import History, PreferenceTable, build_preference_table, temporal_proximity, window_events

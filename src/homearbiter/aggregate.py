@@ -112,7 +112,8 @@ def build_preference_matrix(
     """Assemble the group score matrix; unscored cells are 0."""
     if not item_set:
         raise ValueError("item set must be non-empty")
-    scores = np.array([[table.score(r, i) for i in item_set] for r in residents], dtype=np.float64)
+    scores = np.array([[row.get(i, 0.0) for i in item_set] for row in map(table.row, residents)],
+                      dtype=np.float64)
     return PreferenceMatrix(residents=tuple(residents), items=tuple(item_set), scores=scores)
 
 

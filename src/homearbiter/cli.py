@@ -38,7 +38,6 @@ from .ingest import (
 )
 from .intervals import TimeOfDayInterval, format_hms, parse_hms
 from .model import ConflictSituation
-from .preferences import History
 
 CONFLICTS_SCHEMA = "homearbiter-conflicts/1"
 RESOLUTIONS_SCHEMA = "homearbiter-resolutions/1"
@@ -289,9 +288,8 @@ def resolve(store_path, requests_path, conflicts_path, strategy, dump_preference
         f"# config: {dumps_json(header['config'])}",
         f"# inputs: {dumps_json(header['inputs'])}",
     ]
-    history = History(store.events)
     for situation in situations:
-        resolution = resolve_situation(situation, history, cfg, strategy)
+        resolution = resolve_situation(situation, store.history, cfg, strategy)
         record = _situation_json(situation)
         record["strategy"] = strategy
         record["ranked"] = [[item, round(value, 6)] for item, value in resolution.ranked]
@@ -349,7 +347,7 @@ def evaluate(store_path, requests_path, out_prefix, strategies, group_sizes, lis
         )
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
-    report = run_experiment(store.events, requests, eval_cfg, cfg)
+    report = run_experiment(store.history, requests, eval_cfg, cfg)
 
     meta = [
         f"config: {dumps_json(header['config'])}",

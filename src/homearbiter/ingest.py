@@ -27,15 +27,17 @@ import datetime as dt
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import DataError, ParseError
-from .intervals import SECONDS_PER_DAY, TimeOfDayInterval, format_hms, parse_hms
+from .intervals import SECONDS_PER_DAY, TimeOfDayInterval, check_interval, format_hms, parse_hms
 from .model import AttributeValue, ServiceEvent, ServiceRequest, normalize_location
+from .preferences import History, HistoryRows, PreferenceTable
 
 LOG_COLUMNS = ["date", "time", "sensor", "status", "value", "resident", "location"]
 END_OF_DAY = SECONDS_PER_DAY - 1
@@ -507,19 +509,12 @@ def _event_to_json(e: ServiceEvent) -> dict:
     }
 
 
-def _event_from_json(obj) -> ServiceEvent:
-    if not isinstance(obj, dict):
-        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
-    for name in ("event_id", "service_id", "date", "location", "resident"):
-        if not isinstance(obj[name], str):
-            raise ValueError(f"{name} must be a string")
-    attributes = obj["attributes"]
-    if not isinstance(attributes, dict) or not all(isinstance(v, dict) for v in attributes.values()):
-        raise ValueError("attributes must be an object of objects")
+def _event_from_json(obj: dict) -> ServiceEvent:
+    """The event of a store line that :func:`load_store` accepted."""
     return ServiceEvent(
         event_id=obj["event_id"],
         service_id=obj["service_id"],
-        attributes={k: AttributeValue.from_json(v) for k, v in attributes.items()},
+        attributes={k: AttributeValue.from_json(v) for k, v in obj["attributes"].items()},
         date=dt.date.fromisoformat(obj["date"]),
         interval=TimeOfDayInterval(obj["start"], obj["end"]),
         location=obj["location"],
@@ -567,10 +562,21 @@ def _bins_from_json(entries) -> dict[tuple[str, str], BinningSpec]:
 
 @dataclass
 class EventStore:
-    """A loaded store; ``header["bins"]``, when present, maps (service_id, attribute) to its spec."""
+    """A loaded store.
 
-    events: list[ServiceEvent]
+    ``history`` is the index :func:`load_store` fills as it reads the event
+    lines; ``events`` are built from the accepted ``lines`` on first access.
+    ``header["bins"]``, when present, maps (service_id, attribute) to its spec.
+    """
+
     header: dict
+    history: History
+    path: str
+    lines: list[str] = field(repr=False)
+
+    @cached_property
+    def events(self) -> list[ServiceEvent]:
+        return [_event_from_json(parse_json(line, self.path)) for line in self.lines]
 
     def bin_specs(self) -> dict[tuple[str, str], BinningSpec]:
         return dict(self.header.get("bins", {}))
@@ -587,9 +593,47 @@ def write_store(path: str | Path, events: Sequence[ServiceEvent], header: Mappin
 
 
 def load_store(path: str | Path) -> EventStore:
+    """Read a store, appending each event line to the :class:`History` columns.
+
+    An event line must pass every check that building its
+    :class:`ServiceEvent` makes; the first that fails raises a
+    :class:`ParseError` naming its ``file:line``.
+    """
     path = Path(path)
-    events: list[ServiceEvent] = []
     header: dict | None = None
+    rows = HistoryRows()
+    lines: list[str] = []
+    # Dates and locations repeat across lines; each memo holds only values that passed their check.
+    ordinals: dict[str, int] = {}
+    locations: dict[str, str] = {}
+
+    def append_row(obj) -> None:
+        if not isinstance(obj, dict):
+            raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+        for name in ("event_id", "service_id", "date", "location", "resident"):
+            if not isinstance(obj[name], str):
+                raise ValueError(f"{name} must be a string")
+        attributes = obj["attributes"]
+        if not isinstance(attributes, dict):
+            raise ValueError("attributes must be an object of objects")
+        items = []
+        for name, value in attributes.items():
+            if not isinstance(value, dict):
+                raise ValueError("attributes must be an object of objects")
+            items.append((name, AttributeValue.item_label_of_json(value)))
+        date = obj["date"]
+        ordinal = ordinals.get(date)
+        if ordinal is None:
+            ordinal = ordinals[date] = dt.date.fromisoformat(date).toordinal()
+        start, end = obj["start"], obj["end"]
+        check_interval(start, end)
+        if not items:
+            raise ValueError(f"event {obj['event_id']}: attributes must be non-empty")
+        location = locations.get(obj["location"])
+        if location is None:
+            location = locations[obj["location"]] = normalize_location(obj["location"])
+        rows.append(obj["service_id"], location, ordinal, start, end, obj["resident"], items)
+
     with path.open(encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
@@ -608,12 +652,13 @@ def load_store(path: str | Path) -> EventStore:
                 header = obj
                 continue
             try:
-                events.append(_event_from_json(obj))
+                append_row(obj)
             except (LookupError, TypeError, ValueError, OverflowError) as exc:
                 raise ParseError(f"bad event record: {exc}", path=str(path), line=lineno) from exc
+            lines.append(line)
     if header is None:
         raise ParseError(f"no store header, expected schema {STORE_SCHEMA!r}", path=str(path))
-    return EventStore(events=events, header=header)
+    return EventStore(header=header, history=History.from_rows(rows), path=str(path), lines=lines)
 
 
 # ---------------------------------------------------------------------------
@@ -621,8 +666,6 @@ def load_store(path: str | Path) -> EventStore:
 
 def load_ratings_table(path: str | Path):
     """Load a ``resident,item,score`` CSV directly as a preference table."""
-    from .preferences import PreferenceTable
-
     path = Path(path)
     entries: dict[tuple[str, str], float] = {}
     with path.open(newline="", encoding="utf-8") as handle:

@@ -36,6 +36,17 @@ def format_hms(seconds: int) -> str:
     return f"{seconds // 3600:02d}:{seconds % 3600 // 60:02d}:{seconds % 60:02d}"
 
 
+def check_interval(start: int, end: int) -> None:
+    """Raise ``ValueError`` unless ``start`` and ``end`` bound a :class:`TimeOfDayInterval`."""
+    for name, value in (("start", start), ("end", end)):
+        if not isinstance(value, int):
+            raise ValueError(f"{name} must be an integer second, got {value!r}")
+        if not 0 <= value <= SECONDS_PER_DAY - 1:
+            raise ValueError(f"{name} must be in [0, 86399], got {value}")
+    if start == end:
+        raise ValueError("zero-length interval")
+
+
 @dataclass(frozen=True)
 class TimeOfDayInterval:
     """A daily time window ``[start, end]`` in seconds since midnight.
@@ -48,13 +59,7 @@ class TimeOfDayInterval:
     end: int
 
     def __post_init__(self) -> None:
-        for name, value in (("start", self.start), ("end", self.end)):
-            if not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer second, got {value!r}")
-            if not 0 <= value <= SECONDS_PER_DAY - 1:
-                raise ValueError(f"{name} must be in [0, 86399], got {value}")
-        if self.start == self.end:
-            raise ValueError("zero-length interval")
+        check_interval(self.start, self.end)
 
     @property
     def wraps(self) -> bool:
@@ -77,19 +82,6 @@ class TimeOfDayInterval:
 
     def __str__(self) -> str:
         return f"[{format_hms(self.start)},{format_hms(self.end)}]"
-
-
-def _segment_overlap(a: tuple[int, int], b: tuple[int, int]) -> int:
-    return max(0, min(a[1], b[1]) - max(a[0], b[0]))
-
-
-def overlap_length(a: TimeOfDayInterval, b: TimeOfDayInterval) -> int:
-    """Length in seconds of the common part of two daily windows.
-
-    Symmetric, nonnegative, and zero for windows that only touch at an
-    endpoint.
-    """
-    return sum(_segment_overlap(sa, sb) for sa in a.segments() for sb in b.segments())
 
 
 def covering_span(intervals: Sequence[TimeOfDayInterval]) -> int:

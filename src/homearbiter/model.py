@@ -92,6 +92,28 @@ class AttributeValue:
             return cls.binned(obj["index"], tuple(obj["bounds"]))
         raise ValueError(f"unknown attribute value kind {kind!r}")
 
+    @staticmethod
+    def item_label_of_json(obj: Mapping[str, Any]) -> str:
+        """``from_json(obj).item_label()``, making the same checks but building no value."""
+        kind = obj.get("kind")
+        if kind == "cat":
+            label = obj["label"]
+            if not isinstance(label, str) or not label:
+                raise ValueError("categorical value needs a label")
+            return label
+        if kind == "num":
+            value = float(obj["value"])
+            if not math.isfinite(value):
+                raise ValueError(f"numeric value needs a finite number, got {value}")
+            return f"{value:g}"
+        if kind == "bin":
+            index, bounds = obj["index"], tuple(obj["bounds"])
+            float(bounds[0]), float(bounds[1])
+            if index is None:
+                raise ValueError("binned value needs index and bounds")
+            return f"bin{index}"
+        raise ValueError(f"unknown attribute value kind {kind!r}")
+
 
 @dataclass(frozen=True)
 class ServiceEvent:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -47,15 +47,19 @@ class PreferenceTable:
     entries: dict[tuple[str, str], float]
 
     def __post_init__(self) -> None:
+        rows: dict[str, dict[str, float]] = {}
         for (resident, item), score in self.entries.items():
             if score < 0:
                 raise ValueError(f"negative score for ({resident}, {item})")
+            rows.setdefault(resident, {})[item] = score
+        object.__setattr__(self, "_rows", rows)
 
     def score(self, resident: str, item: str) -> float:
         return self.entries.get((resident, item), 0.0)
 
-    def row(self, resident: str) -> dict[str, float]:
-        return {i: s for (r, i), s in self.entries.items() if r == resident}
+    def row(self, resident: str) -> Mapping[str, float]:
+        """The resident's scored items, in entry order; empty when they have none."""
+        return self._rows.get(resident, {})
 
     def top_items(self, resident: str, count: int) -> tuple[str, ...]:
         row = sorted(self.row(resident).items(), key=lambda kv: (-kv[1], kv[0]))
@@ -102,6 +106,41 @@ class _Columns:
 _NO_EVENTS = _Columns(array("q"), array("q"), array("q"), array("q"), {})
 
 
+class HistoryRows:
+    """A history's rows, appended one at a time: what :class:`History` indexes.
+
+    A row is (service, location, date ordinal, start, end, resident,
+    [(attribute, item label), ...]).  Rows are grouped by (service, location)
+    into typed arrays, which hold no Python int objects and which numpy reads
+    without a copy; residents and item labels get codes in order of first
+    appearance.
+    """
+
+    def __init__(self) -> None:
+        self.resident_codes: dict[str, int] = {}
+        self.item_codes: dict[str, int] = {}
+        # (service, location) -> date, start, end, resident, {attribute: (rows, item codes)}
+        self.groups: dict[tuple[str, str], tuple[array, array, array, array, dict]] = {}
+
+    def append(self, service: str, location: str, date: int, start: int, end: int, resident: str,
+               items: Iterable[tuple[str, str]]) -> None:
+        group = self.groups.get((service, location))
+        if group is None:
+            group = self.groups[(service, location)] = (array("q"), array("q"), array("q"), array("q"), {})
+        dates, starts, ends, residents, columns = group
+        row = len(dates)
+        dates.append(date)
+        starts.append(start)
+        ends.append(end)
+        residents.append(self.resident_codes.setdefault(resident, len(self.resident_codes)))
+        for name, label in items:
+            column = columns.get(name)
+            if column is None:
+                column = columns[name] = (array("q"), array("q"))
+            column[0].append(row)
+            column[1].append(self.item_codes.setdefault(label, len(self.item_codes)))
+
+
 class History:
     """A columnar index of an event history, built once and read by every situation.
 
@@ -113,32 +152,25 @@ class History:
     """
 
     def __init__(self, events: Iterable[ServiceEvent]):
-        resident_codes: dict[str, int] = {}
-        item_codes: dict[str, int] = {}
-        # (service, location) -> date, start, end, resident, {attribute: (rows, item codes)};
-        # typed arrays hold no Python int objects, and numpy reads them without a copy.
-        rows: dict[tuple[str, str], tuple[array, array, array, array, dict]] = {}
+        rows = HistoryRows()
         for event in events:
-            group = rows.get((event.service_id, event.location))
-            if group is None:
-                group = rows[(event.service_id, event.location)] = (
-                    array("q"), array("q"), array("q"), array("q"), {})
-            date, start, end, resident, items = group
-            row = len(date)
-            date.append(event.date.toordinal())
-            start.append(event.interval.start)
-            end.append(event.interval.end)
-            resident.append(resident_codes.setdefault(event.resident, len(resident_codes)))
-            for name, value in event.attributes.items():
-                column = items.get(name)
-                if column is None:
-                    column = items[name] = (array("q"), array("q"))
-                column[0].append(row)
-                column[1].append(item_codes.setdefault(value.item_label(), len(item_codes)))
-        self.residents = tuple(resident_codes)
-        self.item_labels = tuple(item_codes)
-        self._resident_codes = resident_codes
-        self.groups = {key: _Columns(*group) for key, group in rows.items()}
+            rows.append(event.service_id, event.location, event.date.toordinal(), event.interval.start,
+                        event.interval.end, event.resident,
+                        [(name, value.item_label()) for name, value in event.attributes.items()])
+        self._index(rows)
+
+    @classmethod
+    def from_rows(cls, rows: HistoryRows) -> History:
+        """The index of rows appended straight from an input, with no event objects in between."""
+        history = cls.__new__(cls)
+        history._index(rows)
+        return history
+
+    def _index(self, rows: HistoryRows) -> None:
+        self.residents = tuple(rows.resident_codes)
+        self.item_labels = tuple(rows.item_codes)
+        self._resident_codes = rows.resident_codes
+        self.groups = {key: _Columns(*group) for key, group in rows.groups.items()}
         self.latest = max((int(c.date.max()) for c in self.groups.values()), default=None)
 
     @classmethod

@@ -3,7 +3,7 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from homearbiter.intervals import TimeOfDayInterval, overlap_length, parse_hms
+from homearbiter.intervals import TimeOfDayInterval, parse_hms
 from homearbiter.model import AttributeValue, ServiceEvent, ServiceRequest
 
 
@@ -13,6 +13,15 @@ def hms(text: str) -> int:
 
 def interval(start: str, end: str) -> TimeOfDayInterval:
     return TimeOfDayInterval(parse_hms(start), parse_hms(end))
+
+
+def overlap_length(a: TimeOfDayInterval, b: TimeOfDayInterval) -> int:
+    """Length in seconds of the common part of two daily windows.
+
+    Symmetric, nonnegative, and zero for windows that only touch at an
+    endpoint.
+    """
+    return sum(max(0, min(ea, eb) - max(sa, sb)) for sa, ea in a.segments() for sb, eb in b.segments())
 
 
 def intervals_overlap(a: TimeOfDayInterval, b: TimeOfDayInterval) -> bool:
@@ -40,6 +49,27 @@ def adopted_scan(events, resident, attribute, threshold):
             if value is not None:
                 item_days.setdefault(value.item_label(), set()).add(event.date)
     return {item for item, days in item_days.items() if len(days) > threshold * len(active_days)}
+
+
+def event_from_json(obj) -> ServiceEvent:
+    """A store event line's event by the per-line checks and constructors: the reference for ``load_store``."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+    for name in ("event_id", "service_id", "date", "location", "resident"):
+        if not isinstance(obj[name], str):
+            raise ValueError(f"{name} must be a string")
+    attributes = obj["attributes"]
+    if not isinstance(attributes, dict) or not all(isinstance(v, dict) for v in attributes.values()):
+        raise ValueError("attributes must be an object of objects")
+    return ServiceEvent(
+        event_id=obj["event_id"],
+        service_id=obj["service_id"],
+        attributes={k: AttributeValue.from_json(v) for k, v in attributes.items()},
+        date=dt.date.fromisoformat(obj["date"]),
+        interval=TimeOfDayInterval(obj["start"], obj["end"]),
+        location=obj["location"],
+        resident=obj["resident"],
+    )
 
 
 def reconstruct(result) -> np.ndarray:

@@ -500,24 +500,32 @@ def test_location_map_with_a_huge_integer_exits_two(tmp_path, capsys):
 
 
 def test_history_is_indexed_once_per_call(workspace, tmp_path, monkeypatch, capsys):
+    from homearbiter.model import ServiceEvent
     from homearbiter.preferences import History
 
-    builds = []
-    index = History.__init__
+    builds, events = [], []
+    index, construct = History._index, ServiceEvent.__init__
 
-    def counting(self, events):
-        builds.append(len(events))
-        index(self, events)
+    def counting_index(self, rows):
+        builds.append(sum(len(group[0]) for group in rows.groups.values()))
+        index(self, rows)
 
-    monkeypatch.setattr(History, "__init__", counting)
+    def counting_events(self, *args, **kwargs):
+        events.append(args or kwargs)
+        construct(self, *args, **kwargs)
+
+    monkeypatch.setattr(History, "_index", counting_index)
+    monkeypatch.setattr(ServiceEvent, "__init__", counting_events)
     inputs = ["--store", str(workspace / "store.jsonl"), "--requests", str(workspace / "requests.jsonl")]
     out = tmp_path / "resolutions.jsonl"
     assert main(["resolve", *inputs, "--out", str(out)]) == 0
     situations = len(out.read_text(encoding="utf-8").splitlines()) - 1
-    assert situations >= 2 and len(builds) == 1
+    assert situations >= 2 and len(builds) == 1 and builds[0] > 0
+    assert events == []
     builds.clear()
     assert main(["evaluate", *inputs, "--out-prefix", str(tmp_path / "report")]) == 0
-    assert len(builds) == 1
+    assert len(builds) == 1 and builds[0] > 0
+    assert events == []
     capsys.readouterr()
 
 

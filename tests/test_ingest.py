@@ -23,10 +23,11 @@ from homearbiter.ingest import (
     store_order,
     write_store,
 )
-from homearbiter.intervals import parse_hms
+from homearbiter.intervals import SECONDS_PER_DAY, parse_hms
 from homearbiter.model import AttributeValue
+from homearbiter.preferences import History
 
-from conftest import binning_sse, make_event
+from conftest import binning_sse, event_from_json, make_event
 
 HEADER = "date,time,sensor,status,value,resident,location\n"
 
@@ -263,6 +264,107 @@ def test_load_store_either_loads_the_header_bins_or_names_the_header(tmp_path_fa
             assert store.bin_specs() == {("thermostat", "temp"): BinningSpec("temp", 3, (19.0, 22.0), 16.0, 25.0)}
             write_store(store_path, store.events, store.header)
             assert json.loads(store_path.read_text(encoding="utf-8").splitlines()[0])["bins"] == bins
+
+
+_STORE_HEADER = {"schema": "homearbiter-store/1", "bins": [_STORE_BINS], "config": {"bin_count": 3},
+                 "inputs": [{"path": "log.csv", "sha256": "0" * 64}], "prng": "numpy-randomstate-mt19937/v1",
+                 "warnings": []}
+
+
+@settings(max_examples=150, deadline=None)
+@given(first=_json_values | st.builds(lambda field, value: {**_STORE_HEADER, field: value},
+                                      st.sampled_from(sorted(_STORE_HEADER)), _json_values))
+@example(first=_STORE_HEADER)
+@example(first={**_STORE_HEADER, "schema": "homearbiter-store/2"})
+@example(first={**_STORE_HEADER, "bins": {"temp": 1}})
+def test_load_store_either_loads_the_header_or_names_line_one(tmp_path_factory, first):
+    store_path = tmp_path_factory.mktemp("store") / "store.jsonl"
+    store_path.write_text("\n".join([json.dumps(first), json.dumps(_STORE_EVENT)]) + "\n", encoding="utf-8")
+    try:
+        store = load_store(store_path)
+    except ParseError as exc:
+        assert str(exc).startswith(f"{store_path}:1: ")
+    else:
+        assert store.header["schema"] == "homearbiter-store/1" and len(store.events) == 1
+        assert all(isinstance(spec, BinningSpec) for spec in store.bin_specs().values())
+
+
+_VALID_ATTRIBUTES = st.dictionaries(
+    st.sampled_from(["channel", "station", "temp"]),
+    st.sampled_from([{"kind": "cat", "label": "Ch1"}, {"kind": "cat", "label": "Ch2"},
+                     {"kind": "num", "value": 20.5}, {"kind": "num", "value": 3}, {"kind": "num", "value": "3"},
+                     {"kind": "bin", "index": 2, "bounds": [21.0, 22.0]}, {"kind": "bin", "index": 0, "bounds": [1, 2]}]),
+    min_size=1, max_size=2)
+_VALID_EVENTS = st.builds(
+    lambda number, resident, service, location, date, start, length, attributes: {
+        "event_id": f"{resident}-{number:06d}", "service_id": service, "date": date, "start": start,
+        "end": (start + length) % SECONDS_PER_DAY, "location": location, "resident": resident,
+        "attributes": attributes},
+    st.integers(1, 999), st.sampled_from(["r1", "r2", "r3"]), st.sampled_from(["TV", "radio"]),
+    st.sampled_from(["living room", " Living Room ", "kitchen"]),
+    st.sampled_from(["2026-01-01", "2026-01-02", "20260103", "2025-12-31"]),
+    st.integers(0, SECONDS_PER_DAY - 1), st.integers(1, SECONDS_PER_DAY - 1), _VALID_ATTRIBUTES)
+# Attribute values of every kind with arbitrary fields, and events with one field replaced.
+_MUTATED_EVENTS = (
+    _json_values
+    | st.builds(_store_event_with, st.sampled_from([*_STORE_EVENT, "channel", "temp"]), _json_values)
+    | st.builds(_store_event_with, st.sampled_from(["channel", "temp"]),
+                st.fixed_dictionaries({"kind": st.sampled_from(["cat", "num", "bin"])},
+                                      optional={"label": _json_values, "value": _json_values, "index": _json_values,
+                                                "bounds": st.lists(st.integers() | st.floats() | st.text(max_size=3),
+                                                                   max_size=3) | _json_values}))
+)
+_VARIED_EVENT = {**_STORE_EVENT, "location": " Living Room ", "date": "20260103", "start": 80000, "end": 3600,
+                 "attributes": {"temp": {"kind": "num", "value": "3"}, "level": {"kind": "bin", "index": 0,
+                                                                                "bounds": [1, 2]}}}
+
+
+def _group_columns(history):
+    return {key: {"date": c.date.tolist(), "start": c.start.tolist(), "end1": c.end1.tolist(),
+                  "end2": c.end2.tolist(), "duration": c.duration.tolist(), "resident": c.resident.tolist(),
+                  "items": {name: column.tolist() for name, column in c.items.items()}}
+            for key, c in history.groups.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid=st.lists(_VALID_EVENTS, max_size=6), mutated=_MUTATED_EVENTS, position=st.integers(0, 6))
+@example(valid=[_VARIED_EVENT, _STORE_EVENT], mutated=_VARIED_EVENT, position=1)
+@example(valid=[], mutated=_store_event_with("temp", {"kind": "bin", "index": None, "bounds": [1, 2]}), position=0)
+@example(valid=[], mutated=_store_event_with("temp", {"kind": "bin", "index": 1, "bounds": [1]}), position=0)
+@example(valid=[], mutated=_store_event_with("temp", {"kind": "bin", "index": -0.0, "bounds": [1, 2]}), position=0)
+@example(valid=[], mutated=_store_event_with("temp", {"kind": "bin", "index": True, "bounds": "12"}), position=0)
+@example(valid=[], mutated=_store_event_with("temp", {"kind": "num", "value": " 1e3 "}), position=0)
+@example(valid=[], mutated=_store_event_with("start", True), position=0)
+@example(valid=[], mutated=_store_event_with("start", 1.0), position=0)
+@example(valid=[], mutated=_store_event_with("attributes", {}), position=0)
+def test_load_store_matches_the_per_line_event_oracle(tmp_path_factory, valid, mutated, position):
+    events = [*valid[:position], mutated, *valid[position:]]
+    store_path = tmp_path_factory.mktemp("store") / "store.jsonl"
+    store_path.write_text("\n".join([json.dumps({"schema": "homearbiter-store/1"}), *map(json.dumps, events)])
+                          + "\n", encoding="utf-8")
+    expected, rejected_at = [], None
+    for lineno, line in enumerate(store_path.read_text(encoding="utf-8").splitlines()[1:], start=2):
+        try:
+            obj = json.loads(line)
+        except ValueError:
+            rejected_at = f"{store_path}:{lineno}: bad JSON: "
+            break
+        try:
+            expected.append(event_from_json(obj))
+        except (LookupError, TypeError, ValueError, OverflowError):
+            rejected_at = f"{store_path}:{lineno}: bad event record: "
+            break
+    try:
+        store = load_store(store_path)
+    except ParseError as exc:
+        assert rejected_at is not None and str(exc).startswith(rejected_at)
+    else:
+        assert rejected_at is None
+        assert store.events == expected
+        oracle = History(store.events)
+        assert (store.history.residents, store.history.item_labels, store.history.latest) \
+            == (oracle.residents, oracle.item_labels, oracle.latest)
+        assert _group_columns(store.history) == _group_columns(oracle)
 
 
 # ---------------------------------------------------------------------------

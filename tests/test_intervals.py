@@ -6,11 +6,10 @@ from homearbiter.intervals import (
     TimeOfDayInterval,
     covering_span,
     format_hms,
-    overlap_length,
     parse_hms,
 )
 
-from conftest import interval
+from conftest import interval, overlap_length
 
 
 def test_parse_format_roundtrip():
