@@ -108,7 +108,7 @@ class AttributeValue:
             return f"{value:g}"
         if kind == "bin":
             index, bounds = obj["index"], tuple(obj["bounds"])
-            float(bounds[0]), float(bounds[1])
+            float(bounds[0]), float(bounds[1])  # the conversions binned() makes
             if index is None:
                 raise ValueError("binned value needs index and bounds")
             return f"bin{index}"

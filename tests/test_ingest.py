@@ -342,24 +342,24 @@ def test_load_store_matches_the_per_line_event_oracle(tmp_path_factory, valid, m
     store_path = tmp_path_factory.mktemp("store") / "store.jsonl"
     store_path.write_text("\n".join([json.dumps({"schema": "homearbiter-store/1"}), *map(json.dumps, events)])
                           + "\n", encoding="utf-8")
-    expected, rejected_at = [], None
+    expected, rejection = [], None
     for lineno, line in enumerate(store_path.read_text(encoding="utf-8").splitlines()[1:], start=2):
         try:
             obj = json.loads(line)
         except ValueError:
-            rejected_at = f"{store_path}:{lineno}: bad JSON: "
+            rejection = f"{store_path}:{lineno}: bad JSON: "
             break
         try:
             expected.append(event_from_json(obj))
         except (LookupError, TypeError, ValueError, OverflowError):
-            rejected_at = f"{store_path}:{lineno}: bad event record: "
+            rejection = f"{store_path}:{lineno}: bad event record: "
             break
     try:
         store = load_store(store_path)
     except ParseError as exc:
-        assert rejected_at is not None and str(exc).startswith(rejected_at)
+        assert rejection is not None and str(exc).startswith(rejection)
     else:
-        assert rejected_at is None
+        assert rejection is None
         assert store.events == expected
         oracle = History(store.events)
         assert (store.history.residents, store.history.item_labels, store.history.latest) \
