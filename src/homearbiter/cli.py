@@ -8,7 +8,6 @@ and the SHA-256 digests of the inputs, so any result can be reproduced.
 from __future__ import annotations
 
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import click
@@ -52,23 +51,28 @@ CONFIG_FLAGS = {
     "settling_window": (int, "Seconds under which rapid value changes fold together."),
     "bin_count": (int, "Bins for numeric attributes."),
     "lookback_days": (int, "Only use history from the trailing N days."),
-    "seed": (int, "Seed for all randomized steps."),
+    "seed": (int, "Seed of the channel draws of --channels."),
     "adopted_threshold": (float, "Active-day share above which an item counts as adopted."),
 }
+CONFIG_DEFAULTS = RunConfig()
 EVALUATION_DEFAULTS = EvaluationConfig()
 
 
-def config_options(command):
-    for field in reversed(fields(RunConfig)):
-        kind, text = CONFIG_FLAGS[field.name]
-        command = click.option(f"--{field.name.replace('_', '-')}", type=kind, default=field.default,
-                               show_default=True, help=text)(command)
-    return command
+def config_options(*names: str):
+    """One flag per named ``RunConfig`` field: the fields the command reads."""
+    def decorate(command):
+        for name in reversed(names):
+            kind, text = CONFIG_FLAGS[name]
+            command = click.option(f"--{name.replace('_', '-')}", type=kind, default=getattr(CONFIG_DEFAULTS, name),
+                                   show_default=True, help=text)(command)
+        return command
+    return decorate
 
 
-def _build_config(kwargs: dict) -> RunConfig:
+def _build_config(flags: dict) -> RunConfig:
+    """The ``RunConfig`` of a command's config flags; every field it has no flag for keeps its default."""
     try:
-        return RunConfig(**{field.name: kwargs.pop(field.name) for field in fields(RunConfig)})
+        return RunConfig(**flags)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
 
@@ -104,7 +108,7 @@ def cli() -> None:
               help="JSON file mapping sensor labels to locations.")
 @click.option("--channels", default=None,
               help="Comma-separated channel labels; TV events lacking a channel get one at random.")
-@config_options
+@config_options("settling_window", "bin_count", "seed")
 def ingest(logs, out, residents, location_map, channels, **kwargs) -> None:
     """Parse raw event logs into a stabilized, binned event store."""
     cfg = _build_config(kwargs)
@@ -200,11 +204,9 @@ def _situation_json(situation: ConflictSituation) -> dict:
 @click.option("--store", "store_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--requests", "requests_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", default=None, help="Output file; stdout when omitted.")
-@config_options
-def detect(store_path, requests_path, out, **kwargs) -> None:
+def detect(store_path, requests_path, out) -> None:
     """Report conflict situations among the current requests."""
-    cfg = _build_config(kwargs)
-    store, requests, header = _load_inputs(store_path, requests_path, cfg)
+    store, requests, header = _load_inputs(store_path, requests_path, CONFIG_DEFAULTS)
     situations = detect_conflicts(requests)
     lines = [dumps_json({"schema": CONFLICTS_SCHEMA, **header})]
     lines.extend(dumps_json(_situation_json(s)) for s in situations)
@@ -273,7 +275,7 @@ def _round6(values) -> list:
               help="Write the per-situation preference tables as CSV.")
 @click.option("--debug", is_flag=True, help="Embed matrices and factors in the output.")
 @click.option("--out", default=None, help="Output file; stdout when omitted.")
-@config_options
+@config_options("alpha", "top_n", "k", "lookback_days")
 def resolve(store_path, requests_path, conflicts_path, strategy, dump_preferences, debug, out, **kwargs) -> None:
     """Resolve detected conflicts and rank the candidate items."""
     cfg = _build_config(kwargs)
@@ -334,7 +336,7 @@ def resolve(store_path, requests_path, conflicts_path, strategy, dump_preference
 @click.option("--list-size", type=int, default=EVALUATION_DEFAULTS.recommendation_list_size, show_default=True,
               help="Length of each strategy's recommendation list.")
 @click.option("--plot-data", is_flag=True, help="Also write PREFIX.<metric>.tsv series.")
-@config_options
+@config_options("alpha", "top_n", "k", "lookback_days", "adopted_threshold")
 def evaluate(store_path, requests_path, out_prefix, strategies, group_sizes, list_size, plot_data, **kwargs) -> None:
     """Score resolution strategies across the detected conflicts."""
     cfg = _build_config(kwargs)
@@ -378,10 +380,7 @@ def main(argv=None) -> int:
     try:
         cli.main(args=argv, standalone_mode=False)
         return 0
-    except click.UsageError as exc:
-        exc.show()
-        return 1
-    except click.ClickException as exc:
+    except click.ClickException as exc:  # usage errors included
         exc.show()
         return 1
     except click.exceptions.Abort:

@@ -26,8 +26,9 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not 0 < self.alpha < 1:
             raise ValueError("alpha must be in (0, 1)")
-        if self.top_n < 1 or self.k < 1 or self.bin_count < 1:
-            raise ValueError("top_n, k and bin_count must be positive")
+        for name in ("top_n", "k", "bin_count"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive")
         if self.settling_window <= 0:
             raise ValueError("settling_window must be positive")
         if self.lookback_days is not None and self.lookback_days < 1:

@@ -50,7 +50,7 @@ def _cells(group: list[ServiceRequest]) -> list[tuple[int, int, frozenset[str]]]
         active = _dedupe_by_resident(active)
         if len(active) < 2:
             continue
-        if len({r.value.key() for r in active}) < 2:
+        if len({r.value.item_label() for r in active}) < 2:
             continue
         cells.append((a, b, frozenset(r.request_id for r in active)))
     return cells

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import DataError, ParseError
 from .intervals import SECONDS_PER_DAY, TimeOfDayInterval, check_interval, format_hms, parse_hms
-from .model import AttributeValue, ServiceEvent, ServiceRequest, normalize_location
+from .model import AttributeValue, ServiceEvent, ServiceRequest, finite_number, normalize_location
 from .preferences import History, HistoryRows, PreferenceTable
 
 LOG_COLUMNS = ["date", "time", "sensor", "status", "value", "resident", "location"]
@@ -542,12 +542,6 @@ def _bins_to_json(specs: Mapping[tuple[str, str], BinningSpec]) -> list[dict]:
             for (service_id, attribute), spec in sorted(specs.items())]
 
 
-def _finite(value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ValueError(f"expected a finite number, got {value!r}")
-    return float(value)
-
-
 def _bins_from_json(entries) -> dict[tuple[str, str], BinningSpec]:
     specs = {}
     for entry in entries:
@@ -555,8 +549,8 @@ def _bins_from_json(entries) -> dict[tuple[str, str], BinningSpec]:
         if not all(isinstance(name, str) for name in key):
             raise ValueError("service_id and attribute must be strings")
         specs[key] = BinningSpec(attribute=key[1], bin_count=entry["bin_count"],
-                                 boundaries=tuple(map(_finite, entry["boundaries"])),
-                                 lo=_finite(entry["lo"]), hi=_finite(entry["hi"]))
+                                 boundaries=tuple(map(finite_number, entry["boundaries"])),
+                                 lo=finite_number(entry["lo"]), hi=finite_number(entry["hi"]))
     return specs
 
 
@@ -616,11 +610,7 @@ def load_store(path: str | Path) -> EventStore:
         attributes = obj["attributes"]
         if not isinstance(attributes, dict):
             raise ValueError("attributes must be an object of objects")
-        items = []
-        for name, value in attributes.items():
-            if not isinstance(value, dict):
-                raise ValueError("attributes must be an object of objects")
-            items.append((name, AttributeValue.item_label_of_json(value)))
+        items = [(name, AttributeValue.item_label_of_json(value)) for name, value in attributes.items()]
         date = obj["date"]
         ordinal = ordinals.get(date)
         if ordinal is None:

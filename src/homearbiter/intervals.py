@@ -39,7 +39,7 @@ def format_hms(seconds: int) -> str:
 def check_interval(start: int, end: int) -> None:
     """Raise ``ValueError`` unless ``start`` and ``end`` bound a :class:`TimeOfDayInterval`."""
     for name, value in (("start", start), ("end", end)):
-        if not isinstance(value, int):
+        if isinstance(value, bool) or not isinstance(value, int):
             raise ValueError(f"{name} must be an integer second, got {value!r}")
         if not 0 <= value <= SECONDS_PER_DAY - 1:
             raise ValueError(f"{name} must be in [0, 86399], got {value}")

@@ -58,20 +58,12 @@ class AttributeValue:
         else:
             raise ValueError(f"unknown attribute value kind {self.kind!r}")
 
-    def key(self) -> tuple:
-        """Equality key used by conflict checks and item grouping."""
-        if self.kind == "categorical":
-            return ("cat", self.label)
-        if self.kind == "numeric":
-            return ("num", self.value)
-        return ("bin", self.bin_index)
-
     def item_label(self) -> str:
-        """Stable item name used in preference tables and reports."""
+        """The value's item: the one identity that detection, preference tables and reports compare."""
         if self.kind == "categorical":
             return self.label  # type: ignore[return-value]
         if self.kind == "numeric":
-            return f"{self.value:g}"
+            return _number_label(self.value)
         return f"bin{self.bin_index}"
 
     def to_json(self) -> dict[str, Any]:
@@ -83,18 +75,24 @@ class AttributeValue:
 
     @classmethod
     def from_json(cls, obj: Mapping[str, Any]) -> "AttributeValue":
-        kind = obj.get("kind")
-        if kind == "cat":
+        cls.item_label_of_json(obj)  # every check of a stored value
+        if obj["kind"] == "cat":
             return cls.categorical(obj["label"])
-        if kind == "num":
+        if obj["kind"] == "num":
             return cls.numeric(obj["value"])
-        if kind == "bin":
-            return cls.binned(obj["index"], tuple(obj["bounds"]))
-        raise ValueError(f"unknown attribute value kind {kind!r}")
+        return cls.binned(obj["index"], obj["bounds"])
 
     @staticmethod
-    def item_label_of_json(obj: Mapping[str, Any]) -> str:
-        """``from_json(obj).item_label()``, making the same checks but building no value."""
+    def item_label_of_json(obj: Any) -> str:
+        """``from_json(obj).item_label()``, building no value.
+
+        A stored value must be one that :meth:`to_json` writes: a label is a
+        non-empty string, a number is a finite JSON number, a bin index is a
+        non-negative integer and its bounds are a list of two finite numbers.
+        Booleans are not numbers.  Anything else raises ``ValueError``.
+        """
+        if not isinstance(obj, dict):
+            raise ValueError(f"attribute value must be an object, got {type(obj).__name__}")
         kind = obj.get("kind")
         if kind == "cat":
             label = obj["label"]
@@ -102,17 +100,27 @@ class AttributeValue:
                 raise ValueError("categorical value needs a label")
             return label
         if kind == "num":
-            value = float(obj["value"])
-            if not math.isfinite(value):
-                raise ValueError(f"numeric value needs a finite number, got {value}")
-            return f"{value:g}"
+            return _number_label(finite_number(obj["value"]))
         if kind == "bin":
-            index, bounds = obj["index"], tuple(obj["bounds"])
-            float(bounds[0]), float(bounds[1])  # the conversions binned() makes
-            if index is None:
-                raise ValueError("binned value needs index and bounds")
+            index, bounds = obj["index"], obj["bounds"]
+            if type(index) is not int or index < 0:
+                raise ValueError(f"bin index must be a non-negative integer, got {index!r}")
+            if type(bounds) is not list or len(bounds) != 2:
+                raise ValueError(f"bin bounds must be a list of two numbers, got {bounds!r}")
+            finite_number(bounds[0]), finite_number(bounds[1])
             return f"bin{index}"
         raise ValueError(f"unknown attribute value kind {kind!r}")
+
+
+def finite_number(value: Any) -> float:
+    """A JSON number as a float; a bool, a string or a non-finite number raises ``ValueError``."""
+    if type(value) in (int, float) and math.isfinite(value):  # a bool is not an int here
+        return float(value)
+    raise ValueError(f"expected a finite number, got {value!r}")
+
+
+def _number_label(value: float) -> str:
+    return f"{value or 0.0:g}"  # -0.0 and 0.0 are one item, "0"
 
 
 @dataclass(frozen=True)
@@ -181,7 +189,7 @@ class ConflictSituation:
                 raise ValueError(f"request {r.request_id} targets attribute {r.attribute!r}, expected {self.attribute!r}")
             if not all(r.interval.covers(s, e) for s, e in self.window.segments()):
                 raise ValueError(f"request {r.request_id} does not cover the situation window")
-        if len({r.value.key() for r in self.requests}) < 2:
+        if len({r.value.item_label() for r in self.requests}) < 2:
             raise ValueError("a conflict situation needs at least two distinct requested values")
         ordered = tuple(sorted(self.requests, key=lambda r: (r.resident, r.request_id)))
         object.__setattr__(self, "requests", ordered)

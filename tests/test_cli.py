@@ -1,9 +1,11 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
 
-from homearbiter.cli import main
+from homearbiter.cli import cli, main
+from homearbiter.config import RunConfig
 from homearbiter.synthetic import DEFAULT_SEED, synthetic_household
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
@@ -39,6 +41,58 @@ def test_store_header_embeds_config_and_digests(workspace):
     assert header["inputs"][0]["path"] == "log.csv"
     assert len(header["inputs"][0]["sha256"]) == 64
     assert any(b["attribute"] == "temp" for b in header["bins"])
+
+
+# The RunConfig fields each command reads, and a valid value of every field.
+READS = {
+    "ingest": ("settling_window", "bin_count", "seed"),
+    "detect": (),
+    "resolve": ("alpha", "top_n", "k", "lookback_days"),
+    "evaluate": ("alpha", "top_n", "k", "lookback_days", "adopted_threshold"),
+}
+FLAG_VALUES = {"alpha": "0.5", "top_n": "2", "k": "2", "settling_window": "30", "bin_count": "2",
+               "lookback_days": "10", "seed": "7", "adopted_threshold": "0.5"}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _command_argv(command, workspace, tmp_path) -> list[str]:
+    """A run of ``command`` on the workspace inputs that exits 0."""
+    if command == "ingest":
+        return ["ingest", str(workspace / "log.csv"), "--out", str(tmp_path / "store.jsonl")]
+    out = ["--out-prefix", str(tmp_path / "report")] if command == "evaluate" else ["--out", str(tmp_path / "out")]
+    return [command, "--store", str(workspace / "store.jsonl"), "--requests", str(workspace / "requests.jsonl"), *out]
+
+
+def test_help_lists_the_config_flags_each_command_reads(capsys):
+    assert sorted(FLAG_VALUES) == sorted(RunConfig().as_dict())
+    for command, names in READS.items():
+        assert main([command, "--help"]) == 0
+        shown = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+        assert {name for name in FLAG_VALUES if _flag(name) in shown} == set(names)
+
+
+@pytest.mark.parametrize("command, name", [(command, name) for command, names in READS.items()
+                                           for name in FLAG_VALUES if name not in names])
+def test_a_config_flag_the_command_does_not_read_is_a_usage_error(workspace, tmp_path, capsys, command, name):
+    assert main([*_command_argv(command, workspace, tmp_path), _flag(name), FLAG_VALUES[name]]) == 1
+    assert f"No such option '{_flag(name)}'" in capsys.readouterr().err
+
+
+def test_headers_record_every_config_field_with_unread_ones_at_default(workspace, tmp_path, capsys):
+    argv = [*_command_argv("ingest", workspace, tmp_path), "--bin-count", "4", "--seed", "3"]
+    assert main(argv) == 0
+    header = json.loads((tmp_path / "store.jsonl").read_text(encoding="utf-8").splitlines()[0])
+    assert header["config"] == {**RunConfig().as_dict(), "bin_count": 4, "seed": 3}
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command, name", [("ingest", "bin_count"), ("resolve", "top_n")])
+def test_a_bad_config_value_names_only_its_field(workspace, tmp_path, capsys, command, name):
+    assert main([*_command_argv(command, workspace, tmp_path), _flag(name), "0"]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == f"Error: {name} must be positive"
 
 
 def test_detect_outputs_situations(workspace, tmp_path):
@@ -224,6 +278,30 @@ def test_store_line_that_is_not_an_event_object_exits_two(workspace, tmp_path, c
         for command in (["detect"], ["resolve"], ["evaluate", "--out-prefix", str(tmp_path / "report")]):
             assert main([*command, "--store", str(store), *requests]) == 2
             assert f"{store}:3: bad event record" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("start", True),
+    ("attribute", {"kind": "bin", "index": True, "bounds": "12"}),
+    ("attribute", {"kind": "bin", "index": -0.0, "bounds": [1, 2]}),
+    ("attribute", {"kind": "bin", "index": -1, "bounds": [1, 2]}),
+    ("attribute", {"kind": "bin", "index": 1, "bounds": [1, 2, 3]}),
+    ("attribute", {"kind": "bin", "index": 1, "bounds": [False, 2]}),
+    ("attribute", {"kind": "num", "value": " 1e3 "}),
+    ("attribute", {"kind": "num", "value": "3"}),
+    ("attribute", {"kind": "num", "value": True}),
+])
+def test_store_value_that_no_writer_emits_exits_two(workspace, tmp_path, capsys, field, value):
+    header, first, *events = (workspace / "store.jsonl").read_text(encoding="utf-8").splitlines()
+    event = json.loads(first)
+    if field == "attribute":
+        event["attributes"] = {name: value for name in event["attributes"]}
+    else:
+        event[field] = value
+    store = tmp_path / "store.jsonl"
+    store.write_text("\n".join([header, first, json.dumps(event), *events]) + "\n", encoding="utf-8")
+    assert main(["detect", "--store", str(store), "--requests", str(workspace / "requests.jsonl")]) == 2
+    assert f"data error: {store}:3: bad event record" in capsys.readouterr().err
 
 
 def test_request_line_that_is_not_a_request_object_exits_two(workspace, tmp_path, capsys):
@@ -541,3 +619,16 @@ def test_readme_library_use_runs(workspace, monkeypatch, capsys):
     printed = capsys.readouterr().out.splitlines()
     assert len(printed) == len(namespace["resolutions"]) >= 2
     assert [line.split(" ", 2)[2] for line in printed] == [str(r.chosen) for r in namespace["resolutions"]]
+
+
+def test_readme_lists_each_commands_settings():
+    readme = (DATA_DIR.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Reproducibility", 1)[1].split("\n## ", 1)[0]
+    listed = {match[1]: dict(re.findall(r"`(--[a-z-]+)` \(([^) ]+)", match[2]))
+              for match in re.finditer(r"^- `(\w+)`: (.*)$", section, re.M)}
+    config = RunConfig().as_dict()
+    assert listed == {
+        name: {option.opts[0]: "unlimited" if option.default is None else str(option.default)
+               for option in command.params if option.name in config}
+        for name, command in cli.commands.items()
+    }

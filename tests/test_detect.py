@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 
 from homearbiter.detect import detect_conflicts
@@ -14,7 +16,7 @@ def is_conflict(a: ServiceRequest, b: ServiceRequest) -> bool:
         and a.location == b.location
         and a.attribute == b.attribute
         and a.resident != b.resident
-        and a.value.key() != b.value.key()
+        and a.value.item_label() != b.value.item_label()
         and intervals_overlap(a.interval, b.interval)
     )
 
@@ -68,6 +70,20 @@ def test_is_conflict_symmetric_random():
         assert is_conflict(a, b) == is_conflict(b, a)
         # The sweep finds a situation in a pair exactly when the pairwise rule holds.
         assert bool(detect_conflicts([a, b])) == is_conflict(a, b)
+
+
+def test_detect_numbers_of_one_item_do_not_conflict():
+    # 21 and 21.0000001 are both item "21": one item cannot be a conflict to rank.
+    requests = [make_request("r1", "21", numeric=True, attribute="temp"),
+                make_request("r2", "21.0000001", numeric=True, attribute="temp")]
+    assert [r.value.item_label() for r in requests] == ["21", "21"]
+    assert detect_conflicts(requests) == []
+
+
+def test_detect_label_of_a_bin_item_does_not_conflict_with_that_bin():
+    binned = make_request("r2", "x", attribute="temp")
+    binned = dataclasses.replace(binned, value=AttributeValue.binned(1, (18.0, 20.0)))
+    assert detect_conflicts([make_request("r1", "bin1", attribute="temp"), binned]) == []
 
 
 def test_detect_motivation_scenario():
@@ -156,7 +172,7 @@ def sweep_oracle(requests):
             for r in sorted(active, key=lambda r: (r.interval.start, r.request_id)):
                 best.setdefault(r.resident, r)
             active = list(best.values())
-            if len(active) < 2 or len({r.value.key() for r in active}) < 2:
+            if len(active) < 2 or len({r.value.item_label() for r in active}) < 2:
                 continue
             members = frozenset(r.request_id for r in active)
             if runs and runs[-1][1] == t and runs[-1][2] == members:

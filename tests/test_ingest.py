@@ -292,7 +292,7 @@ def test_load_store_either_loads_the_header_or_names_line_one(tmp_path_factory, 
 _VALID_ATTRIBUTES = st.dictionaries(
     st.sampled_from(["channel", "station", "temp"]),
     st.sampled_from([{"kind": "cat", "label": "Ch1"}, {"kind": "cat", "label": "Ch2"},
-                     {"kind": "num", "value": 20.5}, {"kind": "num", "value": 3}, {"kind": "num", "value": "3"},
+                     {"kind": "num", "value": 20.5}, {"kind": "num", "value": 3}, {"kind": "num", "value": -0.0},
                      {"kind": "bin", "index": 2, "bounds": [21.0, 22.0]}, {"kind": "bin", "index": 0, "bounds": [1, 2]}]),
     min_size=1, max_size=2)
 _VALID_EVENTS = st.builds(
@@ -315,7 +315,7 @@ _MUTATED_EVENTS = (
                                                                    max_size=3) | _json_values}))
 )
 _VARIED_EVENT = {**_STORE_EVENT, "location": " Living Room ", "date": "20260103", "start": 80000, "end": 3600,
-                 "attributes": {"temp": {"kind": "num", "value": "3"}, "level": {"kind": "bin", "index": 0,
+                 "attributes": {"temp": {"kind": "num", "value": -0.0}, "level": {"kind": "bin", "index": 0,
                                                                                 "bounds": [1, 2]}}}
 
 
@@ -334,6 +334,7 @@ def _group_columns(history):
 @example(valid=[], mutated=_store_event_with("temp", {"kind": "bin", "index": -0.0, "bounds": [1, 2]}), position=0)
 @example(valid=[], mutated=_store_event_with("temp", {"kind": "bin", "index": True, "bounds": "12"}), position=0)
 @example(valid=[], mutated=_store_event_with("temp", {"kind": "num", "value": " 1e3 "}), position=0)
+@example(valid=[], mutated=_store_event_with("temp", {"kind": "num", "value": "3"}), position=0)
 @example(valid=[], mutated=_store_event_with("start", True), position=0)
 @example(valid=[], mutated=_store_event_with("start", 1.0), position=0)
 @example(valid=[], mutated=_store_event_with("attributes", {}), position=0)

@@ -17,8 +17,13 @@ def test_attribute_value_kinds_and_labels():
     assert cat.item_label() == "Ch3"
     assert num.item_label() == "21.5"
     assert binned.item_label() == "bin2"
-    assert cat.key() != num.key() != binned.key()
-    assert AttributeValue.categorical("Ch3").key() == cat.key()
+    assert len({cat.item_label(), num.item_label(), binned.item_label()}) == 3
+    assert AttributeValue.categorical("Ch3").item_label() == cat.item_label()
+
+
+def test_negative_zero_is_item_zero():
+    assert AttributeValue.numeric(-0.0).item_label() == "0"
+    assert AttributeValue.item_label_of_json({"kind": "num", "value": -0.0}) == "0"
 
 
 def test_attribute_value_json_roundtrip():

@@ -129,6 +129,17 @@ def test_build_preference_table_missing_item_is_zero():
     assert table.score("r1", "Ch9") == 0.0
 
 
+def test_history_value_of_negative_zero_scores_the_requested_item_zero():
+    window = interval("20:00:00", "20:30:00")
+    requests = tuple(make_request(resident, value, attribute="temp", numeric=True, request_id=resident)
+                     for resident, value in (("r1", "0"), ("r2", "5")))
+    situation = ConflictSituation(service_id="TV", location="living room", attribute="temp", window=window,
+                                  requests=requests)
+    history = [make_event("r1", "20:00:00", "20:30:00", attributes={"temp": AttributeValue.numeric(-0.0)})]
+    table = build_preference_table(window_events(history, situation), situation)
+    assert table.entries == {("r1", "0"): 1.0}
+
+
 def test_build_preference_table_mixed_proximities():
     situation = _situation()
     history = [
