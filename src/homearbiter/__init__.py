@@ -34,10 +34,8 @@ from .ingest import (
     apply_bins,
     augment_channels,
     compute_bins,
-    load_ratings_table,
     load_requests,
     load_store,
-    merge_households,
     parse_event_log,
     stabilize,
     write_store,

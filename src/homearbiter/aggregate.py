@@ -80,7 +80,7 @@ class Resolution:
     strategy: str
     ranked: tuple[tuple[str, float], ...]
     chosen: tuple[str, ...]
-    diagnostics: ResolutionDiagnostics | None = None
+    diagnostics: ResolutionDiagnostics
 
 
 def build_item_set(table: PreferenceTable, situation: ConflictSituation, top_n: int) -> tuple[str, ...]:
@@ -92,15 +92,9 @@ def build_item_set(table: PreferenceTable, situation: ConflictSituation, top_n: 
         raise ValueError("top_n must be positive")
     items: set[str] = set()
     for resident in situation.residents:
-        row = table.row(resident)
-        if not row:
-            continue  # the resident's request still contributes below
         items.update(table.top_items(resident, top_n))
     for request in situation.requests:
         items.add(request.value.item_label())
-    for resident in situation.residents:
-        if not table.row(resident) and all(r.resident != resident for r in situation.requests):
-            raise DataError(f"resident {resident!r} has neither history nor a request")
     return tuple(sorted(items))
 
 

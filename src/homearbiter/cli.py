@@ -24,11 +24,9 @@ from .ingest import (
     apply_bins,
     augment_channels,
     compute_bins,
-    continue_ids,
     dumps_json,
     load_requests,
     load_store,
-    merge_households,
     parse_event_log,
     parse_json,
     sha256_file,
@@ -117,24 +115,23 @@ def ingest(logs, out, residents, location_map, channels, **kwargs) -> None:
         loc_map = parse_json(Path(location_map).read_text(encoding="utf-8"), location_map)
         if not isinstance(loc_map, dict):
             raise DataError(f"{location_map}: location map must be a JSON object")
+        for sensor, location in loc_map.items():
+            if not isinstance(location, str) or not location.strip():
+                raise DataError(f"{location_map}: location of {sensor!r} must be a non-empty string")
 
+    ids = [r.strip() for r in residents.split(",")] if residents else [None] * len(logs)
+    if len(ids) != len(logs):
+        raise click.UsageError(f"--residents names {len(ids)} ids for {len(logs)} log files")
     warnings: list[str] = []
-    if residents:
-        ids = [r.strip() for r in residents.split(",")]
-        if len(ids) != len(logs):
-            raise click.UsageError(f"--residents names {len(ids)} ids for {len(logs)} log files")
-        per_resident = []
-        for resident, path in zip(ids, logs):
-            result = parse_event_log(path, resident=resident, location_map=loc_map)
-            warnings.extend(f"{Path(path).name}: {w}" for w in result.warnings)
-            per_resident.append((resident, result.events))
-        events = merge_households(per_resident)
-    else:
-        events = []
-        for path in logs:
-            result = parse_event_log(path, location_map=loc_map)
-            warnings.extend(f"{Path(path).name}: {w}" for w in result.warnings)
-            events.extend(continue_ids(result.events, len(events)))
+    events = []
+    for index, (resident, path) in enumerate(zip(ids, logs)):
+        if resident is not None and resident in ids[:index]:
+            raise DataError(f"duplicate resident id {resident!r} in --residents")
+        # Ids stay unique: a resident's own log numbers from 1, other logs on after the earlier logs' events.
+        result = parse_event_log(path, resident=resident, location_map=loc_map,
+                                 first_number=1 if resident is not None else len(events) + 1)
+        warnings.extend(f"{Path(path).name}: {w}" for w in result.warnings)
+        events.extend(result.events)
 
     events = stabilize(events, cfg.settling_window)
 
@@ -297,7 +294,7 @@ def resolve(store_path, requests_path, conflicts_path, strategy, dump_preference
         record["ranked"] = [[item, round(value, 6)] for item, value in resolution.ranked]
         record["chosen"] = list(resolution.chosen)
         diag = resolution.diagnostics
-        if debug and diag is not None:
+        if debug:
             record["debug"] = {
                 "residents": list(diag.matrix.residents),
                 "items": list(diag.matrix.items),
@@ -310,14 +307,13 @@ def resolve(store_path, requests_path, conflicts_path, strategy, dump_preference
                     request_centroid=_round6(diag.centroid),
                     consensus_scores=_round6(diag.consensus),
                 )
-        if diag is not None:
-            window = situation.window
-            preference_rows.append(
-                f"# situation: {situation.service_id}/{situation.location}/{situation.attribute}"
-                f"/{format_hms(window.start)}-{format_hms(window.end)}"
-            )
-            for (resident, item), score in sorted(diag.table.entries.items()):
-                preference_rows.append(f"{resident},{item},{score:.4f}")
+        window = situation.window
+        preference_rows.append(
+            f"# situation: {situation.service_id}/{situation.location}/{situation.attribute}"
+            f"/{format_hms(window.start)}-{format_hms(window.end)}"
+        )
+        for (resident, item), score in sorted(diag.table.entries.items()):
+            preference_rows.append(f"{resident},{item},{score:.4f}")
         lines.append(dumps_json(record))
     _write_lines(lines, out)
     if dump_preferences:
@@ -399,3 +395,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

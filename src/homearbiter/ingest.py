@@ -1,4 +1,4 @@
-"""Log parsing, value stabilization, statistical binning, household merging.
+"""Log parsing, value stabilization, statistical binning, the event store.
 
 Input formats
 -------------
@@ -9,14 +9,15 @@ free-form value field.  A value of the form ``name=val`` sets the attribute
 ``name``; a bare value sets the attribute ``value``; an empty value marks a
 plain activation (attribute ``state=on``).  Values that parse as numbers
 become numeric attributes, everything else is categorical; non-finite
-numbers (``nan``, ``inf``) are rejected.  Rows must be in (date, time) order.
+numbers (``nan``, ``inf``) are rejected.  Rows must be in (date, time) order,
+and an ON row needs a location, from its column or the location map.
+Several logs make one household by joining their events: event ids are
+unique, so :func:`stabilize` puts them in store order.
 
 Request file: one JSON object per line with keys request_id, service_id,
-attribute, value, start, end (HH:MM:SS), location, resident.  The value
-follows the log rule, whether it is given as a JSON number or a string.
-
-Ratings table CSV: ``resident,item,score`` with scores in [1, 100], loaded
-directly as a preference table.
+attribute, value, start, end (HH:MM:SS), location, resident.  Every field
+but the value is a JSON string; the value is a string or a finite number
+and follows the log rule either way.
 """
 
 from __future__ import annotations
@@ -30,30 +31,19 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import DataError, ParseError
 from .intervals import SECONDS_PER_DAY, TimeOfDayInterval, check_interval, format_hms, parse_hms
 from .model import AttributeValue, ServiceEvent, ServiceRequest, finite_number, normalize_location
-from .preferences import History, HistoryRows, PreferenceTable
+from .preferences import History, HistoryRows
 
 LOG_COLUMNS = ["date", "time", "sensor", "status", "value", "resident", "location"]
 END_OF_DAY = SECONDS_PER_DAY - 1
 STORE_SCHEMA = "homearbiter-store/1"
 PRNG_NAME = "numpy-randomstate-mt19937/v1"
-
-
-@dataclass(frozen=True)
-class RawLogRecord:
-    date: dt.date
-    time: int  # seconds since midnight
-    sensor: str
-    status: str
-    attribute: tuple[str, AttributeValue]
-    resident: str
-    location: str
 
 
 @dataclass(frozen=True)
@@ -129,7 +119,12 @@ def parse_value(raw: str) -> AttributeValue:
     return AttributeValue.numeric(number)
 
 
-def _read_log_records(path: str | Path, resident: str | None) -> Iterable[RawLogRecord]:
+def _read_log_records(path: str | Path, resident: str | None, location_map: Mapping[str, str]) -> Iterator[tuple]:
+    """``(date, time, sensor, status, attribute, resident, location)`` per row.
+
+    ``location`` is the normalized mapped location of an ON row and ``None``
+    for the other statuses, which keep their session's location.
+    """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
@@ -164,7 +159,13 @@ def _read_log_records(path: str | Path, resident: str | None) -> Iterable[RawLog
             effective_resident = resident if resident is not None else row_resident
             if not effective_resident:
                 raise ParseError("no resident id (column empty and none supplied)", path=str(path), line=lineno)
-            yield RawLogRecord(date, time, sensor, status, attribute, effective_resident, location)
+            if status == "ON":
+                location = normalize_location(location_map.get(sensor, location))
+                if not location:
+                    raise ParseError("empty location (column empty and none mapped)", path=str(path), line=lineno)
+            else:
+                location = None
+            yield date, time, sensor, status, attribute, effective_resident, location
 
 
 class _OpenSession:
@@ -181,24 +182,22 @@ def parse_event_log(
     path: str | Path,
     resident: str | None = None,
     location_map: Mapping[str, str] | None = None,
+    first_number: int = 1,
 ) -> ParseResult:
-    """Fold ON/OFF/SET records into service events.
+    """Fold ON/OFF/SET records into service events numbered from ``first_number``.
 
     ON opens a session per (sensor, resident); SET closes the running value
     segment and starts a new one with the changed attribute; OFF closes the
     session.  A session left open at a date change or at end of file is
     closed at 23:59:59 and reported in the warnings list.  An OFF on the next
     calendar day at an earlier time of day closes the session as an
-    overnight, wrap-around event.
+    overnight, wrap-around event.  Event ids are ``<resident>-<number>``; a
+    later log of one household numbers on after the earlier logs' events.
     """
-    location_map = dict(location_map or {})
     events: list[ServiceEvent] = []
     warnings: list[str] = []
     open_sessions: dict[tuple[str, str], _OpenSession] = {}
-    counter = 0
-
-    def effective_location(sensor: str, row_location: str) -> str:
-        return normalize_location(location_map.get(sensor, row_location))
+    counter = first_number - 1
 
     def emit(sensor: str, res: str, session: _OpenSession, end: int) -> None:
         nonlocal counter
@@ -223,38 +222,37 @@ def parse_event_log(
             f"{key[0]}/{key[1]}: ON at {session.date} {format_hms(session.start)} without OFF; closed at end of day"
         )
 
-    for rec in _read_log_records(path, resident):
-        key = (rec.sensor, rec.resident)
+    for date, time, sensor, status, attribute, res, location in _read_log_records(path, resident, location_map or {}):
+        key = (sensor, res)
         session = open_sessions.get(key)
-        if session is not None and rec.date != session.date:
+        if session is not None and date != session.date:
             next_day = session.date + dt.timedelta(days=1)
-            if rec.status == "OFF" and rec.date == next_day and rec.time < session.start:
-                emit(rec.sensor, rec.resident, session, rec.time)
+            if status == "OFF" and date == next_day and time < session.start:
+                emit(sensor, res, session, time)
                 del open_sessions[key]
                 continue
             close_at_day_end(key, session)
             del open_sessions[key]
             session = None
-        if rec.status == "ON":
+        if status == "ON":
             if session is not None:
-                emit(rec.sensor, rec.resident, session, rec.time)
-                warnings.append(f"{rec.sensor}/{rec.resident}: ON at {rec.date} {format_hms(rec.time)} while already on")
-            attrs = dict([rec.attribute])
-            open_sessions[key] = _OpenSession(rec.date, rec.time, attrs, effective_location(rec.sensor, rec.location))
-        elif rec.status == "SET":
+                emit(sensor, res, session, time)
+                warnings.append(f"{sensor}/{res}: ON at {date} {format_hms(time)} while already on")
+            open_sessions[key] = _OpenSession(date, time, dict([attribute]), location)
+        elif status == "SET":
             if session is None:
-                warnings.append(f"{rec.sensor}/{rec.resident}: SET at {rec.date} {format_hms(rec.time)} while off; ignored")
+                warnings.append(f"{sensor}/{res}: SET at {date} {format_hms(time)} while off; ignored")
                 continue
-            emit(rec.sensor, rec.resident, session, rec.time)
-            name, value = rec.attribute
+            emit(sensor, res, session, time)
+            name, value = attribute
             attrs = dict(session.attributes)
             attrs[name] = value
-            open_sessions[key] = _OpenSession(rec.date, rec.time, attrs, session.location)
+            open_sessions[key] = _OpenSession(date, time, attrs, session.location)
         else:  # OFF
             if session is None:
-                warnings.append(f"{rec.sensor}/{rec.resident}: OFF at {rec.date} {format_hms(rec.time)} while not on; ignored")
+                warnings.append(f"{sensor}/{res}: OFF at {date} {format_hms(time)} while not on; ignored")
                 continue
-            emit(rec.sensor, rec.resident, session, rec.time)
+            emit(sensor, res, session, time)
             del open_sessions[key]
 
     for key in sorted(open_sessions):
@@ -262,19 +260,6 @@ def parse_event_log(
 
     events.sort(key=store_order)
     return ParseResult(events=events, warnings=warnings)
-
-
-def continue_ids(events: Sequence[ServiceEvent], offset: int) -> list[ServiceEvent]:
-    """A later log's events, numbered after the ``offset`` events of the logs before it.
-
-    Each :func:`parse_event_log` call numbers from 1; the shift keeps a multi-log store's ids unique.
-    """
-    if offset == 0:
-        return list(events)
-    return [
-        replace(e, event_id=_event_id(e.resident, int(e.event_id.rpartition("-")[2]) + offset))
-        for e in events
-    ]
 
 
 def stabilize(events: Sequence[ServiceEvent], settling_window: int) -> list[ServiceEvent]:
@@ -400,22 +385,6 @@ def apply_bins(event: ServiceEvent, spec: BinningSpec, warnings: list[str] | Non
     return replace(event, attributes=attrs)
 
 
-def merge_households(logs: Sequence[tuple[str, Sequence[ServiceEvent]]]) -> list[ServiceEvent]:
-    """Overlay per-resident logs into one household log sorted by (date, start)."""
-    seen: set[str] = set()
-    merged: list[ServiceEvent] = []
-    for resident, events in logs:
-        if resident in seen:
-            raise DataError(f"duplicate resident id {resident!r} in household merge")
-        seen.add(resident)
-        for e in events:
-            if e.resident != resident:
-                raise DataError(f"event {e.event_id} belongs to {e.resident!r}, not {resident!r}")
-            merged.append(e)
-    merged.sort(key=store_order)
-    return merged
-
-
 def augment_channels(
     events: Sequence[ServiceEvent],
     channels: Sequence[str],
@@ -465,22 +434,26 @@ def load_requests(path: str | Path, bin_specs: Mapping[tuple[str, str], BinningS
             if not isinstance(obj, dict):
                 raise ParseError(f"expected a JSON object, got {type(obj).__name__}", path=str(path), line=lineno)
             try:
-                value = parse_value(str(obj["value"]))
-                service_id = str(obj["service_id"])
-                attribute = str(obj["attribute"])
+                for name in ("request_id", "service_id", "attribute", "location", "resident"):
+                    if not isinstance(obj[name], str):
+                        raise ValueError(f"{name} must be a string")
+                raw = obj["value"]
+                if type(raw) not in (str, int, float):  # a bool is not an int here
+                    raise ValueError("value must be a string or a finite number")
+                value = parse_value(str(raw))
                 if value.kind == "numeric" and bin_specs:
-                    spec = bin_specs.get((service_id, attribute))
+                    spec = bin_specs.get((obj["service_id"], obj["attribute"]))
                     if spec is not None:
                         value, _ = bin_value(value.value, spec)
                 requests.append(
                     ServiceRequest(
-                        request_id=str(obj["request_id"]),
-                        service_id=service_id,
-                        attribute=attribute,
+                        request_id=obj["request_id"],
+                        service_id=obj["service_id"],
+                        attribute=obj["attribute"],
                         value=value,
                         interval=TimeOfDayInterval(parse_hms(obj["start"]), parse_hms(obj["end"])),
-                        location=str(obj["location"]),
-                        resident=str(obj["resident"]),
+                        location=obj["location"],
+                        resident=obj["resident"],
                     )
                 )
             except KeyError as exc:
@@ -649,39 +622,6 @@ def load_store(path: str | Path) -> EventStore:
     if header is None:
         raise ParseError(f"no store header, expected schema {STORE_SCHEMA!r}", path=str(path))
     return EventStore(header=header, history=History.from_rows(rows), path=str(path), lines=lines)
-
-
-# ---------------------------------------------------------------------------
-# Ratings table import
-
-def load_ratings_table(path: str | Path):
-    """Load a ``resident,item,score`` CSV directly as a preference table."""
-    path = Path(path)
-    entries: dict[tuple[str, str], float] = {}
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty ratings file", path=str(path), line=1)
-        if [h.strip() for h in header] != ["resident", "item", "score"]:
-            raise ParseError("expected header 'resident,item,score'", path=str(path), line=1)
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 3:
-                raise ParseError(f"expected 3 fields, got {len(row)}", path=str(path), line=lineno)
-            resident, item, score_s = (f.strip() for f in row)
-            try:
-                score = float(score_s)
-            except ValueError as exc:
-                raise ParseError(f"bad score {score_s!r}", path=str(path), line=lineno) from exc
-            if not 1.0 <= score <= 100.0:
-                raise ParseError(f"score {score:g} outside [1, 100]", path=str(path), line=lineno)
-            if (resident, item) in entries:
-                raise ParseError(f"duplicate rating for ({resident}, {item})", path=str(path), line=lineno)
-            entries[(resident, item)] = score
-    return PreferenceTable(entries=entries)
 
 
 def sha256_file(path: str | Path) -> str:

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +12,7 @@ from homearbiter.config import RunConfig
 from homearbiter.synthetic import DEFAULT_SEED, synthetic_household
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
+SRC_DIR = DATA_DIR.parent / "src"
 
 
 @pytest.fixture(scope="module")
@@ -413,6 +417,25 @@ def test_ingest_with_residents_merge(tmp_path):
     ]) == 1
 
 
+def test_ingest_rejects_a_duplicate_resident_id(tmp_path, capsys):
+    header = "date,time,sensor,status,value,resident,location\n"
+    for name in ("a.csv", "b.csv"):
+        (tmp_path / name).write_text(header + "2026-01-01,20:00:00,TV,ON,,x,den\n", encoding="utf-8")
+    out = tmp_path / "store.jsonl"
+    assert main(["ingest", str(tmp_path / "a.csv"), str(tmp_path / "b.csv"),
+                 "--residents", "a,a", "--out", str(out)]) == 2
+    assert "data error: duplicate resident id 'a' in --residents" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_module_runs_as_a_script():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "homearbiter.cli", "demo"], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "demo: all checks passed" in done.stdout
+
+
 def test_demo_failure_exits_three(monkeypatch, capsys):
     import homearbiter.demo as demo_module
 
@@ -565,6 +588,17 @@ def test_conflict_stream_line_with_a_huge_integer_exits_two(workspace, tmp_path,
     stream.write_text("\n".join([header, f'{{"window": {HUGE_INTEGER}}}', *records]) + "\n", encoding="utf-8")
     assert main(["resolve", *inputs, "--conflicts", str(stream)]) == 2
     assert f"data error: {stream}:2: bad JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("location", [5, "", "  ", None, ["den"]])
+def test_location_map_value_that_is_not_a_location_exits_two(tmp_path, capsys, location):
+    location_map = tmp_path / "map.json"
+    location_map.write_text(json.dumps({"radio": "kitchen", "TV": location}), encoding="utf-8")
+    rc = main(["ingest", str(DATA_DIR / "household60.csv"), "--out", str(tmp_path / "store.jsonl"),
+               "--location-map", str(location_map)])
+    assert rc == 2
+    assert f"data error: {location_map}: location of 'TV' must be a non-empty string" in capsys.readouterr().err
+    assert not (tmp_path / "store.jsonl").exists()
 
 
 def test_location_map_with_a_huge_integer_exits_two(tmp_path, capsys):

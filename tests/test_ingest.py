@@ -14,10 +14,8 @@ from homearbiter.ingest import (
     augment_channels,
     bin_value,
     compute_bins,
-    load_ratings_table,
     load_requests,
     load_store,
-    merge_households,
     parse_event_log,
     stabilize,
     store_order,
@@ -129,6 +127,10 @@ def test_parse_set_splits_segments(tmp_path):
         (parse_hms("20:00:00"), parse_hms("20:10:00")),
         (parse_hms("20:10:00"), parse_hms("21:00:00")),
     ]
+    assert [e.event_id for e in result.events] == ["r1-000001", "r1-000002"]
+    later = parse_event_log(path, first_number=7).events
+    assert [e.event_id for e in later] == ["r1-000007", "r1-000008"]
+    assert [dataclasses.replace(e, event_id=f.event_id) for e, f in zip(later, result.events)] == result.events
 
 
 def test_parse_orphan_records_warn(tmp_path):
@@ -145,6 +147,15 @@ def test_parse_resident_override_and_location_map(tmp_path):
     result = parse_event_log(path, resident="r9", location_map={"TV": "Den"})
     assert result.events[0].resident == "r9"
     assert result.events[0].location == "den"
+
+
+def test_parse_rejects_an_on_row_without_a_location(tmp_path):
+    path = write_log(tmp_path, "2026-01-01,20:00:00,TV,ON,,r1,den\n"
+                               "2026-01-01,20:30:00,TV,OFF,,r1,\n"
+                               "2026-01-01,21:00:00,TV,ON,,r1, \n")
+    with pytest.raises(ParseError, match=r"log\.csv:4: empty location"):
+        parse_event_log(path)
+    assert parse_event_log(path, location_map={"TV": "den"}).events[-1].location == "den"
 
 
 def test_parse_serialize_parse_roundtrip(tmp_path):
@@ -556,53 +567,7 @@ def test_apply_bins_replaces_attribute():
 
 
 # ---------------------------------------------------------------------------
-# merge / augment
-
-def test_merge_households_sorted():
-    log_a = [make_event("a", "20:00:00", "21:00:00"), make_event("a", "08:00:00", "09:00:00")]
-    log_b = [make_event("b", "19:00:00", "19:30:00")]
-    merged = merge_households([("a", log_a), ("b", log_b)])
-    starts = [(e.date, e.interval.start) for e in merged]
-    assert starts == sorted(starts)
-    assert len(merged) == 3
-
-
-def test_merge_single_is_identity():
-    log = [make_event("a", "08:00:00", "09:00:00"), make_event("a", "20:00:00", "21:00:00")]
-    assert merge_households([("a", log)]) == sorted(log, key=lambda e: (e.date, e.interval.start, e.resident, e.event_id))
-
-
-def test_merge_matches_concatenate_sort_oracle():
-    rng = np.random.RandomState(3)
-    logs = []
-    for resident in ("a", "b", "c", "d"):
-        events = []
-        for i in range(6):
-            start = int(rng.randint(0, 80000))
-            event = dataclasses.replace(
-                _event_at(resident, start, start + 600, "Ch1", f"{resident}-{i}"),
-                date=dt.date(2026, 1, 1) + dt.timedelta(days=int(rng.randint(0, 4))),
-            )
-            events.append(event)
-        logs.append((resident, events))
-    merged = merge_households(logs)
-    oracle = sorted(
-        (e for _, events in logs for e in events),
-        key=lambda e: (e.date, e.interval.start, e.resident, e.event_id),
-    )
-    assert merged == oracle
-    assert sorted(e.event_id for e in merged) == sorted(e.event_id for e in oracle)
-
-
-def test_merge_duplicate_resident_rejected():
-    with pytest.raises(DataError):
-        merge_households([("a", []), ("a", [])])
-
-
-def test_merge_mismatched_resident_rejected():
-    with pytest.raises(DataError):
-        merge_households([("a", [make_event("b", "08:00:00", "09:00:00")])])
-
+# augment
 
 def test_augment_channels_deterministic():
     events = [make_event("r1", "20:00:00", "21:00:00", channel=None,
@@ -633,7 +598,7 @@ def test_augment_preserves_existing_channels():
 
 
 # ---------------------------------------------------------------------------
-# requests / ratings
+# requests
 
 def test_load_requests(tmp_path):
     path = tmp_path / "requests.jsonl"
@@ -668,12 +633,24 @@ def _request_line(value):
 
 def test_request_values_follow_the_log_rule(tmp_path):
     path = tmp_path / "requests.jsonl"
-    path.write_text("\n".join(_request_line(v) for v in (19.0, "19", " 23.5 ", "warm", True)) + "\n",
+    path.write_text("\n".join(_request_line(v) for v in (19.0, "19", " 23.5 ", "warm")) + "\n",
                     encoding="utf-8")
     spec = BinningSpec(attribute="temp", bin_count=2, boundaries=(21.0,), lo=18.0, hi=25.0)
     binned = [r.value.item_label() for r in load_requests(path, bin_specs={("thermostat", "temp"): spec})]
-    assert binned == ["bin0", "bin0", "bin1", "warm", "True"]
-    assert [r.value.item_label() for r in load_requests(path)] == ["19", "19", "23.5", "warm", "True"]
+    assert binned == ["bin0", "bin0", "bin1", "warm"]
+    assert [r.value.item_label() for r in load_requests(path)] == ["19", "19", "23.5", "warm"]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("value", True), ("value", None), ("value", [19]), ("value", {"temp": 19}),
+    ("resident", None), ("location", None), ("request_id", 7), ("service_id", True), ("attribute", ["temp"]),
+])
+def test_request_fields_that_are_not_json_strings_carry_line(tmp_path, field, value):
+    path = tmp_path / "requests.jsonl"
+    line = dict(json.loads(_request_line(19.0)), **{field: value})
+    path.write_text(_request_line(20.0) + "\n" + json.dumps(line) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=rf"requests\.jsonl:2: {field} must be a string"):
+        load_requests(path)
 
 
 def test_request_non_finite_values_carry_line(tmp_path):
@@ -718,14 +695,3 @@ def test_load_requests_errors_carry_line(tmp_path):
     with pytest.raises(ParseError) as err:
         load_requests(path)
     assert ":1:" in str(err.value)
-
-
-def test_ratings_table(tmp_path):
-    path = tmp_path / "ratings.csv"
-    path.write_text("resident,item,score\nr1,m1,55\nr1,m2,80\nr2,m1,20\n", encoding="utf-8")
-    table = load_ratings_table(path)
-    assert table.score("r1", "m2") == 80.0
-    assert table.entries == {("r1", "m1"): 55.0, ("r1", "m2"): 80.0, ("r2", "m1"): 20.0}
-    path.write_text("resident,item,score\nr1,m1,0.5\n", encoding="utf-8")
-    with pytest.raises(ParseError):
-        load_ratings_table(path)
