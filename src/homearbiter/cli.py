@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 import click
+from click.core import ParameterSource
 
 from . import __version__
 from .aggregate import STRATEGIES, SVD_STRATEGY, resolve as resolve_situation
@@ -109,6 +110,13 @@ def cli() -> None:
 @config_options("settling_window", "bin_count", "seed")
 def ingest(logs, out, residents, location_map, channels, **kwargs) -> None:
     """Parse raw event logs into a stabilized, binned event store."""
+    labels = None
+    if channels is not None:
+        labels = [c.strip() for c in channels.split(",") if c.strip()]
+        if not labels:
+            raise click.UsageError("--channels names no channel label")
+    elif click.get_current_context().get_parameter_source("seed") is not ParameterSource.DEFAULT:
+        raise click.UsageError("--seed seeds the channel draws of --channels and needs --channels")
     cfg = _build_config(kwargs)
     loc_map = None
     if location_map:
@@ -159,8 +167,7 @@ def ingest(logs, out, residents, location_map, channels, **kwargs) -> None:
             binned.append(event)
         events = binned
 
-    if channels:
-        labels = [c.strip() for c in channels.split(",") if c.strip()]
+    if labels is not None:
         events = augment_channels(events, labels, seed=cfg.seed)
 
     header = {

@@ -16,8 +16,8 @@ unique, so :func:`stabilize` puts them in store order.
 
 Request file: one JSON object per line with keys request_id, service_id,
 attribute, value, start, end (HH:MM:SS), location, resident.  Every field
-but the value is a JSON string; the value is a string or a finite number
-and follows the log rule either way.
+but the value is a JSON string, the location not an empty or all-space one;
+the value is a string or a finite number and follows the log rule either way.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import datetime as dt
 import hashlib
 import json
 import math
+import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
@@ -437,6 +438,8 @@ def load_requests(path: str | Path, bin_specs: Mapping[tuple[str, str], BinningS
                 for name in ("request_id", "service_id", "attribute", "location", "resident"):
                     if not isinstance(obj[name], str):
                         raise ValueError(f"{name} must be a string")
+                if not obj["location"].strip():
+                    raise ValueError("location must be non-empty")
                 raw = obj["value"]
                 if type(raw) not in (str, int, float):  # a bool is not an int here
                     raise ValueError("value must be a string or a finite number")
@@ -559,65 +562,112 @@ def write_store(path: str | Path, events: Sequence[ServiceEvent], header: Mappin
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
+# An event line exactly as :func:`write_store` writes it: sorted keys, compact separators.  A
+# string here has no escape and no control character, so its text is its value.  An integer has
+# no leading zero (invalid JSON) and at most five digits: every valid second fits, and int()
+# never meets its 4300-digit limit.
+_STRING = r'"([^"\\\x00-\x1f]*)"'
+_INTEGER = r"(0|[1-9][0-9]{0,4})"
+_CANONICAL_EVENT = re.compile(
+    rf'\{{"attributes":(\{{.*?\}}),"date":{_STRING},"end":{_INTEGER},"event_id":{_STRING},'
+    rf'"location":{_STRING},"resident":{_STRING},"service_id":{_STRING},"start":{_INTEGER}\}}')
+
+
 def load_store(path: str | Path) -> EventStore:
     """Read a store, appending each event line to the :class:`History` columns.
 
     An event line must pass every check that building its
     :class:`ServiceEvent` makes; the first that fails raises a
-    :class:`ParseError` naming its ``file:line``.
+    :class:`ParseError` naming its ``file:line``.  A line in the canonical
+    form :func:`write_store` writes is read with one pattern match and
+    checked from the captured fields; any other line, and any canonical
+    line that fails a check, is read and checked as a whole JSON object,
+    which raises that line's error.
     """
     path = Path(path)
     header: dict | None = None
     rows = HistoryRows()
     lines: list[str] = []
-    # Dates and locations repeat across lines; each memo holds only values that passed their check.
+    # Attribute objects, dates and locations repeat across lines; each memo holds only values that passed.
+    blobs: dict[str, list[tuple[str, str]]] = {}
     ordinals: dict[str, int] = {}
     locations: dict[str, str] = {}
 
-    def append_row(obj) -> None:
+    def items_of(attributes) -> list[tuple[str, str]]:
+        if not isinstance(attributes, dict):
+            raise ValueError("attributes must be an object of objects")
+        return [(name, AttributeValue.item_label_of_json(value)) for name, value in attributes.items()]
+
+    def ordinal_of(date: str) -> int:
+        ordinal = ordinals.get(date)
+        if ordinal is None:
+            ordinal = ordinals[date] = dt.date.fromisoformat(date).toordinal()
+        return ordinal
+
+    def location_of(label: str) -> str:
+        location = locations.get(label)
+        if location is None:
+            location = locations[label] = normalize_location(label)
+        return location
+
+    def canonical_row(match: re.Match) -> tuple:
+        # A blob that json.loads accepts is one whole JSON value, so the line is an
+        # object of exactly these eight fields, and json.loads of it gives these values.
+        blob, date, end, _, location, resident, service_id, start = match.groups()
+        items = blobs.get(blob)
+        if items is None:
+            items = items_of(json.loads(blob))
+            if not items:
+                raise ValueError("empty attributes")
+            blobs[blob] = items
+        start, end = int(start), int(end)
+        check_interval(start, end)
+        return service_id, location_of(location), ordinal_of(date), start, end, resident, items
+
+    def checked_row(obj) -> tuple:
         if not isinstance(obj, dict):
             raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
         for name in ("event_id", "service_id", "date", "location", "resident"):
             if not isinstance(obj[name], str):
                 raise ValueError(f"{name} must be a string")
-        attributes = obj["attributes"]
-        if not isinstance(attributes, dict):
-            raise ValueError("attributes must be an object of objects")
-        items = [(name, AttributeValue.item_label_of_json(value)) for name, value in attributes.items()]
-        date = obj["date"]
-        ordinal = ordinals.get(date)
-        if ordinal is None:
-            ordinal = ordinals[date] = dt.date.fromisoformat(date).toordinal()
+        items = items_of(obj["attributes"])
+        ordinal = ordinal_of(obj["date"])
         start, end = obj["start"], obj["end"]
         check_interval(start, end)
         if not items:
             raise ValueError(f"event {obj['event_id']}: attributes must be non-empty")
-        location = locations.get(obj["location"])
-        if location is None:
-            location = locations[obj["location"]] = normalize_location(obj["location"])
-        rows.append(obj["service_id"], location, ordinal, start, end, obj["resident"], items)
+        return obj["service_id"], location_of(obj["location"]), ordinal, start, end, obj["resident"], items
 
     with path.open(encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
-            obj = parse_json(line, str(path), lineno)
             if header is None:
-                schema = obj.get("schema") if isinstance(obj, dict) else None
+                header = parse_json(line, str(path), lineno)
+                schema = header.get("schema") if isinstance(header, dict) else None
                 if schema != STORE_SCHEMA:
                     raise ParseError(f"unknown store schema {schema!r}", path=str(path), line=lineno)
-                if "bins" in obj:
+                if "bins" in header:
                     try:
-                        obj["bins"] = _bins_from_json(obj["bins"])
+                        header["bins"] = _bins_from_json(header["bins"])
                     except (LookupError, TypeError, ValueError, OverflowError) as exc:
                         raise ParseError(f"bad bins entry: {exc}", path=str(path), line=lineno) from exc
-                header = obj
                 continue
-            try:
-                append_row(obj)
-            except (LookupError, TypeError, ValueError, OverflowError) as exc:
-                raise ParseError(f"bad event record: {exc}", path=str(path), line=lineno) from exc
+            row = None
+            match = _CANONICAL_EVENT.fullmatch(line)
+            if match is not None:
+                try:
+                    row = canonical_row(match)
+                except (LookupError, TypeError, ValueError, OverflowError):
+                    pass  # the checked read below raises this line's error
+            if row is None:
+                obj = parse_json(line, str(path), lineno)
+                try:
+                    row = checked_row(obj)
+                except (LookupError, TypeError, ValueError, OverflowError) as exc:
+                    raise ParseError(f"bad event record: {exc}", path=str(path), line=lineno) from exc
+            rows.append(*row)
             lines.append(line)
     if header is None:
         raise ParseError(f"no store header, expected schema {STORE_SCHEMA!r}", path=str(path))

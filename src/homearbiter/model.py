@@ -120,7 +120,10 @@ def finite_number(value: Any) -> float:
 
 
 def _number_label(value: float) -> str:
-    return f"{value or 0.0:g}"  # -0.0 and 0.0 are one item, "0"
+    """``value`` with ``:g`` when that reads back as ``value``, else its ``repr``; -0.0 and 0.0 are one item, "0"."""
+    value = value or 0.0
+    label = f"{value:g}"
+    return label if float(label) == value else repr(value)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from homearbiter import ingest
 from homearbiter.cli import cli, main
 from homearbiter.config import RunConfig
 from homearbiter.synthetic import DEFAULT_SEED, synthetic_household
@@ -36,6 +37,21 @@ def test_ingest_is_deterministic(workspace, tmp_path):
     rc = main(["ingest", str(workspace / "log.csv"), "--out", str(tmp_path / "store2.jsonl")])
     assert rc == 0
     assert (tmp_path / "store2.jsonl").read_bytes() == (workspace / "store.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("flags, kind", [([], "bin"), (["--bin-count", "1000"], "num")])
+def test_ingest_writes_every_event_line_in_the_canonical_form(tmp_path, monkeypatch, capsys, flags, kind):
+    # load_store reads a canonical line without json.loads; any other line falls back to parse_json.
+    store = tmp_path / "store.jsonl"
+    assert main(["ingest", str(DATA_DIR / "household60.csv"), "--out", str(store), *flags]) == 0
+    capsys.readouterr()
+    header, *events = store.read_text(encoding="utf-8").splitlines()
+    assert any(f'"kind":"{kind}"' in line for line in events)
+    parsed = []
+    parse_json = ingest.parse_json
+    monkeypatch.setattr(ingest, "parse_json", lambda text, *where: parsed.append(text) or parse_json(text, *where))
+    assert len(ingest.load_store(store).lines) == len(events)
+    assert parsed == [header]
 
 
 def test_store_header_embeds_config_and_digests(workspace):
@@ -86,11 +102,26 @@ def test_a_config_flag_the_command_does_not_read_is_a_usage_error(workspace, tmp
 
 
 def test_headers_record_every_config_field_with_unread_ones_at_default(workspace, tmp_path, capsys):
-    argv = [*_command_argv("ingest", workspace, tmp_path), "--bin-count", "4", "--seed", "3"]
+    argv = [*_command_argv("ingest", workspace, tmp_path), "--bin-count", "4", "--seed", "3", "--channels", "Ch1"]
     assert main(argv) == 0
     header = json.loads((tmp_path / "store.jsonl").read_text(encoding="utf-8").splitlines()[0])
     assert header["config"] == {**RunConfig().as_dict(), "bin_count": 4, "seed": 3}
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--seed", "7"], "--seed seeds the channel draws of --channels and needs --channels"),
+    (["--seed", "0"], "--seed seeds the channel draws of --channels and needs --channels"),
+    (["--channels", ","], "--channels names no channel label"),
+    (["--channels", " "], "--channels names no channel label"),
+])
+def test_ingest_flags_that_would_draw_nothing_are_usage_errors(tmp_path, capsys, flags, message):
+    # The log is not valid CSV: the flags are rejected before any parsing.
+    log = tmp_path / "log.csv"
+    log.write_text("not,a,log\n", encoding="utf-8")
+    assert main(["ingest", str(log), "--out", str(tmp_path / "store.jsonl"), *flags]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == f"Error: {message}"
+    assert not (tmp_path / "store.jsonl").exists()
 
 
 @pytest.mark.parametrize("command, name", [("ingest", "bin_count"), ("resolve", "top_n")])

@@ -73,11 +73,19 @@ def test_is_conflict_symmetric_random():
 
 
 def test_detect_numbers_of_one_item_do_not_conflict():
-    # 21 and 21.0000001 are both item "21": one item cannot be a conflict to rank.
+    # 21 and 2.1e1 are both item "21": one item cannot be a conflict to rank.
     requests = [make_request("r1", "21", numeric=True, attribute="temp"),
-                make_request("r2", "21.0000001", numeric=True, attribute="temp")]
+                make_request("r2", "2.1e1", numeric=True, attribute="temp")]
     assert [r.value.item_label() for r in requests] == ["21", "21"]
     assert detect_conflicts(requests) == []
+
+
+def test_detect_numbers_that_differ_past_six_digits_conflict():
+    requests = [make_request("r1", "1234567", numeric=True, attribute="temp"),
+                make_request("r2", "1234568", numeric=True, attribute="temp")]
+    assert [r.value.item_label() for r in requests] == ["1234567.0", "1234568.0"]
+    [situation] = detect_conflicts(requests)
+    assert situation.residents == ("r1", "r2")
 
 
 def test_detect_label_of_a_bin_item_does_not_conflict_with_that_bin():

@@ -2,6 +2,7 @@ import dataclasses
 import datetime as dt
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from homearbiter.ingest import (
     augment_channels,
     bin_value,
     compute_bins,
+    dumps_json,
     load_requests,
     load_store,
     parse_event_log,
@@ -337,25 +339,86 @@ def _group_columns(history):
             for key, c in history.groups.items()}
 
 
+def _u_escape(match) -> str:
+    return f'":"\\u{ord(match[1]):04x}'
+
+
+class _Raw(str):
+    """A store line given as its text, for lines no encoder writes."""
+
+
+# Ways to write one store line: the canonical form ingest writes, and near-canonical texts.
+_ENCODERS = {
+    "canonical": dumps_json,
+    "json": json.dumps,
+    "leading-zero": lambda obj: re.sub(r'"start":(\d)', r'"start":0\1', dumps_json(obj)),
+    # The first letter of the first string value (inside "attributes") or of the last as a \u escape.
+    "escaped-first": lambda obj: re.sub(r'":"(\w)', _u_escape, dumps_json(obj), count=1),
+    "escaped-last": lambda obj: re.sub(r'":"(\w)(?!.*":")', _u_escape, dumps_json(obj)),
+    "padded": lambda obj: f"\t{dumps_json(obj)} ",
+    "spaced": lambda obj: json.dumps(obj, sort_keys=True, separators=(" , ", " :")),
+}
+_CANONICAL = ["canonical"] * 7
+
+
+def _encode(encoder, obj) -> str:
+    return obj if isinstance(obj, _Raw) else _ENCODERS[encoder](obj)
+
+
+def _canonical_event_text(old: str, new: str) -> _Raw:
+    """The canonical line of the valid store event with the text ``old`` replaced by ``new``."""
+    return _Raw(dumps_json(_STORE_EVENT).replace(old, new))
+
+
+def _store_outcome(store_path):
+    """What loading a store gives: its error message, or its events and history."""
+    try:
+        store = load_store(store_path)
+    except ParseError as exc:
+        return str(exc)
+    history = store.history
+    return store.events, history.residents, history.item_labels, history.latest, _group_columns(history)
+
+
 @settings(max_examples=200, deadline=None)
-@given(valid=st.lists(_VALID_EVENTS, max_size=6), mutated=_MUTATED_EVENTS, position=st.integers(0, 6))
-@example(valid=[_VARIED_EVENT, _STORE_EVENT], mutated=_VARIED_EVENT, position=1)
-@example(valid=[], mutated=_store_event_with("temp", {"kind": "bin", "index": None, "bounds": [1, 2]}), position=0)
-@example(valid=[], mutated=_store_event_with("temp", {"kind": "bin", "index": 1, "bounds": [1]}), position=0)
-@example(valid=[], mutated=_store_event_with("temp", {"kind": "bin", "index": -0.0, "bounds": [1, 2]}), position=0)
-@example(valid=[], mutated=_store_event_with("temp", {"kind": "bin", "index": True, "bounds": "12"}), position=0)
-@example(valid=[], mutated=_store_event_with("temp", {"kind": "num", "value": " 1e3 "}), position=0)
-@example(valid=[], mutated=_store_event_with("temp", {"kind": "num", "value": "3"}), position=0)
-@example(valid=[], mutated=_store_event_with("start", True), position=0)
-@example(valid=[], mutated=_store_event_with("start", 1.0), position=0)
-@example(valid=[], mutated=_store_event_with("attributes", {}), position=0)
-def test_load_store_matches_the_per_line_event_oracle(tmp_path_factory, valid, mutated, position):
+@given(valid=st.lists(_VALID_EVENTS, max_size=6), mutated=_MUTATED_EVENTS, position=st.integers(0, 6),
+       encoders=st.lists(st.sampled_from(sorted(_ENCODERS)), min_size=7, max_size=7))
+@example(valid=[_VARIED_EVENT, _STORE_EVENT], mutated=_VARIED_EVENT, position=1, encoders=_CANONICAL)
+@example(valid=[_VARIED_EVENT, _STORE_EVENT] * 3, mutated=_VARIED_EVENT, position=6,
+         encoders=["escaped-first", "escaped-last", "json", "padded", "spaced", "canonical", "leading-zero"])
+@example(valid=[_VARIED_EVENT, _STORE_EVENT] * 3, mutated=_STORE_EVENT, position=6,
+         encoders=["escaped-first", "escaped-last", "json", "padded", "spaced", "canonical", "canonical"])
+@example(valid=[], mutated=_store_event_with("temp", {"kind": "bin", "index": None, "bounds": [1, 2]}), position=0,
+         encoders=_CANONICAL)
+@example(valid=[], mutated=_store_event_with("temp", {"kind": "bin", "index": 1, "bounds": [1]}), position=0,
+         encoders=_CANONICAL)
+@example(valid=[], mutated=_store_event_with("temp", {"kind": "bin", "index": -0.0, "bounds": [1, 2]}), position=0,
+         encoders=_CANONICAL)
+@example(valid=[], mutated=_store_event_with("temp", {"kind": "bin", "index": True, "bounds": "12"}), position=0,
+         encoders=_CANONICAL)
+@example(valid=[], mutated=_store_event_with("temp", {"kind": "bin"}), position=0, encoders=_CANONICAL)
+@example(valid=[], mutated=_store_event_with("temp", {"kind": "num", "value": " 1e3 "}), position=0,
+         encoders=_CANONICAL)
+@example(valid=[], mutated=_store_event_with("temp", {"kind": "num", "value": "3"}), position=0, encoders=_CANONICAL)
+@example(valid=[], mutated=_store_event_with("start", True), position=0, encoders=_CANONICAL)
+@example(valid=[], mutated=_store_event_with("start", 1.0), position=0, encoders=_CANONICAL)
+@example(valid=[], mutated=_store_event_with("start", 100000), position=0, encoders=_CANONICAL)
+@example(valid=[], mutated=_store_event_with("end", _STORE_EVENT["start"]), position=0, encoders=_CANONICAL)
+@example(valid=[], mutated=_store_event_with("attributes", {}), position=0, encoders=_CANONICAL)
+@example(valid=[_STORE_EVENT], mutated={**_STORE_EVENT, "attributes": {"date": {"kind": "cat", "label": "2026-01-02"}}},
+         position=1, encoders=_CANONICAL)
+@example(valid=[_STORE_EVENT], mutated=_canonical_event_text('"start":72000', '"start":1' + "0" * 4300), position=1,
+         encoders=_CANONICAL)
+@example(valid=[], mutated=_canonical_event_text("living room", "living\x01room"), position=0, encoders=_CANONICAL)
+@example(valid=[], mutated=_canonical_event_text("Ch1", "Ch\x1f1"), position=0, encoders=_CANONICAL)
+def test_load_store_matches_the_per_line_event_oracle(tmp_path_factory, valid, mutated, position, encoders):
     events = [*valid[:position], mutated, *valid[position:]]
     store_path = tmp_path_factory.mktemp("store") / "store.jsonl"
-    store_path.write_text("\n".join([json.dumps({"schema": "homearbiter-store/1"}), *map(json.dumps, events)])
-                          + "\n", encoding="utf-8")
+    header = json.dumps({"schema": "homearbiter-store/1"})
+    lines = [_encode(encoder, event) for encoder, event in zip(encoders, events)]
+    store_path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
     expected, rejection = [], None
-    for lineno, line in enumerate(store_path.read_text(encoding="utf-8").splitlines()[1:], start=2):
+    for lineno, line in enumerate(lines, start=2):
         try:
             obj = json.loads(line)
         except ValueError:
@@ -366,17 +429,24 @@ def test_load_store_matches_the_per_line_event_oracle(tmp_path_factory, valid, m
         except (LookupError, TypeError, ValueError, OverflowError):
             rejection = f"{store_path}:{lineno}: bad event record: "
             break
-    try:
-        store = load_store(store_path)
-    except ParseError as exc:
-        assert rejection is not None and str(exc).startswith(rejection)
+    outcome = _store_outcome(store_path)
+    if isinstance(outcome, str):
+        assert rejection is not None and outcome.startswith(rejection)
     else:
         assert rejection is None
-        assert store.events == expected
-        oracle = History(store.events)
-        assert (store.history.residents, store.history.item_labels, store.history.latest) \
-            == (oracle.residents, oracle.item_labels, oracle.latest)
-        assert _group_columns(store.history) == _group_columns(oracle)
+        assert outcome[0] == expected
+        oracle = History(expected)
+        assert outcome[1:] == (oracle.residents, oracle.item_labels, oracle.latest, _group_columns(oracle))
+
+    # Each valid JSON line rewritten with json.dumps's spaced separators, which the canonical
+    # form never matches, loads to the same events or fails with the same message.
+    def respaced(line):
+        try:
+            return json.dumps(json.loads(line))
+        except ValueError:
+            return line
+    store_path.write_text("\n".join([header, *map(respaced, lines)]) + "\n", encoding="utf-8")
+    assert _store_outcome(store_path) == outcome
 
 
 # ---------------------------------------------------------------------------
@@ -650,6 +720,15 @@ def test_request_fields_that_are_not_json_strings_carry_line(tmp_path, field, va
     line = dict(json.loads(_request_line(19.0)), **{field: value})
     path.write_text(_request_line(20.0) + "\n" + json.dumps(line) + "\n", encoding="utf-8")
     with pytest.raises(ParseError, match=rf"requests\.jsonl:2: {field} must be a string"):
+        load_requests(path)
+
+
+@pytest.mark.parametrize("location", ["", "  "])
+def test_request_empty_location_carries_line(tmp_path, location):
+    path = tmp_path / "requests.jsonl"
+    line = dict(json.loads(_request_line(19.0)), location=location)
+    path.write_text(_request_line(20.0) + "\n" + json.dumps(line) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=r"requests\.jsonl:2: location must be non-empty"):
         load_requests(path)
 
 
