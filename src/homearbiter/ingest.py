@@ -29,7 +29,7 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
@@ -43,6 +43,7 @@ from .preferences import History, HistoryRows
 
 LOG_COLUMNS = ["date", "time", "sensor", "status", "value", "resident", "location"]
 END_OF_DAY = SECONDS_PER_DAY - 1
+ONE_DAY = dt.timedelta(days=1)
 STORE_SCHEMA = "homearbiter-store/1"
 PRNG_NAME = "numpy-randomstate-mt19937/v1"
 
@@ -71,6 +72,11 @@ class BinningSpec:
         if any(b2 <= b1 for b1, b2 in zip(self.boundaries, self.boundaries[1:])):
             raise ValueError("boundaries must be strictly increasing")
 
+    @cached_property
+    def bin_values(self) -> tuple[AttributeValue, ...]:
+        """The binned value of each bin, shared by every value that lands in it."""
+        return tuple(AttributeValue.binned(index, self.bin_bounds(index)) for index in range(self.bin_count))
+
     def bin_index(self, value: float) -> int:
         return bisect.bisect_right(self.boundaries, value)
 
@@ -80,13 +86,15 @@ class BinningSpec:
         return (lower, upper)
 
 
+def _replaced(event: ServiceEvent, attributes: Mapping[str, AttributeValue], interval: TimeOfDayInterval) -> ServiceEvent:
+    """``dataclasses.replace`` of the attributes and interval, without its scan of the fields."""
+    return ServiceEvent(event.event_id, event.service_id, attributes, event.date, interval, event.location,
+                        event.resident)
+
+
 def store_order(event: ServiceEvent) -> tuple:
     """Sort key of the canonical event order: date, start, resident, event id."""
     return (event.date, event.interval.start, event.resident, event.event_id)
-
-
-def _event_id(resident: str, number: int) -> str:
-    return f"{resident}-{number:06d}"
 
 
 @dataclass
@@ -127,6 +135,12 @@ def _read_log_records(path: str | Path, resident: str | None, location_map: Mapp
     for the other statuses, which keep their session's location.
     """
     path = Path(path)
+    # Dates, times, values and locations repeat across rows; each memo holds only values that passed,
+    # so a bad field raises at every row that has it.
+    dates: dict[str, dt.date] = {}
+    times: dict[str, int] = {}
+    attributes: dict[str, tuple[str, AttributeValue]] = {}
+    locations: dict[tuple[str, str], str] = {}
     with path.open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         try:
@@ -141,11 +155,17 @@ def _read_log_records(path: str | Path, resident: str | None, location_map: Mapp
                 continue
             if len(row) != len(LOG_COLUMNS):
                 raise ParseError(f"expected {len(LOG_COLUMNS)} fields, got {len(row)}", path=str(path), line=lineno)
-            date_s, time_s, sensor, status, value, row_resident, location = (f.strip() for f in row)
+            date_s, time_s, sensor, status, value, row_resident, location = map(str.strip, row)
             try:
-                date = dt.date.fromisoformat(date_s)
-                time = parse_hms(time_s)
-                attribute = _parse_attribute(value)
+                date = dates.get(date_s)
+                if date is None:
+                    date = dates[date_s] = dt.date.fromisoformat(date_s)
+                time = times.get(time_s)
+                if time is None:
+                    time = times[time_s] = parse_hms(time_s)
+                attribute = attributes.get(value)
+                if attribute is None:
+                    attribute = attributes[value] = _parse_attribute(value)
             except ValueError as exc:
                 raise ParseError(str(exc), path=str(path), line=lineno) from exc
             if previous is not None and (date, time) < previous:
@@ -161,22 +181,16 @@ def _read_log_records(path: str | Path, resident: str | None, location_map: Mapp
             if not effective_resident:
                 raise ParseError("no resident id (column empty and none supplied)", path=str(path), line=lineno)
             if status == "ON":
-                location = normalize_location(location_map.get(sensor, location))
-                if not location:
-                    raise ParseError("empty location (column empty and none mapped)", path=str(path), line=lineno)
+                mapped = locations.get((sensor, location))
+                if mapped is None:
+                    mapped = normalize_location(location_map.get(sensor, location))
+                    if not mapped:
+                        raise ParseError("empty location (column empty and none mapped)", path=str(path), line=lineno)
+                    locations[sensor, location] = mapped
+                location = mapped
             else:
                 location = None
             yield date, time, sensor, status, attribute, effective_resident, location
-
-
-class _OpenSession:
-    __slots__ = ("date", "start", "attributes", "location")
-
-    def __init__(self, date: dt.date, start: int, attributes: dict, location: str):
-        self.date = date
-        self.start = start
-        self.attributes = attributes
-        self.location = location
 
 
 def parse_event_log(
@@ -197,38 +211,31 @@ def parse_event_log(
     """
     events: list[ServiceEvent] = []
     warnings: list[str] = []
-    open_sessions: dict[tuple[str, str], _OpenSession] = {}
+    # (sensor, resident) -> its open session: (date, start, attributes, location).
+    open_sessions: dict[tuple[str, str], tuple[dt.date, int, dict, str]] = {}
     counter = first_number - 1
 
-    def emit(sensor: str, res: str, session: _OpenSession, end: int) -> None:
+    def emit(sensor: str, res: str, session: tuple, end: int) -> None:
         nonlocal counter
-        if end == session.start:
+        date, start, attributes, location = session
+        if end == start:
             return  # zero-length segment: value changed within one second
         counter += 1
-        events.append(
-            ServiceEvent(
-                event_id=_event_id(res, counter),
-                service_id=sensor,
-                attributes=dict(session.attributes),
-                date=session.date,
-                interval=TimeOfDayInterval(session.start, end),
-                location=session.location,
-                resident=res,
-            )
-        )
+        # A session emits at most once, and SET copies its attributes first, so the event may keep them.
+        events.append(ServiceEvent(f"{res}-{counter:06d}", sensor, attributes, date,
+                                   TimeOfDayInterval(start, end), location, res))
 
-    def close_at_day_end(key: tuple[str, str], session: _OpenSession) -> None:
+    def close_at_day_end(key: tuple[str, str], session: tuple) -> None:
         emit(key[0], key[1], session, END_OF_DAY)
         warnings.append(
-            f"{key[0]}/{key[1]}: ON at {session.date} {format_hms(session.start)} without OFF; closed at end of day"
+            f"{key[0]}/{key[1]}: ON at {session[0]} {format_hms(session[1])} without OFF; closed at end of day"
         )
 
     for date, time, sensor, status, attribute, res, location in _read_log_records(path, resident, location_map or {}):
         key = (sensor, res)
         session = open_sessions.get(key)
-        if session is not None and date != session.date:
-            next_day = session.date + dt.timedelta(days=1)
-            if status == "OFF" and date == next_day and time < session.start:
+        if session is not None and date != session[0]:
+            if status == "OFF" and date == session[0] + ONE_DAY and time < session[1]:
                 emit(sensor, res, session, time)
                 del open_sessions[key]
                 continue
@@ -239,16 +246,17 @@ def parse_event_log(
             if session is not None:
                 emit(sensor, res, session, time)
                 warnings.append(f"{sensor}/{res}: ON at {date} {format_hms(time)} while already on")
-            open_sessions[key] = _OpenSession(date, time, dict([attribute]), location)
+            name, value = attribute
+            open_sessions[key] = (date, time, {name: value}, location)
         elif status == "SET":
             if session is None:
                 warnings.append(f"{sensor}/{res}: SET at {date} {format_hms(time)} while off; ignored")
                 continue
             emit(sensor, res, session, time)
             name, value = attribute
-            attrs = dict(session.attributes)
-            attrs[name] = value
-            open_sessions[key] = _OpenSession(date, time, attrs, session.location)
+            attributes = dict(session[2])
+            attributes[name] = value
+            open_sessions[key] = (date, time, attributes, session[3])
         else:  # OFF
             if session is None:
                 warnings.append(f"{sensor}/{res}: OFF at {date} {format_hms(time)} while not on; ignored")
@@ -274,30 +282,25 @@ def stabilize(events: Sequence[ServiceEvent], settling_window: int) -> list[Serv
     """
     if settling_window <= 0:
         raise ValueError("settling_window must be positive")
-    groups: dict[tuple, list[ServiceEvent]] = {}
-    for e in events:
-        groups.setdefault((e.resident, e.service_id, e.location, e.date), []).append(e)
-    out: list[ServiceEvent] = []
-    for key in groups:
-        run: list[ServiceEvent] = []
-        for e in sorted(groups[key], key=lambda e: (e.interval.start, e.event_id)):
-            if run and e.interval.start - run[-1].interval.start < settling_window:
-                run.append(e)
-            else:
-                if run:
-                    out.append(_fold_run(run))
-                run = [e]
-        if run:
-            out.append(_fold_run(run))
+    # In store order a group's events come by (start, event id), so each event either extends the
+    # run of its group's previous event, and takes its slot as the run's last event, or starts a run.
+    kept: list[ServiceEvent | None] = []
+    firsts: list[int] = []  # the start of each kept event's run
+    latest: dict[tuple, int] = {}  # (resident, service, location, day) -> slot of its latest event
+    for e in sorted(events, key=store_order):
+        group = (e.resident, e.service_id, e.location, e.date)
+        start = first = e.interval.start
+        slot = latest.get(group)
+        if slot is not None and start - kept[slot].interval.start < settling_window:
+            first = firsts[slot]
+            kept[slot] = None
+        latest[group] = len(kept)
+        kept.append(e)
+        firsts.append(first)
+    out = [e if e.interval.start == first else _replaced(e, e.attributes, TimeOfDayInterval(first, e.interval.end))
+           for e, first in zip(kept, firsts) if e is not None]
     out.sort(key=store_order)
     return out
-
-
-def _fold_run(run: list[ServiceEvent]) -> ServiceEvent:
-    if len(run) == 1:
-        return run[0]
-    survivor = run[-1]
-    return replace(survivor, interval=TimeOfDayInterval(run[0].interval.start, survivor.interval.end))
 
 
 def compute_bins(values: Sequence[float], bin_count: int, attribute: str = "value") -> BinningSpec:
@@ -331,27 +334,25 @@ def compute_bins(values: Sequence[float], bin_count: int, attribute: str = "valu
     cs = np.concatenate([[0.0], np.cumsum(w * x)])
     cq = np.concatenate([[0.0], np.cumsum(w * x * x)])
 
-    def sse(i: int, j: int) -> float:
-        # weighted SSE of distinct[i..j] inclusive
+    def sse(i, j):
+        # weighted SSE of distinct[i..j] inclusive, for a range of i or of j; fmax(0, nan) is 0, as max is
         ww = cw[j + 1] - cw[i]
         ss = cs[j + 1] - cs[i]
         qq = cq[j + 1] - cq[i]
-        return max(0.0, qq - ss * ss / ww)
+        return np.fmax(0.0, qq - ss * ss / ww)
 
-    inf = math.inf
-    cost = [[inf] * d for _ in range(bin_count + 1)]
+    # cost[j]: least SSE of distinct[0..j] in m bins; prev[m][j]: where its last bin starts, -1 for none.
+    # Every cost is in [0, inf], so argmin's first minimum is the earliest split of least cost.
+    cost = sse(0, np.arange(d))
     prev = [[-1] * d for _ in range(bin_count + 1)]
-    for j in range(d):
-        cost[1][j] = sse(0, j)
     for m in range(2, bin_count + 1):
+        last, cost = cost, np.full(d, math.inf)
         for j in range(m - 1, d):
-            best, arg = inf, -1
-            for i in range(m - 1, j + 1):
-                c = cost[m - 1][i - 1] + sse(i, j)
-                if c < best:
-                    best, arg = c, i
-            cost[m][j] = best
-            prev[m][j] = arg
+            c = last[m - 2:j] + sse(slice(m - 1, j + 1), j)
+            best = int(np.argmin(c))
+            cost[j] = c[best]
+            if c[best] < math.inf:
+                prev[m][j] = m - 1 + best
 
     cuts: list[int] = []
     j = d - 1
@@ -369,8 +370,7 @@ def bin_value(value: float, spec: BinningSpec) -> tuple[AttributeValue, str | No
     warning = None
     if value < spec.lo or value > spec.hi:
         warning = f"attribute {spec.attribute!r}: value {value:g} outside observed range [{spec.lo:g}, {spec.hi:g}]; clamped"
-    index = min(spec.bin_index(value), spec.bin_count - 1)
-    return AttributeValue.binned(index, spec.bin_bounds(index)), warning
+    return spec.bin_values[min(spec.bin_index(value), spec.bin_count - 1)], warning
 
 
 def apply_bins(event: ServiceEvent, spec: BinningSpec, warnings: list[str] | None = None) -> ServiceEvent:
@@ -383,7 +383,7 @@ def apply_bins(event: ServiceEvent, spec: BinningSpec, warnings: list[str] | Non
         warnings.append(f"event {event.event_id}: {warning}")
     attrs = dict(event.attributes)
     attrs[spec.attribute] = binned
-    return replace(event, attributes=attrs)
+    return _replaced(event, attrs, event.interval)
 
 
 def augment_channels(
@@ -408,7 +408,7 @@ def augment_channels(
             pick = channels[int(rng.randint(0, len(channels)))]
             attrs = dict(e.attributes)
             attrs[attribute] = AttributeValue.categorical(pick)
-            out.append(replace(e, attributes=attrs))
+            out.append(_replaced(e, attrs, e.interval))
         else:
             out.append(e)
     return out
@@ -471,19 +471,6 @@ def load_requests(path: str | Path, bin_specs: Mapping[tuple[str, str], BinningS
 
 # ---------------------------------------------------------------------------
 # Canonical event store
-
-def _event_to_json(e: ServiceEvent) -> dict:
-    return {
-        "event_id": e.event_id,
-        "service_id": e.service_id,
-        "attributes": {name: e.attributes[name].to_json() for name in sorted(e.attributes)},
-        "date": e.date.isoformat(),
-        "start": e.interval.start,
-        "end": e.interval.end,
-        "location": e.location,
-        "resident": e.resident,
-    }
-
 
 def _event_from_json(obj: dict) -> ServiceEvent:
     """The event of a store line that :func:`load_store` accepted."""
@@ -553,19 +540,58 @@ class EventStore:
 
 
 def write_store(path: str | Path, events: Sequence[ServiceEvent], header: Mapping) -> None:
-    """Write the store; ``header["bins"]``, when present, maps (service_id, attribute) to its spec."""
+    """Write the store; ``header["bins"]``, when present, maps (service_id, attribute) to its spec.
+
+    Each event line is ``dumps_json`` of the event's record, written through
+    :func:`_canonical_line`.  Attributes, dates and labels repeat across
+    events, so each distinct one is encoded once.
+    """
     header = {"schema": STORE_SCHEMA, **header}
     if "bins" in header:
         header["bins"] = _bins_to_json(header["bins"])
+    blobs: dict[tuple, tuple[str, tuple]] = {}
+    dates: dict[dt.date, str] = {}
+    labels: dict[tuple[str, str, str], tuple[str, str, str]] = {}
     lines = [dumps_json(header)]
-    lines.extend(dumps_json(_event_to_json(e)) for e in sorted(events, key=store_order))
+    for e in sorted(events, key=store_order):
+        # Keyed by identity, since equal values can encode apart (0.0 and -0.0); each entry keeps
+        # its values alive, so no other value can take their ids while the store is written.
+        attributes = e.attributes
+        identity = (*attributes, *map(id, attributes.values()))
+        blob = blobs.get(identity)
+        if blob is None:
+            blob = blobs[identity] = (dumps_json({name: value.to_json() for name, value in attributes.items()}),
+                                      tuple(attributes.values()))
+        date = dates.get(e.date)
+        if date is None:
+            date = dates[e.date] = _json_text(e.date.isoformat())
+        label = (e.location, e.resident, e.service_id)
+        texts = labels.get(label)
+        if texts is None:
+            texts = labels[label] = tuple(map(_json_text, label))
+        lines.append(_canonical_line(blob[0], date, e.interval.end, _json_text(e.event_id), *texts, e.interval.start))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-# An event line exactly as :func:`write_store` writes it: sorted keys, compact separators.  A
-# string here has no escape and no control character, so its text is its value.  An integer has
-# no leading zero (invalid JSON) and at most five digits: every valid second fits, and int()
-# never meets its 4300-digit limit.
+# A string that json.dumps writes as it is: printable ASCII without '"' or '\\'.
+_VERBATIM = re.compile(r"[ !#-\[\]-~]*")
+
+
+def _json_text(value: str) -> str:
+    """The text between the quotes of ``json.dumps(value)``."""
+    return value if _VERBATIM.fullmatch(value) else json.dumps(value)[1:-1]
+
+
+def _canonical_line(attributes: str, date: str, end: int, event_id: str, location: str, resident: str,
+                    service_id: str, start: int) -> str:
+    """``dumps_json`` of an event record, from its encoded attributes object and string texts."""
+    return (f'{{"attributes":{attributes},"date":"{date}","end":{end},"event_id":"{event_id}",'
+            f'"location":"{location}","resident":"{resident}","service_id":"{service_id}","start":{start}}}')
+
+
+# An event line of the form :func:`_canonical_line` writes.  A string here has no escape and no
+# control character, so its text is its value.  An integer has no leading zero (invalid JSON) and
+# at most five digits: every valid second fits, and int() never meets its 4300-digit limit.
 _STRING = r'"([^"\\\x00-\x1f]*)"'
 _INTEGER = r"(0|[1-9][0-9]{0,4})"
 _CANONICAL_EVENT = re.compile(

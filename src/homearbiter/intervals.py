@@ -16,15 +16,19 @@ from typing import Sequence
 SECONDS_PER_DAY = 86400
 
 
+# The text of each time field: one or two ASCII digits.
+_FIELDS = {f"{n:02d}": n for n in range(100)} | {str(n): n for n in range(10)}
+
+
 def parse_hms(text: str) -> int:
-    """Parse ``HH:MM:SS`` into seconds since midnight."""
+    """Parse ``HH:MM:SS``, each field one or two ASCII digits, into seconds since midnight."""
     if not isinstance(text, str):
         raise ValueError(f"expected HH:MM:SS, got {text!r}")
-    parts = text.strip().split(":")
-    if len(parts) != 3:
-        raise ValueError(f"expected HH:MM:SS, got {text!r}")
-    h, m, s = (int(p) for p in parts)
-    if not (0 <= h <= 23 and 0 <= m <= 59 and 0 <= s <= 59):
+    try:
+        h, m, s = map(_FIELDS.__getitem__, text.strip().split(":"))
+    except (KeyError, ValueError):  # a field that is not one or two digits, or not three fields
+        raise ValueError(f"expected HH:MM:SS, got {text!r}") from None
+    if h > 23 or m > 59 or s > 59:
         raise ValueError(f"time of day out of range: {text!r}")
     return h * 3600 + m * 60 + s
 

@@ -1,10 +1,16 @@
+import csv
 import datetime as dt
+import math
+from pathlib import Path
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 import pytest
 
+from homearbiter.errors import DataError, ParseError
+from homearbiter.ingest import LOG_COLUMNS, BinningSpec, _parse_attribute
 from homearbiter.intervals import TimeOfDayInterval, parse_hms
-from homearbiter.model import AttributeValue, ServiceEvent, ServiceRequest
+from homearbiter.model import AttributeValue, ServiceEvent, ServiceRequest, normalize_location
 
 
 def hms(text: str) -> int:
@@ -70,6 +76,135 @@ def event_from_json(obj) -> ServiceEvent:
         location=obj["location"],
         resident=obj["resident"],
     )
+
+
+def event_to_json(e: ServiceEvent) -> dict:
+    """An event's store record: ``dumps_json`` of it is the reference for ``write_store``'s event lines."""
+    return {
+        "event_id": e.event_id,
+        "service_id": e.service_id,
+        "attributes": {name: e.attributes[name].to_json() for name in sorted(e.attributes)},
+        "date": e.date.isoformat(),
+        "start": e.interval.start,
+        "end": e.interval.end,
+        "location": e.location,
+        "resident": e.resident,
+    }
+
+
+def read_log_records(path: str | Path, resident: str | None, location_map: Mapping[str, str]) -> Iterator[tuple]:
+    """``(date, time, sensor, status, attribute, resident, location)`` per row, parsing every field of every
+    row: the reference for ``ingest._read_log_records``.
+
+    ``location`` is the normalized mapped location of an ON row and ``None``
+    for the other statuses, which keep their session's location.
+    """
+    path = Path(path)
+    with path.open(newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader)
+        except StopIteration:
+            return
+        if [h.strip() for h in header] != LOG_COLUMNS:
+            raise ParseError(f"expected header {','.join(LOG_COLUMNS)!r}", path=str(path), line=1)
+        previous = None
+        for lineno, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != len(LOG_COLUMNS):
+                raise ParseError(f"expected {len(LOG_COLUMNS)} fields, got {len(row)}", path=str(path), line=lineno)
+            date_s, time_s, sensor, status, value, row_resident, location = (f.strip() for f in row)
+            try:
+                date = dt.date.fromisoformat(date_s)
+                time = parse_hms(time_s)
+                attribute = _parse_attribute(value)
+            except ValueError as exc:
+                raise ParseError(str(exc), path=str(path), line=lineno) from exc
+            if previous is not None and (date, time) < previous:
+                raise ParseError(f"row at {date_s} {time_s} is earlier than the previous row; "
+                                 "rows must be in (date, time) order", path=str(path), line=lineno)
+            previous = (date, time)
+            if not sensor:
+                raise ParseError("empty sensor label", path=str(path), line=lineno)
+            status = status.upper()
+            if status not in ("ON", "OFF", "SET"):
+                raise ParseError(f"unknown status {status!r}", path=str(path), line=lineno)
+            effective_resident = resident if resident is not None else row_resident
+            if not effective_resident:
+                raise ParseError("no resident id (column empty and none supplied)", path=str(path), line=lineno)
+            if status == "ON":
+                location = normalize_location(location_map.get(sensor, location))
+                if not location:
+                    raise ParseError("empty location (column empty and none mapped)", path=str(path), line=lineno)
+            else:
+                location = None
+            yield date, time, sensor, status, attribute, effective_resident, location
+
+
+def compute_bins_loop(values: Sequence[float], bin_count: int, attribute: str = "value") -> BinningSpec:
+    """Optimal 1-D partition of the values into ``bin_count`` groups, by a Python loop over every split:
+    the reference for ``ingest.compute_bins``.
+
+    Minimizes the total within-bin sum of squared deviations from bin means
+    by exact dynamic programming over the sorted distinct values (weighted by
+    multiplicity).  Ties between equally good partitions break toward the
+    earliest split.
+    """
+    if bin_count < 1:
+        raise ValueError("bin_count must be positive")
+    vals = sorted(float(v) for v in values)
+    if len(vals) < bin_count:
+        raise DataError(f"attribute {attribute!r}: {len(vals)} values cannot fill {bin_count} bins")
+    distinct: list[float] = []
+    weights: list[int] = []
+    for v in vals:
+        if distinct and v == distinct[-1]:
+            weights[-1] += 1
+        else:
+            distinct.append(v)
+            weights.append(1)
+    d = len(distinct)
+    if d < bin_count:
+        raise DataError(f"attribute {attribute!r}: {d} distinct values cannot fill {bin_count} bins")
+
+    w = np.asarray(weights, dtype=np.float64)
+    x = np.asarray(distinct, dtype=np.float64)
+    cw = np.concatenate([[0.0], np.cumsum(w)])
+    cs = np.concatenate([[0.0], np.cumsum(w * x)])
+    cq = np.concatenate([[0.0], np.cumsum(w * x * x)])
+
+    def sse(i: int, j: int) -> float:
+        # weighted SSE of distinct[i..j] inclusive
+        ww = cw[j + 1] - cw[i]
+        ss = cs[j + 1] - cs[i]
+        qq = cq[j + 1] - cq[i]
+        return max(0.0, qq - ss * ss / ww)
+
+    inf = math.inf
+    cost = [[inf] * d for _ in range(bin_count + 1)]
+    prev = [[-1] * d for _ in range(bin_count + 1)]
+    for j in range(d):
+        cost[1][j] = sse(0, j)
+    for m in range(2, bin_count + 1):
+        for j in range(m - 1, d):
+            best, arg = inf, -1
+            for i in range(m - 1, j + 1):
+                c = cost[m - 1][i - 1] + sse(i, j)
+                if c < best:
+                    best, arg = c, i
+            cost[m][j] = best
+            prev[m][j] = arg
+
+    cuts: list[int] = []
+    j = d - 1
+    for m in range(bin_count, 1, -1):
+        i = prev[m][j]
+        cuts.append(i)
+        j = i - 1
+    cuts.reverse()
+    boundaries = tuple(distinct[i] for i in cuts)
+    return BinningSpec(attribute=attribute, bin_count=bin_count, boundaries=boundaries, lo=vals[0], hi=vals[-1])
 
 
 def reconstruct(result) -> np.ndarray:

@@ -54,6 +54,27 @@ def test_ingest_writes_every_event_line_in_the_canonical_form(tmp_path, monkeypa
     assert parsed == [header]
 
 
+# The names of the cli module that a tracer wraps to time ingest's stages.
+INGEST_STAGES = ("parse_event_log", "stabilize", "compute_bins", "apply_bins", "write_store")
+
+
+def test_ingest_calls_each_stage_through_the_name_cli_imports(tmp_path, monkeypatch, capsys):
+    from homearbiter import cli as cli_module
+
+    calls = dict.fromkeys(INGEST_STAGES, 0)
+    for name in INGEST_STAGES:
+        def counted(*args, _name=name, _stage=getattr(cli_module, name), **kwargs):
+            calls[_name] += 1
+            return _stage(*args, **kwargs)
+        monkeypatch.setattr(cli_module, name, counted)
+    store = tmp_path / "store.jsonl"
+    assert main(["ingest", str(DATA_DIR / "household60.csv"), "--out", str(store)]) == 0
+    capsys.readouterr()
+    binned = sum('"kind":"bin"' in line for line in store.read_text(encoding="utf-8").splitlines()[1:])
+    assert binned > 0
+    assert calls == {"parse_event_log": 1, "stabilize": 1, "compute_bins": 1, "apply_bins": binned, "write_store": 1}
+
+
 def test_store_header_embeds_config_and_digests(workspace):
     header = json.loads((workspace / "store.jsonl").read_text().splitlines()[0])
     assert header["schema"] == "homearbiter-store/1"
@@ -290,6 +311,21 @@ def test_data_errors_exit_two(workspace, tmp_path, capsys):
     rc = main(["detect", "--store", str(workspace / "store.jsonl"), "--requests", str(bad_requests)])
     assert rc == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("text", ["1_0:00:00", "+1:00:00", " 9 : 0 : 0", "\u0660\u0669:00:00"])
+def test_times_that_are_not_hms_exit_two_with_line(workspace, tmp_path, capsys, text):
+    log = tmp_path / "log.csv"
+    log.write_text("date,time,sensor,status,value,resident,location\n2026-01-01,08:00:00,TV,ON,Ch1,r1,den\n"
+                   f'2026-01-01,"{text}",TV,OFF,,r1,den\n', encoding="utf-8")
+    assert main(["ingest", str(log), "--out", str(tmp_path / "s.jsonl")]) == 2
+    assert f"log.csv:3: expected HH:MM:SS, got {text.strip()!r}" in capsys.readouterr().err
+    requests = tmp_path / "requests.jsonl"
+    line = {"request_id": "q1", "service_id": "TV", "attribute": "channel", "value": "Ch1", "start": "20:00:00",
+            "end": text, "location": "den", "resident": "r1"}
+    requests.write_text(json.dumps({**line, "end": "21:00:00"}) + "\n" + json.dumps(line) + "\n", encoding="utf-8")
+    assert main(["detect", "--store", str(workspace / "store.jsonl"), "--requests", str(requests)]) == 2
+    assert f"requests.jsonl:2: expected HH:MM:SS, got {text!r}" in capsys.readouterr().err
 
 
 def test_reversed_log_exits_two_with_line(tmp_path, capsys):

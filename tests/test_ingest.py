@@ -1,15 +1,21 @@
+import csv
 import dataclasses
 import datetime as dt
+import io
 import itertools
 import json
+import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from homearbiter import ingest
 from homearbiter.errors import DataError, ParseError
 from homearbiter.ingest import (
+    LOG_COLUMNS,
     BinningSpec,
     apply_bins,
     augment_channels,
@@ -23,11 +29,18 @@ from homearbiter.ingest import (
     store_order,
     write_store,
 )
-from homearbiter.intervals import SECONDS_PER_DAY, parse_hms
-from homearbiter.model import AttributeValue
+from homearbiter.intervals import SECONDS_PER_DAY, TimeOfDayInterval, parse_hms
+from homearbiter.model import AttributeValue, ServiceEvent
 from homearbiter.preferences import History
 
-from conftest import binning_sse, event_from_json, make_event
+from conftest import (
+    binning_sse,
+    compute_bins_loop,
+    event_from_json,
+    event_to_json,
+    make_event,
+    read_log_records,
+)
 
 HEADER = "date,time,sensor,status,value,resident,location\n"
 
@@ -158,6 +171,83 @@ def test_parse_rejects_an_on_row_without_a_location(tmp_path):
     with pytest.raises(ParseError, match=r"log\.csv:4: empty location"):
         parse_event_log(path)
     assert parse_event_log(path, location_map={"TV": "den"}).events[-1].location == "den"
+
+
+# Field texts drawn from small pools, so that each repeats down a log: valid ones, which may differ
+# only in spacing, case or form, and invalid ones, of which a drawn log holds a few.
+_GOOD_FIELDS = [
+    ["2026-01-01", " 2026-01-02", "20260102", "2026-01-03"],
+    ["20:00:00", "20:00:59", "9:5:0", " 21:00:00 ", "23:59:59"],
+    ["TV", " TV ", "radio"],
+    ["ON", "on", " Set ", "OFF", "off"],
+    ["", "channel=Ch1", "Ch2", "temp=21.5", "temp=19", " temp = 19 ", "x=1"],
+    ["r1", " r2 ", "r3"],
+    ["living room", " Kitchen ", "den", "Den "],
+]
+_BAD_FIELDS = [
+    ["2026-02-30", "", "x"],
+    ["24:00:00", "1_0:00:00", "20:00", ""],
+    [""],
+    ["BOGUS", ""],
+    ["=", "nan", "temp=inf", "x="],
+    [""],
+    [""],
+]
+_BAD_ROWS = [[], [" "], ["garbage"], ["2026-01-01", "20:00:00"]]
+
+
+@st.composite
+def _log_rows(draw):
+    """Rows of valid fields, with a few fields, or whole rows, replaced by bad ones."""
+    rows = draw(st.lists(st.tuples(*map(st.sampled_from, _GOOD_FIELDS)).map(list), max_size=14))
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        index, column = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(LOG_COLUMNS) - 1))
+        rows[index][column] = draw(st.sampled_from(_BAD_FIELDS[column]))
+    if rows and draw(st.booleans()):
+        rows[draw(st.integers(0, len(rows) - 1))] = draw(st.sampled_from(_BAD_ROWS))
+    return rows
+
+
+def _row_order(row):
+    """Where a row sorts in a log in (date, time) order; rows with a bad date or time go last."""
+    try:
+        return (dt.date.fromisoformat(row[0].strip()), parse_hms(row[1]))
+    except (IndexError, ValueError):
+        return (dt.date.max, 0)
+
+
+def _records_until_rejection(reader, path, resident, location_map):
+    records = []
+    try:
+        for record in reader(path, resident, location_map):
+            records.append(record)
+    except ParseError as exc:
+        return records, str(exc)
+    return records, None
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=_log_rows(), ordered=st.booleans(), resident=st.sampled_from([None, "z", ""]),
+       location_map=st.sampled_from([{}, {"TV": "Den"}, {"radio": " "}, {"TV": " Living Room "}]))
+@example(rows=[["2026-01-01", "20:00:00", "TV", "ON", "Ch2", "r1", "den"],
+               ["2026-01-01", "21:00:00", "TV", "ON", "nan", "r1", "den"],
+               ["2026-01-01", "22:00:00", "TV", "ON", "nan", "r1", "den"]], ordered=False, resident=None,
+         location_map={})
+@example(rows=[["2026-01-01", "20:00:00", "radio", "ON", "", "r1", "den"],
+               ["2026-01-01", "21:00:00", "radio", "ON", "", "r1", ""],
+               ["2026-01-01", "22:00:00", "radio", "ON", "", "r1", "den"]], ordered=False, resident=None,
+         location_map={"radio": " "})
+@example(rows=[["2026-01-02", "21:00:00", "TV", "ON", "Ch2", "r1", "den"],
+               ["20260102", "9:5:0", "TV", "OFF", "", "r1", "den"]], ordered=False, resident=None, location_map={})
+def test_read_log_records_matches_the_per_row_oracle(tmp_path_factory, rows, ordered, resident, location_map):
+    if ordered:
+        rows = sorted(rows, key=_row_order)
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows([LOG_COLUMNS, *rows])
+    path = tmp_path_factory.mktemp("log") / "log.csv"
+    path.write_text(text.getvalue(), encoding="utf-8")
+    assert (_records_until_rejection(ingest._read_log_records, path, resident, location_map)
+            == _records_until_rejection(read_log_records, path, resident, location_map))
 
 
 def test_parse_serialize_parse_roundtrip(tmp_path):
@@ -449,6 +539,40 @@ def test_load_store_matches_the_per_line_event_oracle(tmp_path_factory, valid, m
     assert _store_outcome(store_path) == outcome
 
 
+# Strings with every character class json.dumps escapes or keeps: quotes, backslashes, control
+# characters, DEL, non-ASCII and astral code points, next to plain printable ASCII.
+_STORE_TEXTS = st.text(st.sampled_from(['a', 'Z', '0', ' ', '-', '~', '"', '\\', '/', '\x00', '\n', '\x1f', '\x7f',
+                                        '\x80', '\u00e9', '\u2028', '\ufeff', '\U0001f600']) | st.characters(),
+                       max_size=4)
+# Shared values, including equal ones that encode apart: 0.0 and -0.0, an integer 1 and the float 1.0.
+_SHARED_VALUES = [AttributeValue.numeric(0.0), AttributeValue.numeric(-0.0), AttributeValue(kind="numeric", value=1),
+                  AttributeValue.numeric(1), AttributeValue.categorical("Ch1"), AttributeValue.binned(0, (-0.0, 2))]
+_STORE_VALUES = (
+    st.sampled_from(_SHARED_VALUES)
+    | st.builds(AttributeValue.categorical, _STORE_TEXTS.filter(bool))
+    | st.builds(AttributeValue.numeric, st.floats(allow_nan=False, allow_infinity=False))
+    | st.builds(AttributeValue.binned, st.integers(0, 99),
+                st.tuples(st.floats(allow_nan=False, allow_infinity=False), st.floats(-1e3, 1e3)))
+)
+_WRITTEN_EVENTS = st.builds(
+    lambda event_id, service, attributes, date, start, length, location, resident: ServiceEvent(
+        event_id, service, attributes, date, TimeOfDayInterval(start, (start + length) % SECONDS_PER_DAY), location,
+        resident),
+    _STORE_TEXTS, _STORE_TEXTS, st.dictionaries(_STORE_TEXTS, _STORE_VALUES, min_size=1, max_size=3), st.dates(),
+    st.integers(0, SECONDS_PER_DAY - 1), st.integers(1, SECONDS_PER_DAY - 1), _STORE_TEXTS, _STORE_TEXTS)
+
+
+@settings(max_examples=100, deadline=None)
+@given(events=st.lists(_WRITTEN_EVENTS, max_size=5))
+@example(events=[make_event("r1", "20:00:00", "21:00:00", attributes={"temp": value}) for value in _SHARED_VALUES])
+def test_write_store_lines_match_the_per_event_oracle(tmp_path_factory, events):
+    store_path = tmp_path_factory.mktemp("store") / "store.jsonl"
+    write_store(store_path, events, {"config": {}})
+    ordered = sorted(events, key=store_order)
+    assert store_path.read_text(encoding="utf-8").splitlines()[1:] == [dumps_json(event_to_json(e)) for e in ordered]
+    assert load_store(store_path).events == ordered
+
+
 # ---------------------------------------------------------------------------
 # stabilize
 
@@ -606,6 +730,29 @@ def test_compute_bins_optimal_hypothesis(values, bin_count):
     assert binning_sse(values, spec) <= best_sse + 1e-9
 
 
+# Values with ties, and values so large that their squares or the sums of them overflow, so that
+# costs reach inf or nan and, for some splits, every candidate costs inf.
+_BIN_VALUES = st.lists(st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.7, 1.0, 2.0, 3.0, -1.5, 7e153, 1e154, 1.1e154, -1.3e154,
+                                        1e160, 3e200, -1e300, 1e308])
+                       | st.floats(-50, 50), min_size=1, max_size=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=_BIN_VALUES, bin_count=st.integers(1, 7))
+@example(values=[1e200, 2e200, 3e200, 1.0, 2.0], bin_count=3)
+@example(values=[1e154, 7e153, 1.1e154, 7e153], bin_count=3)
+@example(values=[0.1, 0.2, 0.3] * 4 + [0.7], bin_count=3)
+def test_compute_bins_matches_the_per_split_loop(values, bin_count):
+    def outcome(binning):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # overflow of the squares
+                return binning(values, bin_count)
+        except (DataError, ValueError) as exc:
+            return type(exc), str(exc)
+    assert outcome(compute_bins) == outcome(compute_bins_loop)
+
+
 def test_apply_bins_membership_convention():
     spec = BinningSpec(attribute="temp", bin_count=2, boundaries=(5.0,), lo=1.0, hi=10.0)
     low, warn_low = bin_value(3.0, spec)
@@ -699,6 +846,18 @@ def _request_line(value):
     return json.dumps({"request_id": f"r-{value!r}", "service_id": "thermostat", "attribute": "temp",
                        "value": value, "start": "22:00:00", "end": "22:30:00", "location": "bedroom",
                        "resident": "r1"})
+
+
+@pytest.mark.parametrize("text", ["1_0:00:00", "+1:00:00", " 9 : 0 : 0", "\u0660\u0669:00:00"])
+def test_log_and_request_times_must_be_ascii_hms(tmp_path, text):
+    path = write_log(tmp_path, f'2026-01-01,08:00:00,TV,ON,Ch1,r1,den\n2026-01-01,"{text}",TV,OFF,,r1,den\n')
+    with pytest.raises(ParseError, match=rf"log\.csv:3: expected HH:MM:SS, got {re.escape(repr(text.strip()))}"):
+        parse_event_log(path)
+    path = tmp_path / "requests.jsonl"
+    path.write_text(_request_line(20.0) + "\n" + json.dumps({**json.loads(_request_line(19.0)), "start": text}) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(ParseError, match=rf"requests\.jsonl:2: expected HH:MM:SS, got {re.escape(repr(text))}"):
+        load_requests(path)
 
 
 def test_request_values_follow_the_log_rule(tmp_path):

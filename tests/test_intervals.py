@@ -27,6 +27,21 @@ def test_parse_rejects_garbage():
             parse_hms(bad)
 
 
+def test_parse_accepts_one_or_two_digits_per_field():
+    assert parse_hms("9:5:7") == parse_hms("09:05:07") == parse_hms(" 09:05:07 ") == 32707
+    assert parse_hms("0:0:0") == 0
+
+
+# Each one used to load as a time: int() reads "1_0" as 10 and accepts signs, spaces and non-ASCII digits.
+NOT_HMS = ["1_0:00:00", "+1:00:00", " 9 : 0 : 0", "\u0660\u0669:00:00", "\uff11\uff10:00:00", "009:00:00", "20:00:0_0"]
+
+
+@pytest.mark.parametrize("text", NOT_HMS)
+def test_parse_rejects_fields_that_are_not_one_or_two_ascii_digits(text):
+    with pytest.raises(ValueError, match="expected HH:MM:SS"):
+        parse_hms(text)
+
+
 def test_zero_length_rejected():
     with pytest.raises(ValueError):
         TimeOfDayInterval(100, 100)
