@@ -299,7 +299,8 @@ def stabilize(events: Sequence[ServiceEvent], settling_window: int) -> list[Serv
         firsts.append(first)
     out = [e if e.interval.start == first else _replaced(e, e.attributes, TimeOfDayInterval(first, e.interval.end))
            for e, first in zip(kept, firsts) if e is not None]
-    out.sort(key=store_order)
+    if len(out) < len(kept):  # a run folded, and its survivor now starts earlier
+        out.sort(key=store_order)
     return out
 
 
