@@ -323,7 +323,8 @@ def test_times_that_are_not_hms_exit_two_with_line(workspace, tmp_path, capsys, 
     requests = tmp_path / "requests.jsonl"
     line = {"request_id": "q1", "service_id": "TV", "attribute": "channel", "value": "Ch1", "start": "20:00:00",
             "end": text, "location": "den", "resident": "r1"}
-    requests.write_text(json.dumps({**line, "end": "21:00:00"}) + "\n" + json.dumps(line) + "\n", encoding="utf-8")
+    requests.write_text(json.dumps({**line, "request_id": "q0", "end": "21:00:00"}) + "\n" + json.dumps(line) + "\n",
+                        encoding="utf-8")
     assert main(["detect", "--store", str(workspace / "store.jsonl"), "--requests", str(requests)]) == 2
     assert f"requests.jsonl:2: expected HH:MM:SS, got {text!r}" in capsys.readouterr().err
 
