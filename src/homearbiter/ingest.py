@@ -86,7 +86,8 @@ class BinningSpec:
         return (lower, upper)
 
 
-def _replaced(event: ServiceEvent, attributes: Mapping[str, AttributeValue], interval: TimeOfDayInterval) -> ServiceEvent:
+def _replaced(event: ServiceEvent, attributes: Mapping[str, AttributeValue],
+              interval: TimeOfDayInterval) -> ServiceEvent:
     """``dataclasses.replace`` of the attributes and interval, without its scan of the fields."""
     return ServiceEvent(event.event_id, event.service_id, attributes, event.date, interval, event.location,
                         event.resident)
@@ -135,8 +136,8 @@ def _read_log_records(path: str | Path, resident: str | None, location_map: Mapp
     for the other statuses, which keep their session's location.
     """
     path = Path(path)
-    # Dates, times, values and locations repeat across rows; each memo holds only values that passed,
-    # so a bad field raises at every row that has it.
+    # Dates, times, values and locations repeat across rows.  A memo holds only fields that passed
+    # their checks, so a bad field still raises at its own row.
     dates: dict[str, dt.date] = {}
     times: dict[str, int] = {}
     attributes: dict[str, tuple[str, AttributeValue]] = {}
@@ -336,7 +337,7 @@ def compute_bins(values: Sequence[float], bin_count: int, attribute: str = "valu
     cq = np.concatenate([[0.0], np.cumsum(w * x * x)])
 
     def sse(i, j):
-        # weighted SSE of distinct[i..j] inclusive, for a range of i or of j; fmax(0, nan) is 0, as max is
+        # weighted SSE of distinct[i..j] inclusive, for a range of i or of j; like max(0.0, x), fmax gives 0 for nan
         ww = cw[j + 1] - cw[i]
         ss = cs[j + 1] - cs[i]
         qq = cq[j + 1] - cq[i]
@@ -565,7 +566,7 @@ def write_store(path: str | Path, events: Sequence[ServiceEvent], header: Mappin
                                       tuple(attributes.values()))
         date = dates.get(e.date)
         if date is None:
-            date = dates[e.date] = _json_text(e.date.isoformat())
+            date = dates[e.date] = e.date.isoformat()  # digits and hyphens: json.dumps adds only the quotes
         label = (e.location, e.resident, e.service_id)
         texts = labels.get(label)
         if texts is None:
