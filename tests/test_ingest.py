@@ -539,9 +539,9 @@ def test_load_store_matches_the_per_line_event_oracle(tmp_path_factory, valid, m
 
 
 # Strings with every character class json.dumps escapes or keeps: quotes, backslashes, control
-# characters, DEL, non-ASCII and astral code points, next to plain printable ASCII.
+# characters, DEL, non-ASCII, a lone surrogate and astral code points, next to plain printable ASCII.
 _STORE_TEXTS = st.text(st.sampled_from(['a', 'Z', '0', ' ', '-', '~', '"', '\\', '/', '\x00', '\n', '\x1f', '\x7f',
-                                        '\x80', '\u00e9', '\u2028', '\ufeff', '\U0001f600']) | st.characters(),
+                                        '\x80', '\u00e9', '\u2028', '\ufeff', '\ud800', '\U0001f600']) | st.characters(),
                        max_size=4)
 # Shared values, including equal ones that encode apart: 0.0 and -0.0, an integer 1 and the float 1.0.
 _SHARED_VALUES = [AttributeValue.numeric(0.0), AttributeValue.numeric(-0.0), AttributeValue(kind="numeric", value=1),
