@@ -5,10 +5,9 @@ from .errors import ArbiterError, ConvergenceError, DataError, ParseError
 from .intervals import TimeOfDayInterval
 from .model import AttributeValue, ConflictSituation, ServiceEvent, ServiceRequest
 from .detect import detect_conflicts
-from .preferences import History, PreferenceTable, build_preference_table, temporal_proximity, window_events
+from .preferences import History, PreferenceMatrix, build_preference_table, temporal_proximity, window_events
 from .linalg import SvdResult, TruncatedSvd, svd, truncate
 from .aggregate import (
-    PreferenceMatrix,
     Resolution,
     build_item_set,
     build_preference_matrix,

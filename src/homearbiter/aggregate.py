@@ -26,7 +26,7 @@ from .config import RunConfig
 from .errors import DataError
 from .linalg import TruncatedSvd, svd, truncate
 from .model import ConflictSituation, ServiceEvent
-from .preferences import History, PreferenceTable, WindowEvents, build_preference_table, window_events
+from .preferences import History, PreferenceMatrix, WindowEvents, build_preference_table, window_events
 
 SVD_STRATEGY = "svd"
 
@@ -36,30 +36,8 @@ CENTROID_DECIMALS = 2
 
 
 @dataclass(frozen=True)
-class PreferenceMatrix:
-    """Scores of each group resident (rows) for each candidate item (columns)."""
-
-    residents: tuple[str, ...]
-    items: tuple[str, ...]
-    scores: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.scores.shape != (len(self.residents), len(self.items)):
-            raise ValueError("matrix shape does not match residents/items")
-
-    def column(self, item: str) -> np.ndarray:
-        return self.scores[:, self.item_index(item)]
-
-    def item_index(self, item: str) -> int:
-        try:
-            return self.items.index(item)
-        except ValueError:
-            raise KeyError(f"item {item!r} is not a candidate") from None
-
-
-@dataclass(frozen=True)
 class ResolutionDiagnostics:
-    table: PreferenceTable
+    table: PreferenceMatrix
     matrix: PreferenceMatrix
     singular_values: np.ndarray | None = None
     rank: int | None = None
@@ -83,32 +61,30 @@ class Resolution:
     diagnostics: ResolutionDiagnostics
 
 
-def build_item_set(table: PreferenceTable, situation: ConflictSituation, top_n: int) -> tuple[str, ...]:
+def build_item_set(table: PreferenceMatrix, situation: ConflictSituation, top_n: int) -> tuple[str, ...]:
     """Candidate items: each member's ``top_n`` scored items plus all requested values.
 
+    A member's scored items are the positive cells of their row, highest first, ties by label.
     Ordered lexicographically; the order fixes the matrix columns.
     """
     if top_n < 1:
         raise ValueError("top_n must be positive")
-    items: set[str] = set()
-    for resident in situation.residents:
-        items.update(table.top_items(resident, top_n))
-    for request in situation.requests:
-        items.add(request.value.item_label())
+    items = {request.value.item_label() for request in situation.requests}
+    for row in table.scores.tolist():
+        scored = sorted((-score, item) for item, score in zip(table.items, row) if score > 0)
+        items.update(item for _, item in scored[:top_n])
     return tuple(sorted(items))
 
 
-def build_preference_matrix(
-    table: PreferenceTable,
-    item_set: Sequence[str],
-    residents: Sequence[str],
-) -> PreferenceMatrix:
-    """Assemble the group score matrix; unscored cells are 0."""
+def build_preference_matrix(table: PreferenceMatrix, item_set: Sequence[str]) -> PreferenceMatrix:
+    """The table's rows over the candidate columns; an item the table lacks scores 0."""
     if not item_set:
         raise ValueError("item set must be non-empty")
-    scores = np.array([[row.get(i, 0.0) for i in item_set] for row in map(table.row, residents)],
-                      dtype=np.float64)
-    return PreferenceMatrix(residents=tuple(residents), items=tuple(item_set), scores=scores)
+    column = {item: j for j, item in enumerate(table.items)}
+    # Index -1 picks the appended zero column: the score of an item the table lacks.
+    padded = np.hstack([table.scores, np.zeros((len(table.residents), 1))])
+    scores = np.take(padded, [column.get(item, -1) for item in item_set], axis=1)
+    return PreferenceMatrix(residents=table.residents, items=tuple(item_set), scores=scores)
 
 
 def request_centroid(
@@ -151,8 +127,7 @@ def prepare(situation: ConflictSituation, events: WindowEvents, cfg: RunConfig) 
     ``events`` are the situation's :func:`~homearbiter.preferences.window_events`.
     """
     table = build_preference_table(events, situation)
-    item_set = build_item_set(table, situation, cfg.top_n)
-    matrix = build_preference_matrix(table, item_set, tuple(sorted(situation.residents)))
+    matrix = build_preference_matrix(table, build_item_set(table, situation, cfg.top_n))
     return ResolutionDiagnostics(table=table, matrix=matrix)
 
 

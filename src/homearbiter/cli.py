@@ -18,7 +18,7 @@ from .aggregate import STRATEGIES, SVD_STRATEGY, resolve as resolve_situation
 from .config import RunConfig
 from .demo import run_reference_check
 from .detect import detect_conflicts
-from .errors import ArbiterError, DataError
+from .errors import ArbiterError, DataError, ParseError
 from .evaluate import EvaluationConfig, run_experiment
 from .ingest import (
     PRNG_NAME,
@@ -232,11 +232,11 @@ def _load_conflict_stream(path: str, requests, inputs: list[dict]) -> list[Confl
         if header is None:
             header = obj if isinstance(obj, dict) else {}
             if header.get("schema") != CONFLICTS_SCHEMA:
-                raise DataError(f"{where}:{lineno}: conflict stream schema {header.get('schema')!r}, "
-                                f"expected {CONFLICTS_SCHEMA!r}")
+                raise ParseError(f"conflict stream schema {header.get('schema')!r}, expected {CONFLICTS_SCHEMA!r}",
+                                 path=where, line=lineno)
             if _digests(header) != [entry["sha256"] for entry in inputs]:
-                raise DataError(f"{where}:{lineno}: conflict stream was detected from a different store "
-                                "or requests file (input sha256 digests differ)")
+                raise ParseError("conflict stream was detected from a different store or requests file "
+                                 "(input sha256 digests differ)", path=where, line=lineno)
             continue
         try:
             members = tuple(by_id[i] for i in obj["request_ids"])
@@ -250,11 +250,11 @@ def _load_conflict_stream(path: str, requests, inputs: list[dict]) -> list[Confl
                 )
             )
         except KeyError as exc:
-            raise DataError(f"{where}:{lineno}: conflict stream references unknown key {exc.args[0]!r}") from exc
+            raise ParseError(f"conflict stream references unknown key {exc.args[0]!r}", path=where, line=lineno) from exc
         except (TypeError, ValueError) as exc:
-            raise DataError(f"{where}:{lineno}: bad conflict record: {exc}") from exc
+            raise ParseError(f"bad conflict record: {exc}", path=where, line=lineno) from exc
     if header is None:
-        raise DataError(f"{where}: empty conflict stream, expected a {CONFLICTS_SCHEMA} header")
+        raise ParseError(f"empty conflict stream, expected a {CONFLICTS_SCHEMA} header", path=where)
     return situations
 
 
@@ -290,9 +290,10 @@ def resolve(store_path, requests_path, conflicts_path, strategy, dump_preference
         situations = detect_conflicts(requests)
 
     lines = [dumps_json({"schema": RESOLUTIONS_SCHEMA, "strategy": strategy, **header})]
-    preference_rows: list[str] = [
+    preference_rows = [
         f"# config: {dumps_json(header['config'])}",
         f"# inputs: {dumps_json(header['inputs'])}",
+        "resident,item,score",
     ]
     for situation in situations:
         resolution = resolve_situation(situation, store.history, cfg, strategy)
@@ -319,13 +320,13 @@ def resolve(store_path, requests_path, conflicts_path, strategy, dump_preference
             f"# situation: {situation.service_id}/{situation.location}/{situation.attribute}"
             f"/{format_hms(window.start)}-{format_hms(window.end)}"
         )
-        for (resident, item), score in sorted(diag.table.entries.items()):
-            preference_rows.append(f"{resident},{item},{score:.4f}")
+        table = diag.table
+        for resident, row in zip(table.residents, table.scores.tolist()):
+            preference_rows.extend(f"{resident},{item},{score:.4f}" for item, score in zip(table.items, row) if score > 0)
         lines.append(dumps_json(record))
     _write_lines(lines, out)
     if dump_preferences:
-        table_lines = preference_rows[:2] + ["resident,item,score"] + preference_rows[2:]
-        Path(dump_preferences).write_text("\n".join(table_lines) + "\n", encoding="utf-8", newline="\n")
+        Path(dump_preferences).write_text("\n".join(preference_rows) + "\n", encoding="utf-8", newline="\n")
 
 
 @cli.command()

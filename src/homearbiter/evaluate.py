@@ -12,7 +12,7 @@ from .aggregate import STRATEGIES, ResolutionDiagnostics, prepare, rank_prepared
 from .config import RunConfig
 from .detect import detect_conflicts
 from .model import ConflictSituation, ServiceEvent, ServiceRequest
-from .preferences import History, PreferenceTable, WindowEvents, window_events
+from .preferences import History, PreferenceMatrix, WindowEvents, window_events
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ _DAYS = dt.date.max.toordinal() + 1
 
 
 def satisfaction_gain(
-    table: PreferenceTable,
+    table: PreferenceMatrix,
     group: Sequence[str],
     recommended: Sequence[str],
     adopted: Iterable[str],
@@ -83,7 +83,7 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return ordered[first]
 
 
-def harmonic_satisfaction(table: PreferenceTable, group: Sequence[str], recommended: Sequence[str]) -> float:
+def harmonic_satisfaction(table: PreferenceMatrix, group: Sequence[str], recommended: Sequence[str]) -> float:
     """Harmonic mean of per-member score sums over the recommended list.
 
     A member with a zero sum makes the metric 0 (maximal unfairness).
@@ -94,19 +94,26 @@ def harmonic_satisfaction(table: PreferenceTable, group: Sequence[str], recommen
     return len(group) / sum(1.0 / s for s in sums)
 
 
-def average_satisfaction(table: PreferenceTable, group: Sequence[str], chosen: str) -> float:
+def average_satisfaction(table: PreferenceMatrix, group: Sequence[str], chosen: str) -> float:
     """Mean of members' scores for the chosen item, each normalized by their own best.
 
     Members with an all-zero row carry no signal and are excluded.
     """
     shares = []
     for member in group:
-        best = table.max_score(member)
+        best = _best_score(table, member)
         if best > 0:
             shares.append(table.score(member, chosen) / best)
     if not shares:
         return 0.0
     return sum(shares) / len(shares)
+
+
+def _best_score(table: PreferenceMatrix, member: str) -> float:
+    """The member's highest score; 0.0 when the table has no row or no column."""
+    if member not in table.residents:
+        return 0.0
+    return max(table.scores[table.residents.index(member)].tolist(), default=0.0)
 
 
 @dataclass(frozen=True)
@@ -257,7 +264,7 @@ def run_experiment(
                 zero_members = tuple(
                     m for m in members if sum(table.score(m, i) for i in recommended) <= 0
                 )
-                excluded = tuple(m for m in members if table.max_score(m) <= 0)
+                excluded = tuple(m for m in members if _best_score(table, m) <= 0)
                 details.append(
                     SituationMetrics(
                         strategy=strategy,

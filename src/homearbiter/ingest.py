@@ -46,6 +46,7 @@ END_OF_DAY = SECONDS_PER_DAY - 1
 ONE_DAY = dt.timedelta(days=1)
 STORE_SCHEMA = "homearbiter-store/1"
 PRNG_NAME = "numpy-randomstate-mt19937/v1"
+CHANNEL_SERVICE, CHANNEL_ATTRIBUTE = "TV", "channel"  # what ``--channels`` fills in
 
 
 @dataclass(frozen=True)
@@ -311,7 +312,8 @@ def compute_bins(values: Sequence[float], bin_count: int, attribute: str = "valu
     Minimizes the total within-bin sum of squared deviations from bin means
     by exact dynamic programming over the sorted distinct values (weighted by
     multiplicity).  Ties between equally good partitions break toward the
-    earliest split.
+    earliest split.  Values so large that a float overflows on the way raise
+    a :class:`DataError`.
     """
     if bin_count < 1:
         raise ValueError("bin_count must be positive")
@@ -332,29 +334,33 @@ def compute_bins(values: Sequence[float], bin_count: int, attribute: str = "valu
 
     w = np.asarray(weights, dtype=np.float64)
     x = np.asarray(distinct, dtype=np.float64)
-    cw = np.concatenate([[0.0], np.cumsum(w)])
-    cs = np.concatenate([[0.0], np.cumsum(w * x)])
-    cq = np.concatenate([[0.0], np.cumsum(w * x * x)])
 
     def sse(i, j):
-        # weighted SSE of distinct[i..j] inclusive, for a range of i or of j; like max(0.0, x), fmax gives 0 for nan
+        # weighted SSE of distinct[i..j] inclusive, for a range of i or of j
         ww = cw[j + 1] - cw[i]
         ss = cs[j + 1] - cs[i]
         qq = cq[j + 1] - cq[i]
         return np.fmax(0.0, qq - ss * ss / ww)
 
-    # cost[j]: least SSE of distinct[0..j] in m bins; prev[m][j]: where its last bin starts, -1 for none.
-    # Every cost is in [0, inf], so argmin's first minimum is the earliest split of least cost.
-    cost = sse(0, np.arange(d))
+    # cost[j]: least SSE of distinct[0..j] in m bins; prev[m][j]: where its last bin starts.
+    # Every cost is finite, so argmin's first minimum is the earliest split of least cost.
     prev = [[-1] * d for _ in range(bin_count + 1)]
-    for m in range(2, bin_count + 1):
-        last, cost = cost, np.full(d, math.inf)
-        for j in range(m - 1, d):
-            c = last[m - 2:j] + sse(slice(m - 1, j + 1), j)
-            best = int(np.argmin(c))
-            cost[j] = c[best]
-            if c[best] < math.inf:
-                prev[m][j] = m - 1 + best
+    try:
+        # A float overflow would make costs inf or nan and the split arbitrary, so it stops the binning.
+        with np.errstate(over="raise", invalid="raise"):
+            cw = np.concatenate([[0.0], np.cumsum(w)])
+            cs = np.concatenate([[0.0], np.cumsum(w * x)])
+            cq = np.concatenate([[0.0], np.cumsum(w * x * x)])
+            cost = sse(0, np.arange(d))
+            for m in range(2, bin_count + 1):
+                last, cost = cost, np.full(d, math.inf)
+                for j in range(m - 1, d):
+                    c = last[m - 2:j] + sse(slice(m - 1, j + 1), j)
+                    best = int(np.argmin(c))
+                    cost[j] = c[best]
+                    prev[m][j] = m - 1 + best
+    except FloatingPointError:
+        raise DataError(f"attribute {attribute!r}: values too large to bin (their squares overflow a float)") from None
 
     cuts: list[int] = []
     j = d - 1
@@ -388,13 +394,7 @@ def apply_bins(event: ServiceEvent, spec: BinningSpec, warnings: list[str] | Non
     return _replaced(event, attrs, event.interval)
 
 
-def augment_channels(
-    events: Sequence[ServiceEvent],
-    channels: Sequence[str],
-    seed: int,
-    service_id: str = "TV",
-    attribute: str = "channel",
-) -> list[ServiceEvent]:
+def augment_channels(events: Sequence[ServiceEvent], channels: Sequence[str], seed: int) -> list[ServiceEvent]:
     """Assign a uniformly random channel to TV events that lack one.
 
     Draws come from a fixed, versioned generator (``PRNG_NAME``) seeded with
@@ -406,10 +406,10 @@ def augment_channels(
     rng = np.random.RandomState(seed)
     out: list[ServiceEvent] = []
     for e in events:
-        if e.service_id == service_id and e.attribute(attribute) is None:
+        if e.service_id == CHANNEL_SERVICE and e.attribute(CHANNEL_ATTRIBUTE) is None:
             pick = channels[int(rng.randint(0, len(channels)))]
             attrs = dict(e.attributes)
-            attrs[attribute] = AttributeValue.categorical(pick)
+            attrs[CHANNEL_ATTRIBUTE] = AttributeValue.categorical(pick)
             out.append(_replaced(e, attrs, e.interval))
         else:
             out.append(e)
@@ -428,6 +428,7 @@ def load_requests(path: str | Path, bin_specs: Mapping[tuple[str, str], BinningS
     """
     path = Path(path)
     requests: list[ServiceRequest] = []
+    seen: set[str] = set()
     with path.open(encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
@@ -442,6 +443,8 @@ def load_requests(path: str | Path, bin_specs: Mapping[tuple[str, str], BinningS
                         raise ValueError(f"{name} must be a string")
                 if not obj["location"].strip():
                     raise ValueError("location must be non-empty")
+                if obj["request_id"] in seen:
+                    raise ValueError(f"duplicate request id {obj['request_id']!r}")
                 raw = obj["value"]
                 if type(raw) not in (str, int, float):  # a bool is not an int here
                     raise ValueError("value must be a string or a finite number")
@@ -465,9 +468,7 @@ def load_requests(path: str | Path, bin_specs: Mapping[tuple[str, str], BinningS
                 raise ParseError(f"missing field {exc.args[0]!r}", path=str(path), line=lineno) from exc
             except (TypeError, ValueError) as exc:
                 raise ParseError(str(exc), path=str(path), line=lineno) from exc
-    ids = [r.request_id for r in requests]
-    if len(set(ids)) != len(ids):
-        raise DataError(f"{path}: duplicate request ids")
+            seen.add(obj["request_id"])
     return requests
 
 

@@ -8,15 +8,16 @@ one partial overlap of weight ``p`` score ``k + p``.
 
 The history is read through a :class:`History`, numpy columns of every
 event built once per command.  A situation's :func:`window_events` are a
-mask over the columns of its service and location, and the table sums the
-matched events' proximities in closed form.
+mask over the columns of its service and location, and its
+:class:`PreferenceMatrix` sums the matched events' proximities in closed
+form.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -41,33 +42,33 @@ def temporal_proximity(intervals: Sequence[TimeOfDayInterval]) -> float:
 
 
 @dataclass(frozen=True)
-class PreferenceTable:
-    """Nonnegative scores per (resident, item) for one conflict window."""
+class PreferenceMatrix:
+    """Nonnegative scores of residents (rows) for items (columns)."""
 
-    entries: dict[tuple[str, str], float]
+    residents: tuple[str, ...]
+    items: tuple[str, ...]
+    scores: np.ndarray
 
     def __post_init__(self) -> None:
-        rows: dict[str, dict[str, float]] = {}
-        for (resident, item), score in self.entries.items():
-            if score < 0:
-                raise ValueError(f"negative score for ({resident}, {item})")
-            rows.setdefault(resident, {})[item] = score
-        object.__setattr__(self, "_rows", rows)
+        if self.scores.shape != (len(self.residents), len(self.items)):
+            raise ValueError("matrix shape does not match residents/items")
+        negative = np.argwhere(self.scores < 0)
+        if len(negative):
+            r, i = negative[0]
+            raise ValueError(f"negative score for ({self.residents[r]}, {self.items[i]})")
 
     def score(self, resident: str, item: str) -> float:
-        return self.entries.get((resident, item), 0.0)
+        """The resident's score for the item; 0.0 when either has no row or column."""
+        try:
+            return self.scores.item(self.residents.index(resident), self.items.index(item))
+        except ValueError:
+            return 0.0
 
-    def row(self, resident: str) -> Mapping[str, float]:
-        """The resident's scored items, in entry order; empty when they have none."""
-        return self._rows.get(resident, {})
-
-    def top_items(self, resident: str, count: int) -> tuple[str, ...]:
-        row = sorted(self.row(resident).items(), key=lambda kv: (-kv[1], kv[0]))
-        return tuple(item for item, _ in row[:count])
-
-    def max_score(self, resident: str) -> float:
-        row = self.row(resident)
-        return max(row.values()) if row else 0.0
+    def column(self, item: str) -> np.ndarray:
+        try:
+            return self.scores[:, self.items.index(item)]
+        except ValueError:
+            raise KeyError(f"item {item!r} is not a candidate") from None
 
 
 class _Columns:
@@ -240,23 +241,26 @@ def window_events(
     return WindowEvents(history, columns, matched, proximity)
 
 
-def build_preference_table(events: WindowEvents, situation: ConflictSituation) -> PreferenceTable:
-    """Score every item the situation's members used in ``events``.
+def build_preference_table(events: WindowEvents, situation: ConflictSituation) -> PreferenceMatrix:
+    """The situation's members, sorted, by every item they used in ``events``, sorted by label.
 
     ``events`` are the situation's :func:`window_events`; each member's
     event adds its temporal proximity to the window to that member's item.
-    ``np.bincount`` adds in history order, as a sequential sum would.
-    Residents with no matching event get an empty row (no entries).
+    ``np.bincount`` adds in history order, as a sequential sum would.  A
+    member with no matching event has a row of zeros.
     """
     history = events.history
-    member = np.zeros(len(history.residents), dtype=bool)
-    member[[c for c in map(history.resident_code, situation.residents) if c >= 0]] = True
+    residents = tuple(sorted(situation.residents))
+    codes = np.array([history.resident_code(r) for r in residents], dtype=np.int64)
+    row_of = np.full(len(history.residents), -1, dtype=np.int64)
+    row_of[codes[codes >= 0]] = np.flatnonzero(codes >= 0)
+    rows = row_of[events.resident]
     items = events.items(situation.attribute)
-    keep = member[events.resident] & (items >= 0)
-    cells, cell_of = np.unique(events.resident[keep] * len(history.item_labels) + items[keep], return_inverse=True)
-    sums = np.bincount(cell_of, weights=events.proximity[keep])
-    resident_of, item_of = divmod(cells, len(history.item_labels))
-    return PreferenceTable(entries={
-        (history.residents[r], history.item_labels[i]): score
-        for r, i, score in zip(resident_of.tolist(), item_of.tolist(), sums.tolist())
-    })
+    keep = (rows >= 0) & (items >= 0)
+    used = sorted(set(items[keep].tolist()), key=history.item_labels.__getitem__)
+    column_of = np.zeros(len(history.item_labels), dtype=np.int64)
+    column_of[used] = np.arange(len(used))
+    cells = rows[keep] * len(used) + column_of[items[keep]]
+    scores = np.bincount(cells, weights=events.proximity[keep], minlength=len(residents) * len(used))
+    return PreferenceMatrix(residents=residents, items=tuple(history.item_labels[c] for c in used),
+                            scores=scores.reshape(len(residents), len(used)))

@@ -16,6 +16,7 @@ import numpy as np
 from .intervals import format_hms
 
 DEFAULT_SEED = 121
+START_DATE = dt.date(2026, 3, 2)
 RESIDENTS = ("alice", "bob", "cara")
 CHANNELS = ("Ch1", "Ch2", "Ch3", "Ch4", "Ch5")
 # Everyone watches most channels a fair amount; favorites differ, Ch1 is the
@@ -45,7 +46,7 @@ def _weighted_pick(rng: np.random.RandomState, weights: dict[str, float]) -> str
     return labels[-1]
 
 
-def synthetic_household(seed: int = DEFAULT_SEED, days: int = 60, start_date: dt.date = dt.date(2026, 3, 2)):
+def synthetic_household(seed: int = DEFAULT_SEED, days: int = 60):
     """Return ``(log_csv_text, requests_jsonl_text)`` for the synthetic household."""
     rng = np.random.RandomState(seed)
     rows: list[tuple[dt.date, int, str, str, str, str, str]] = []
@@ -55,7 +56,7 @@ def synthetic_household(seed: int = DEFAULT_SEED, days: int = 60, start_date: dt
         rows.append((date, min(start + duration, 86399), sensor, "OFF", "", resident, location))
 
     for day in range(days):
-        date = start_date + dt.timedelta(days=day)
+        date = START_DATE + dt.timedelta(days=day)
         # Evening TV in the living room; graded tastes with distinct favorites.
         for resident in RESIDENTS:
             if rng.random_sample() < 0.9:

@@ -11,6 +11,7 @@ from homearbiter.errors import DataError, ParseError
 from homearbiter.ingest import LOG_COLUMNS, BinningSpec, _parse_attribute
 from homearbiter.intervals import TimeOfDayInterval, parse_hms
 from homearbiter.model import AttributeValue, ServiceEvent, ServiceRequest, normalize_location
+from homearbiter.preferences import PreferenceMatrix
 
 
 def hms(text: str) -> int:
@@ -55,6 +56,44 @@ def adopted_scan(events, resident, attribute, threshold):
             if value is not None:
                 item_days.setdefault(value.item_label(), set()).add(event.date)
     return {item for item, days in item_days.items() if len(days) > threshold * len(active_days)}
+
+
+def matrix_from_entries(entries: Mapping[tuple[str, str], float], residents: Sequence[str] | None = None,
+                        items: Sequence[str] | None = None) -> PreferenceMatrix:
+    """A matrix holding ``entries`` ((resident, item) -> score) and 0 in every other cell.
+
+    Rows default to the entries' residents and columns to their items, each sorted.
+    """
+    residents = tuple(sorted({r for r, _ in entries})) if residents is None else tuple(residents)
+    items = tuple(sorted({i for _, i in entries})) if items is None else tuple(items)
+    scores = np.zeros((len(residents), len(items)))
+    for (resident, item), score in entries.items():
+        scores[residents.index(resident), items.index(item)] = score
+    return PreferenceMatrix(residents=residents, items=items, scores=scores)
+
+
+def matrix_entries(matrix: PreferenceMatrix) -> dict[tuple[str, str], float]:
+    """The matrix's non-zero cells, keyed by (resident, item)."""
+    return {(resident, item): score
+            for resident, row in zip(matrix.residents, matrix.scores.tolist())
+            for item, score in zip(matrix.items, row) if score != 0}
+
+
+def item_set_by_sort(entries: Mapping[tuple[str, str], float], situation, top_n: int) -> tuple[str, ...]:
+    """Each member's ``top_n`` entries by (-score, label), plus the requested values, sorted: the reference
+    for ``aggregate.build_item_set``."""
+    items = {request.value.item_label() for request in situation.requests}
+    for resident in situation.residents:
+        row = sorted(((i, s) for (r, i), s in entries.items() if r == resident), key=lambda kv: (-kv[1], kv[0]))
+        items.update(item for item, _ in row[:top_n])
+    return tuple(sorted(items))
+
+
+def matrix_by_lookup(entries: Mapping[tuple[str, str], float], item_set: Sequence[str],
+                     residents: Sequence[str]) -> np.ndarray:
+    """One looked-up entry per (resident, item) cell, 0.0 where there is none: the reference for
+    ``aggregate.build_preference_matrix``."""
+    return np.array([[entries.get((r, i), 0.0) for i in item_set] for r in residents], dtype=np.float64)
 
 
 def event_from_json(obj) -> ServiceEvent:
@@ -149,7 +188,8 @@ def compute_bins_loop(values: Sequence[float], bin_count: int, attribute: str = 
     Minimizes the total within-bin sum of squared deviations from bin means
     by exact dynamic programming over the sorted distinct values (weighted by
     multiplicity).  Ties between equally good partitions break toward the
-    earliest split.
+    earliest split.  Values so large that a float overflows on the way raise
+    a :class:`DataError`.
     """
     if bin_count < 1:
         raise ValueError("bin_count must be positive")
@@ -168,33 +208,37 @@ def compute_bins_loop(values: Sequence[float], bin_count: int, attribute: str = 
     if d < bin_count:
         raise DataError(f"attribute {attribute!r}: {d} distinct values cannot fill {bin_count} bins")
 
-    w = np.asarray(weights, dtype=np.float64)
-    x = np.asarray(distinct, dtype=np.float64)
-    cw = np.concatenate([[0.0], np.cumsum(w)])
-    cs = np.concatenate([[0.0], np.cumsum(w * x)])
-    cq = np.concatenate([[0.0], np.cumsum(w * x * x)])
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            w = np.asarray(weights, dtype=np.float64)
+            x = np.asarray(distinct, dtype=np.float64)
+            cw = np.concatenate([[0.0], np.cumsum(w)])
+            cs = np.concatenate([[0.0], np.cumsum(w * x)])
+            cq = np.concatenate([[0.0], np.cumsum(w * x * x)])
 
-    def sse(i: int, j: int) -> float:
-        # weighted SSE of distinct[i..j] inclusive
-        ww = cw[j + 1] - cw[i]
-        ss = cs[j + 1] - cs[i]
-        qq = cq[j + 1] - cq[i]
-        return max(0.0, qq - ss * ss / ww)
+            def sse(i: int, j: int) -> float:
+                # weighted SSE of distinct[i..j] inclusive
+                ww = cw[j + 1] - cw[i]
+                ss = cs[j + 1] - cs[i]
+                qq = cq[j + 1] - cq[i]
+                return max(0.0, qq - ss * ss / ww)
 
-    inf = math.inf
-    cost = [[inf] * d for _ in range(bin_count + 1)]
-    prev = [[-1] * d for _ in range(bin_count + 1)]
-    for j in range(d):
-        cost[1][j] = sse(0, j)
-    for m in range(2, bin_count + 1):
-        for j in range(m - 1, d):
-            best, arg = inf, -1
-            for i in range(m - 1, j + 1):
-                c = cost[m - 1][i - 1] + sse(i, j)
-                if c < best:
-                    best, arg = c, i
-            cost[m][j] = best
-            prev[m][j] = arg
+            inf = math.inf
+            cost = [[inf] * d for _ in range(bin_count + 1)]
+            prev = [[-1] * d for _ in range(bin_count + 1)]
+            for j in range(d):
+                cost[1][j] = sse(0, j)
+            for m in range(2, bin_count + 1):
+                for j in range(m - 1, d):
+                    best, arg = inf, -1
+                    for i in range(m - 1, j + 1):
+                        c = cost[m - 1][i - 1] + sse(i, j)
+                        if c < best:
+                            best, arg = c, i
+                    cost[m][j] = best
+                    prev[m][j] = arg
+    except FloatingPointError:
+        raise DataError(f"attribute {attribute!r}: values too large to bin (their squares overflow a float)") from None
 
     cuts: list[int] = []
     j = d - 1

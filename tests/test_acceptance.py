@@ -28,7 +28,7 @@ from homearbiter.linalg import TruncatedSvd, svd, truncate
 from homearbiter.model import AttributeValue, ServiceRequest
 from homearbiter.preferences import build_preference_table, temporal_proximity, window_events
 
-from conftest import binning_sse, interval, make_event, make_request, reconstruct
+from conftest import binning_sse, interval, make_event, make_request, matrix_entries, matrix_from_entries, reconstruct
 from test_detect import _detected_keys, sweep_oracle
 from test_ingest import brute_force_bins
 
@@ -79,12 +79,10 @@ def test_acceptance_1_worked_example_pipeline(capsys):
             for ri, resident in enumerate(("r1", "r2", "r3"))
             for ii, item in enumerate(ITEMS)
         }
-        from homearbiter.preferences import PreferenceTable
-
-        table = PreferenceTable(entries=table_entries)
+        table = matrix_from_entries(table_entries)
         item_set = build_item_set(table, situation, top_n=3)
         assert item_set == ITEMS
-        matrix = build_preference_matrix(table, item_set, sorted(situation.residents))
+        matrix = build_preference_matrix(table, item_set)
 
         factors = svd(matrix.scores)
         assert np.allclose(factors.singular_values, [57.1127, 6.8771, 1.8235], atol=1e-3)
@@ -224,17 +222,15 @@ def test_acceptance_4_property_suites(capsys):
         base_table = build_preference_table(window_events(history, situation), situation)
         doubled = history + [dataclasses.replace(e, event_id=e.event_id + "b") for e in history]
         double_table = build_preference_table(window_events(doubled, situation), situation)
-        for key, score in base_table.entries.items():
-            assert double_table.entries[key] == pytest.approx(2 * score, rel=1e-12)
+        for key, score in matrix_entries(base_table).items():
+            assert matrix_entries(double_table)[key] == pytest.approx(2 * score, rel=1e-12)
 
         # Harmonic mean never exceeds the arithmetic mean.
-        from homearbiter.preferences import PreferenceTable
-
         rng = np.random.RandomState(407)
         for _ in range(100):
             sums = np.abs(rng.randn(int(rng.randint(1, 6)))) + 1e-3
             entries = {(f"m{i}", "x"): float(s) for i, s in enumerate(sums)}
-            table = PreferenceTable(entries=entries)
+            table = matrix_from_entries(entries)
             members = sorted(r for r, _ in entries)
             assert harmonic_satisfaction(table, members, ["x"]) <= float(np.mean(sums)) + 1e-9
 

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homearbiter.aggregate import (
     PreferenceMatrix,
@@ -19,9 +20,9 @@ from homearbiter.config import RunConfig
 from homearbiter.detect import detect_conflicts
 from homearbiter.errors import DataError
 from homearbiter.linalg import TruncatedSvd, svd, truncate
-from homearbiter.preferences import PreferenceTable
+from homearbiter.model import ConflictSituation
 
-from conftest import hms, make_request
+from conftest import hms, item_set_by_sort, make_request, matrix_by_lookup, matrix_from_entries
 
 WORKED = np.array(
     [
@@ -38,13 +39,13 @@ def worked_matrix() -> PreferenceMatrix:
     return PreferenceMatrix(residents=RESIDENTS, items=ITEMS, scores=WORKED.copy())
 
 
-def worked_table() -> PreferenceTable:
+def worked_table() -> PreferenceMatrix:
     entries = {
         (r, i): WORKED[ri, ii]
         for ri, r in enumerate(RESIDENTS)
         for ii, i in enumerate(ITEMS)
     }
-    return PreferenceTable(entries=entries)
+    return matrix_from_entries(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +56,7 @@ def test_item_set_worked_example(reference_table, reference_situation):
 
 
 def test_item_set_single_resident_keeps_everything():
-    table = PreferenceTable(entries={("r1", "Cha"): 3.0, ("r1", "Chb"): 1.0})
+    table = matrix_from_entries({("r1", "Cha"): 3.0, ("r1", "Chb"): 1.0})
     situation_requests = [make_request("r1", "Cha", request_id="A"), make_request("r2", "Chb", request_id="B")]
     from homearbiter.detect import detect_conflicts
 
@@ -71,28 +72,66 @@ def test_item_set_includes_requested_outside_top_n(reference_table, reference_si
 
 
 def test_item_set_missing_resident_everywhere_errors(reference_situation):
-    empty = PreferenceTable(entries={})
+    empty = matrix_from_entries({})
     # every situation member still has a request, so this must not raise
     assert build_item_set(empty, reference_situation, 3) == ("Ch2", "Ch3", "Ch5")
 
 
 def test_build_matrix_worked_rows(reference_table, reference_situation):
     item_set = build_item_set(reference_table, reference_situation, 3)
-    matrix = build_preference_matrix(reference_table, item_set, sorted(reference_situation.residents))
+    matrix = build_preference_matrix(reference_table, item_set)
     assert np.allclose(matrix.scores, WORKED, atol=1e-9)
 
 
 def test_build_matrix_single_cell():
-    table = PreferenceTable(entries={("r1", "x"): 7.0})
-    matrix = build_preference_matrix(table, ("x",), ("r1",))
+    table = matrix_from_entries({("r1", "x"): 7.0})
+    matrix = build_preference_matrix(table, ("x",))
     assert matrix.scores.tolist() == [[7.0]]
 
 
 def test_build_matrix_zero_fill():
-    table = PreferenceTable(entries={("r1", "x"): 7.0})
-    matrix = build_preference_matrix(table, ("x", "y"), ("r1", "r2"))
+    table = matrix_from_entries({("r1", "x"): 7.0}, residents=("r1", "r2"))
+    matrix = build_preference_matrix(table, ("x", "y"))
     assert matrix.scores[1].tolist() == [0.0, 0.0]
     assert matrix.scores[0, 1] == 0.0
+
+
+# Table items, and requested values that may lie outside the table; few distinct scores, so ties are common.
+_TABLE_ITEMS = ("a", "b", "c", "d", "e")
+_OUTSIDE_ITEMS = ("x", "y")
+
+
+@st.composite
+def _tables(draw):
+    """A situation, a table over its sorted members, members without entries scoring 0, and the entries."""
+    values = draw(st.lists(st.sampled_from(_TABLE_ITEMS + _OUTSIDE_ITEMS), min_size=2, max_size=4)
+                  .filter(lambda v: len(set(v)) >= 2))
+    requests = tuple(make_request(f"r{n}", value, request_id=f"q{n}") for n, value in enumerate(values))
+    situation = ConflictSituation(service_id="TV", location="living room", attribute="channel",
+                                  window=requests[0].interval, requests=requests)
+    members = sorted(situation.residents)
+    entries = draw(st.dictionaries(st.tuples(st.sampled_from(members), st.sampled_from(_TABLE_ITEMS)),
+                                   st.sampled_from((0.5, 1.0, 2.0, 2.6875)), max_size=12))
+    # Columns no member scored stay in the table as zeros; the columns come in any order.
+    unscored = draw(st.lists(st.sampled_from(_TABLE_ITEMS), max_size=2))
+    items = draw(st.permutations(sorted({item for _, item in entries} | set(unscored))))
+    return situation, matrix_from_entries(entries, residents=members, items=items), entries
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=_tables(), top_n=st.integers(1, 4),
+       columns=st.lists(st.sampled_from(_TABLE_ITEMS + _OUTSIDE_ITEMS), min_size=1, max_size=5, unique=True))
+def test_item_set_and_matrix_match_the_dict_rows(drawn, top_n, columns):
+    situation, table, entries = drawn
+    members = sorted(situation.residents)
+    item_set = build_item_set(table, situation, top_n)
+    assert item_set == item_set_by_sort(entries, situation, top_n)
+    # A table with rows for the scored members only gives the same candidates.
+    assert build_item_set(matrix_from_entries(entries), situation, top_n) == item_set
+    for candidates in (item_set, tuple(columns)):
+        matrix = build_preference_matrix(table, candidates)
+        assert (matrix.residents, matrix.items) == (tuple(members), candidates)
+        assert matrix.scores.tolist() == matrix_by_lookup(entries, candidates, members).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -54,25 +55,55 @@ def test_ingest_writes_every_event_line_in_the_canonical_form(tmp_path, monkeypa
     assert parsed == [header]
 
 
-# The names of the cli module that a tracer wraps to time ingest's stages.
+# The names that a tracer wraps to time the stages: of the cli module for ingest, of the aggregate and
+# evaluate modules for resolve and evaluate.
 INGEST_STAGES = ("parse_event_log", "stabilize", "compute_bins", "apply_bins", "write_store")
+RESOLVE_STAGES = ("build_preference_table", "build_item_set", "build_preference_matrix", "consensus_distance")
+EVALUATE_STAGES = ("adopted_items", "satisfaction_gain", "harmonic_satisfaction", "average_satisfaction")
+
+
+def _count_calls(monkeypatch, module, names) -> dict:
+    """Wrap each named function of ``module`` to count its calls; the counts, by name."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _stage=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _stage(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def test_ingest_calls_each_stage_through_the_name_cli_imports(tmp_path, monkeypatch, capsys):
     from homearbiter import cli as cli_module
 
-    calls = dict.fromkeys(INGEST_STAGES, 0)
-    for name in INGEST_STAGES:
-        def counted(*args, _name=name, _stage=getattr(cli_module, name), **kwargs):
-            calls[_name] += 1
-            return _stage(*args, **kwargs)
-        monkeypatch.setattr(cli_module, name, counted)
+    calls = _count_calls(monkeypatch, cli_module, INGEST_STAGES)
     store = tmp_path / "store.jsonl"
     assert main(["ingest", str(DATA_DIR / "household60.csv"), "--out", str(store)]) == 0
     capsys.readouterr()
     binned = sum('"kind":"bin"' in line for line in store.read_text(encoding="utf-8").splitlines()[1:])
     assert binned > 0
     assert calls == {"parse_event_log": 1, "stabilize": 1, "compute_bins": 1, "apply_bins": binned, "write_store": 1}
+
+
+def test_resolve_and_evaluate_call_each_stage_through_the_module_names(workspace, tmp_path, monkeypatch, capsys):
+    from homearbiter import aggregate, evaluate
+
+    inputs = ["--store", str(workspace / "store.jsonl"), "--requests", str(workspace / "requests.jsonl")]
+    built = _count_calls(monkeypatch, aggregate, RESOLVE_STAGES)
+    scored = _count_calls(monkeypatch, evaluate, EVALUATE_STAGES)
+    out = tmp_path / "resolved.jsonl"
+    assert main(["resolve", *inputs, "--debug", "--out", str(out)]) == 0
+    records = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+    assert records
+    assert built == {"build_preference_table": len(records), "build_item_set": len(records),
+                     "build_preference_matrix": len(records),
+                     "consensus_distance": sum(len(record["debug"]["items"]) for record in records)}
+    assert main(["evaluate", *inputs, "--out-prefix", str(tmp_path / "report")]) == 0
+    capsys.readouterr()
+    details = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))["details"]
+    situations = [d for d in details if d["strategy"] == details[0]["strategy"]]
+    assert scored == {"adopted_items": sum(d["group_size"] for d in situations), "satisfaction_gain": len(details),
+                      "harmonic_satisfaction": len(details), "average_satisfaction": len(details)}
 
 
 def test_store_header_embeds_config_and_digests(workspace):
@@ -599,6 +630,41 @@ def test_conflict_stream_header_must_match_inputs(workspace, tmp_path, capsys):
     assert rc == 2 and "input sha256 digests differ" in err
     for broken in ({k: v for k, v in stale.items() if k != "inputs"}, {**stale, "inputs": "x"}):
         assert resolve_stream([json.dumps(broken), *records])[0] == 2
+
+
+def test_conflict_stream_errors_are_parse_errors_naming_the_line(tmp_path):
+    from homearbiter.cli import CONFLICTS_SCHEMA, _load_conflict_stream
+    from homearbiter.errors import ParseError
+
+    header = json.dumps({"schema": CONFLICTS_SCHEMA, "inputs": []})
+    record = {"service_id": "TV", "location": "den", "attribute": "channel", "request_ids": [], "window": 5}
+    stream = tmp_path / "stream.jsonl"
+    for lines, lineno in (
+        ([json.dumps({"schema": "bogus/9"})], 1),
+        (["", json.dumps({"schema": CONFLICTS_SCHEMA, "inputs": [{"sha256": "0" * 64}]})], 2),
+        ([header, json.dumps({"request_ids": ["ghost-1"]})], 2),
+        ([header, "", json.dumps(record)], 3),
+        ([], None),
+    ):
+        stream.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            _load_conflict_stream(str(stream), [], [])
+        assert (err.value.path, err.value.line) == (str(stream), lineno)
+
+
+def test_ingest_rejects_values_whose_squares_overflow(tmp_path, capsys):
+    rows = [f"2026-03-02,0{hour}:00:00,thermostat,ON,temp={value},alice,hall"
+            for hour, value in zip(range(6, 10), ("1e154", "7e153", "1.1e154", "7e153"))]
+    log = tmp_path / "log.csv"
+    log.write_text("\n".join(["date,time,sensor,status,value,resident,location", *rows]) + "\n", encoding="utf-8")
+    out = tmp_path / "store.jsonl"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["ingest", str(log), "--out", str(out), "--bin-count", "3"]) == 2
+    assert caught == []
+    assert capsys.readouterr().err == \
+        "data error: attribute 'temp': values too large to bin (their squares overflow a float)\n"
+    assert not out.exists()
 
 
 def test_malformed_location_map_exits_two(tmp_path, capsys):

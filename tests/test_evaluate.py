@@ -15,9 +15,9 @@ from homearbiter.evaluate import (
     run_experiment,
     satisfaction_gain,
 )
-from homearbiter.preferences import PreferenceTable, window_events
+from homearbiter.preferences import PreferenceMatrix, window_events
 
-from conftest import adopted_scan, make_event, make_request, window_scan
+from conftest import adopted_scan, make_event, make_request, matrix_from_entries, window_scan
 
 WORKED_ENTRIES = {
     ("r1", "Ch1"): 19.44, ("r1", "Ch2"): 14.48, ("r1", "Ch3"): 15.20, ("r1", "Ch5"): 11.04,
@@ -26,15 +26,15 @@ WORKED_ENTRIES = {
 }
 
 
-def worked_table() -> PreferenceTable:
-    return PreferenceTable(entries=dict(WORKED_ENTRIES))
+def worked_table() -> PreferenceMatrix:
+    return matrix_from_entries(dict(WORKED_ENTRIES))
 
 
 # ---------------------------------------------------------------------------
 # satisfaction gain
 
 def test_sg_single_member():
-    table = PreferenceTable(entries={("r1", "Ch1"): 19.44})
+    table = matrix_from_entries({("r1", "Ch1"): 19.44})
     assert satisfaction_gain(table, ["r1"], ["Ch1"], {"Ch1"}) == pytest.approx(19.44)
 
 
@@ -44,7 +44,7 @@ def test_sg_nothing_adopted_is_zero():
 
 
 def test_sg_mean_over_members():
-    table = PreferenceTable(entries={("a", "x"): 10.0, ("b", "x"): 20.0})
+    table = matrix_from_entries({("a", "x"): 10.0, ("b", "x"): 20.0})
     assert satisfaction_gain(table, ["a", "b"], ["x"], {"x"}) == pytest.approx(15.0)
 
 
@@ -113,17 +113,17 @@ def test_adopted_items_only_window_overlap_counts():
 # harmonic
 
 def test_harmonic_equal_sums():
-    table = PreferenceTable(entries={("a", "x"): 10.0, ("b", "x"): 10.0})
+    table = matrix_from_entries({("a", "x"): 10.0, ("b", "x"): 10.0})
     assert harmonic_satisfaction(table, ["a", "b"], ["x"]) == pytest.approx(10.0)
 
 
 def test_harmonic_derived_value():
-    table = PreferenceTable(entries={("a", "x"): 4.0, ("b", "x"): 12.0})
+    table = matrix_from_entries({("a", "x"): 4.0, ("b", "x"): 12.0})
     assert harmonic_satisfaction(table, ["a", "b"], ["x"]) == pytest.approx(6.0)
 
 
 def test_harmonic_zero_sum_member():
-    table = PreferenceTable(entries={("a", "x"): 4.0})
+    table = matrix_from_entries({("a", "x"): 4.0})
     assert harmonic_satisfaction(table, ["a", "b"], ["x"]) == 0.0
 
 
@@ -131,7 +131,7 @@ def test_harmonic_zero_sum_member():
 @given(sums=st.lists(st.floats(min_value=1e-3, max_value=1e6), min_size=1, max_size=6))
 def test_harmonic_at_most_arithmetic(sums):
     entries = {(f"m{i}", "x"): value for i, value in enumerate(sums)}
-    table = PreferenceTable(entries=entries)
+    table = matrix_from_entries(entries)
     members = sorted(r for r, _ in entries)
     harmonic = harmonic_satisfaction(table, members, ["x"])
     arithmetic = sum(sums) / len(sums)
@@ -144,12 +144,12 @@ def test_harmonic_at_most_arithmetic(sums):
 # average satisfaction
 
 def test_average_satisfaction_everyone_top_item():
-    table = PreferenceTable(entries={("a", "x"): 5.0, ("a", "y"): 1.0, ("b", "x"): 9.0})
+    table = matrix_from_entries({("a", "x"): 5.0, ("a", "y"): 1.0, ("b", "x"): 9.0})
     assert average_satisfaction(table, ["a", "b"], "x") == 1.0
 
 
 def test_average_satisfaction_half():
-    table = PreferenceTable(entries={("a", "x"): 10.0, ("a", "y"): 20.0})
+    table = matrix_from_entries({("a", "x"): 10.0, ("a", "y"): 20.0})
     assert average_satisfaction(table, ["a"], "x") == pytest.approx(0.5)
 
 
@@ -159,7 +159,7 @@ def test_average_satisfaction_worked_value():
 
 
 def test_average_satisfaction_excludes_zero_rows():
-    table = PreferenceTable(entries={("a", "x"): 10.0})
+    table = matrix_from_entries({("a", "x"): 10.0})
     assert average_satisfaction(table, ["a", "ghost"], "x") == 1.0
     assert average_satisfaction(table, ["ghost"], "x") == 0.0
 
@@ -172,7 +172,7 @@ def test_average_satisfaction_in_unit_interval():
             for i in range(3)
             for j in range(4)
         }
-        table = PreferenceTable(entries=entries)
+        table = matrix_from_entries(entries)
         value = average_satisfaction(table, [f"m{i}" for i in range(3)], "i1")
         assert 0.0 <= value <= 1.0
 

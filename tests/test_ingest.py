@@ -907,11 +907,19 @@ def test_load_requests_either_loads_a_request_line_or_names_it(tmp_path_factory,
     try:
         requests = load_requests(path)
     except ParseError as exc:
-        assert str(exc).startswith(f"{path}:3: ")
-    except DataError as exc:
-        assert "duplicate request ids" in str(exc)
+        assert str(exc).startswith(f"{path}:3: ") or str(exc) == f"{path}:4: duplicate request id 'q-9'"
     else:
         assert len(requests) == 3
+
+
+def test_load_requests_names_a_duplicate_id_and_the_line_it_repeats_on(tmp_path):
+    path = tmp_path / "requests.jsonl"
+    line = json.dumps(_request_with("request_id", "q-1"))
+    path.write_text("\n".join([line, json.dumps(_request_with("request_id", "q-2")), "", line]) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        load_requests(path)
+    assert (err.value.path, err.value.line) == (str(path), 4)
+    assert str(err.value) == f"{path}:4: duplicate request id 'q-1'"
 
 
 def test_load_requests_errors_carry_line(tmp_path):

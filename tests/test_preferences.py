@@ -1,15 +1,16 @@
 import dataclasses
 import datetime as dt
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from homearbiter.evaluate import adopted_items
 from homearbiter.intervals import SECONDS_PER_DAY, TimeOfDayInterval
 from homearbiter.model import AttributeValue, ConflictSituation
-from homearbiter.preferences import History, build_preference_table, temporal_proximity, window_events
+from homearbiter.preferences import History, PreferenceMatrix, build_preference_table, temporal_proximity, window_events
 
-from conftest import adopted_scan, interval, make_event, make_request, window_scan
+from conftest import adopted_scan, interval, make_event, make_request, matrix_entries, window_scan
 
 
 def test_temporal_proximity_worked_values():
@@ -122,6 +123,15 @@ def test_preference_score_worked_value():
     assert table.score("r1", "Ch1") == 19.44
 
 
+def test_preference_matrix_checks_its_shape_and_scores():
+    with pytest.raises(ValueError, match="shape"):
+        PreferenceMatrix(residents=("r1",), items=("a", "b"), scores=np.zeros((1, 3)))
+    with pytest.raises(ValueError, match=r"negative score for \(r2, b\)"):
+        PreferenceMatrix(residents=("r1", "r2"), items=("a", "b"), scores=np.array([[1.0, 0.0], [0.0, -0.5]]))
+    matrix = PreferenceMatrix(residents=("r1",), items=("a",), scores=np.array([[2.0]]))
+    assert (matrix.score("r1", "a"), matrix.score("r9", "a"), matrix.score("r1", "z")) == (2.0, 0.0, 0.0)
+
+
 def test_build_preference_table_missing_item_is_zero():
     situation = _situation()
     table = build_preference_table(window_events([make_event("r1", "20:00:00", "20:30:00")], situation), situation)
@@ -137,7 +147,7 @@ def test_history_value_of_negative_zero_scores_the_requested_item_zero():
                                   requests=requests)
     history = [make_event("r1", "20:00:00", "20:30:00", attributes={"temp": AttributeValue.numeric(-0.0)})]
     table = build_preference_table(window_events(history, situation), situation)
-    assert table.entries == {("r1", "0"): 1.0}
+    assert matrix_entries(table) == {("r1", "0"): 1.0}
 
 
 def test_build_preference_table_mixed_proximities():
@@ -149,7 +159,7 @@ def test_build_preference_table_mixed_proximities():
         make_event("r3", "20:00:00", "20:30:00"),  # not a member
     ]
     table = build_preference_table(window_events(history, situation), situation)
-    assert table.entries == {("r1", "Ch1"): 2.6875}
+    assert matrix_entries(table) == {("r1", "Ch1"): 2.6875}
 
 
 def _arcs_overlap(a, b):
@@ -202,7 +212,16 @@ _events = st.builds(
 def test_build_preference_table_matches_brute_force(history, window, lookback_days):
     situation = _situation(window)
     table = build_preference_table(window_events(history, situation, lookback_days), situation)
-    assert table.entries == brute_force_table(history, situation, lookback_days)
+    assert matrix_entries(table) == brute_force_table(history, situation, lookback_days)
+
+
+@settings(max_examples=100, deadline=None)
+@given(history=st.lists(_events, max_size=25), window=_arcs)
+def test_build_preference_table_rows_are_the_members_and_columns_their_items(history, window):
+    situation = _situation(window)
+    table = build_preference_table(window_events(history, situation), situation)
+    assert table.residents == tuple(sorted(situation.residents))
+    assert table.items == tuple(sorted({item for _, item in brute_force_table(history, situation, None)}))
 
 
 def test_build_preference_table_worked_cell(reference_history, reference_situation):
@@ -212,8 +231,8 @@ def test_build_preference_table_worked_cell(reference_history, reference_situati
 
 def test_build_preference_table_empty_history(reference_situation):
     table = build_preference_table(window_events([], reference_situation), reference_situation)
-    assert table.entries == {}
-    assert table.entries == {}
+    assert matrix_entries(table) == {}
+    assert matrix_entries(table) == {}
 
 
 def test_preference_linearity_under_duplication(reference_history, reference_situation):
@@ -222,9 +241,9 @@ def test_preference_linearity_under_duplication(reference_history, reference_sit
     ]
     base = build_preference_table(window_events(reference_history, reference_situation), reference_situation)
     double = build_preference_table(window_events(doubled, reference_situation), reference_situation)
-    assert set(double.entries) == set(base.entries)
-    for key, score in base.entries.items():
-        assert double.entries[key] == pytest.approx(2 * score, rel=1e-12)
+    assert set(matrix_entries(double)) == set(matrix_entries(base))
+    for key, score in matrix_entries(base).items():
+        assert matrix_entries(double)[key] == pytest.approx(2 * score, rel=1e-12)
 
 
 def test_preference_bounded_by_event_count(reference_history, reference_situation):
@@ -233,7 +252,7 @@ def test_preference_bounded_by_event_count(reference_history, reference_situatio
     for event in reference_history:
         key = (event.resident, event.attributes["channel"].label)
         counts[key] = counts.get(key, 0) + 1
-    for key, score in table.entries.items():
+    for key, score in matrix_entries(table).items():
         assert score <= counts[key] + 1e-12
 
 
@@ -279,7 +298,7 @@ def test_history_index_matches_per_event_scan(history, windows, lookback_days, l
             events = window_events(index, situation, lookback_days)
             expected = window_scan(ordered, situation, lookback_days)
             assert len(events) == len(expected)
-            assert build_preference_table(events, situation).entries == \
+            assert matrix_entries(build_preference_table(events, situation)) == \
                 brute_force_table(ordered, situation, lookback_days)
             for resident in ("r1", "r2", "r3", "r9"):
                 for attribute in ("channel", "state"):
