@@ -25,11 +25,13 @@ from .ingest import (
     apply_bins,
     augment_channels,
     compute_bins,
+    decode_text,
     dumps_json,
     load_requests,
     load_store,
     parse_event_log,
     parse_json,
+    read_text,
     sha256_file,
     stabilize,
     write_store,
@@ -120,7 +122,7 @@ def ingest(logs, out, residents, location_map, channels, **kwargs) -> None:
     cfg = _build_config(kwargs)
     loc_map = None
     if location_map:
-        loc_map = parse_json(Path(location_map).read_text(encoding="utf-8"), location_map)
+        loc_map = parse_json(read_text(location_map), location_map)
         if not isinstance(loc_map, dict):
             raise DataError(f"{location_map}: location map must be a JSON object")
         for sensor, location in loc_map.items():
@@ -221,10 +223,10 @@ def _load_conflict_stream(path: str, requests, inputs: list[dict]) -> list[Confl
     """Situations of a ``detect`` stream whose header names the digests of ``inputs``."""
     by_id = {r.request_id: r for r in requests}
     situations = []
-    text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
     where = "stdin" if path == "-" else path
+    text = decode_text(sys.stdin.buffer.read(), where) if path == "-" else read_text(path)
     header = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.strip()
         if not line:
             continue

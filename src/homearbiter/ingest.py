@@ -28,6 +28,8 @@ import datetime as dt
 import hashlib
 import json
 import math
+import operator
+import os
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -39,7 +41,7 @@ import numpy as np
 from .errors import DataError, ParseError
 from .intervals import SECONDS_PER_DAY, TimeOfDayInterval, check_interval, format_hms, parse_hms
 from .model import AttributeValue, ServiceEvent, ServiceRequest, finite_number, normalize_location
-from .preferences import History, HistoryRows
+from .preferences import History
 
 LOG_COLUMNS = ["date", "time", "sensor", "status", "value", "resident", "location"]
 END_OF_DAY = SECONDS_PER_DAY - 1
@@ -143,56 +145,60 @@ def _read_log_records(path: str | Path, resident: str | None, location_map: Mapp
     times: dict[str, int] = {}
     attributes: dict[str, tuple[str, AttributeValue]] = {}
     locations: dict[tuple[str, str], str] = {}
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            return
-        if [h.strip() for h in header] != LOG_COLUMNS:
-            raise ParseError(f"expected header {','.join(LOG_COLUMNS)!r}", path=str(path), line=1)
-        previous = None
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(LOG_COLUMNS):
-                raise ParseError(f"expected {len(LOG_COLUMNS)} fields, got {len(row)}", path=str(path), line=lineno)
-            date_s, time_s, sensor, status, value, row_resident, location = map(str.strip, row)
+    try:
+        with path.open(newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
             try:
-                date = dates.get(date_s)
-                if date is None:
-                    date = dates[date_s] = dt.date.fromisoformat(date_s)
-                time = times.get(time_s)
-                if time is None:
-                    time = times[time_s] = parse_hms(time_s)
-                attribute = attributes.get(value)
-                if attribute is None:
-                    attribute = attributes[value] = _parse_attribute(value)
-            except ValueError as exc:
-                raise ParseError(str(exc), path=str(path), line=lineno) from exc
-            if previous is not None and (date, time) < previous:
-                raise ParseError(f"row at {date_s} {time_s} is earlier than the previous row; "
-                                 "rows must be in (date, time) order", path=str(path), line=lineno)
-            previous = (date, time)
-            if not sensor:
-                raise ParseError("empty sensor label", path=str(path), line=lineno)
-            status = status.upper()
-            if status not in ("ON", "OFF", "SET"):
-                raise ParseError(f"unknown status {status!r}", path=str(path), line=lineno)
-            effective_resident = resident if resident is not None else row_resident
-            if not effective_resident:
-                raise ParseError("no resident id (column empty and none supplied)", path=str(path), line=lineno)
-            if status == "ON":
-                mapped = locations.get((sensor, location))
-                if mapped is None:
-                    mapped = normalize_location(location_map.get(sensor, location))
-                    if not mapped:
-                        raise ParseError("empty location (column empty and none mapped)", path=str(path), line=lineno)
-                    locations[sensor, location] = mapped
-                location = mapped
-            else:
-                location = None
-            yield date, time, sensor, status, attribute, effective_resident, location
+                header = next(reader)
+            except StopIteration:
+                return
+            if [h.strip() for h in header] != LOG_COLUMNS:
+                raise ParseError(f"expected header {','.join(LOG_COLUMNS)!r}", path=str(path), line=1)
+            previous = None
+            for lineno, row in enumerate(reader, start=2):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) != len(LOG_COLUMNS):
+                    raise ParseError(f"expected {len(LOG_COLUMNS)} fields, got {len(row)}", path=str(path), line=lineno)
+                date_s, time_s, sensor, status, value, row_resident, location = map(str.strip, row)
+                try:
+                    date = dates.get(date_s)
+                    if date is None:
+                        date = dates[date_s] = dt.date.fromisoformat(date_s)
+                    time = times.get(time_s)
+                    if time is None:
+                        time = times[time_s] = parse_hms(time_s)
+                    attribute = attributes.get(value)
+                    if attribute is None:
+                        attribute = attributes[value] = _parse_attribute(value)
+                except ValueError as exc:
+                    raise ParseError(str(exc), path=str(path), line=lineno) from exc
+                if previous is not None and (date, time) < previous:
+                    raise ParseError(f"row at {date_s} {time_s} is earlier than the previous row; "
+                                     "rows must be in (date, time) order", path=str(path), line=lineno)
+                previous = (date, time)
+                if not sensor:
+                    raise ParseError("empty sensor label", path=str(path), line=lineno)
+                status = status.upper()
+                if status not in ("ON", "OFF", "SET"):
+                    raise ParseError(f"unknown status {status!r}", path=str(path), line=lineno)
+                effective_resident = resident if resident is not None else row_resident
+                if not effective_resident:
+                    raise ParseError("no resident id (column empty and none supplied)", path=str(path), line=lineno)
+                if status == "ON":
+                    mapped = locations.get((sensor, location))
+                    if mapped is None:
+                        mapped = normalize_location(location_map.get(sensor, location))
+                        if not mapped:
+                            raise ParseError("empty location (column empty and none mapped)", path=str(path), line=lineno)
+                        locations[sensor, location] = mapped
+                    location = mapped
+                else:
+                    location = None
+                yield date, time, sensor, status, attribute, effective_resident, location
+    except UnicodeDecodeError:
+        read_text(path)  # raises the ParseError naming the line of the first byte that is not UTF-8
+        raise
 
 
 def parse_event_log(
@@ -426,49 +432,48 @@ def load_requests(path: str | Path, bin_specs: Mapping[tuple[str, str], BinningS
     request values are mapped into the matching bins so requested items live
     in the same item space as a binned history.
     """
-    path = Path(path)
+    where = str(path)
     requests: list[ServiceRequest] = []
     seen: set[str] = set()
-    with path.open(encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            obj = parse_json(line, str(path), lineno)
-            if not isinstance(obj, dict):
-                raise ParseError(f"expected a JSON object, got {type(obj).__name__}", path=str(path), line=lineno)
-            try:
-                for name in ("request_id", "service_id", "attribute", "location", "resident"):
-                    if not isinstance(obj[name], str):
-                        raise ValueError(f"{name} must be a string")
-                if not obj["location"].strip():
-                    raise ValueError("location must be non-empty")
-                if obj["request_id"] in seen:
-                    raise ValueError(f"duplicate request id {obj['request_id']!r}")
-                raw = obj["value"]
-                if type(raw) not in (str, int, float):  # a bool is not an int here
-                    raise ValueError("value must be a string or a finite number")
-                value = parse_value(str(raw))
-                if value.kind == "numeric" and bin_specs:
-                    spec = bin_specs.get((obj["service_id"], obj["attribute"]))
-                    if spec is not None:
-                        value, _ = bin_value(value.value, spec)
-                requests.append(
-                    ServiceRequest(
-                        request_id=obj["request_id"],
-                        service_id=obj["service_id"],
-                        attribute=obj["attribute"],
-                        value=value,
-                        interval=TimeOfDayInterval(parse_hms(obj["start"]), parse_hms(obj["end"])),
-                        location=obj["location"],
-                        resident=obj["resident"],
-                    )
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        obj = parse_json(line, where, lineno)
+        if not isinstance(obj, dict):
+            raise ParseError(f"expected a JSON object, got {type(obj).__name__}", path=where, line=lineno)
+        try:
+            for name in ("request_id", "service_id", "attribute", "location", "resident"):
+                if not isinstance(obj[name], str):
+                    raise ValueError(f"{name} must be a string")
+            if not obj["location"].strip():
+                raise ValueError("location must be non-empty")
+            if obj["request_id"] in seen:
+                raise ValueError(f"duplicate request id {obj['request_id']!r}")
+            raw = obj["value"]
+            if type(raw) not in (str, int, float):  # a bool is not an int here
+                raise ValueError("value must be a string or a finite number")
+            value = parse_value(str(raw))
+            if value.kind == "numeric" and bin_specs:
+                spec = bin_specs.get((obj["service_id"], obj["attribute"]))
+                if spec is not None:
+                    value, _ = bin_value(value.value, spec)
+            requests.append(
+                ServiceRequest(
+                    request_id=obj["request_id"],
+                    service_id=obj["service_id"],
+                    attribute=obj["attribute"],
+                    value=value,
+                    interval=TimeOfDayInterval(parse_hms(obj["start"]), parse_hms(obj["end"])),
+                    location=obj["location"],
+                    resident=obj["resident"],
                 )
-            except KeyError as exc:
-                raise ParseError(f"missing field {exc.args[0]!r}", path=str(path), line=lineno) from exc
-            except (TypeError, ValueError) as exc:
-                raise ParseError(str(exc), path=str(path), line=lineno) from exc
-            seen.add(obj["request_id"])
+            )
+        except KeyError as exc:
+            raise ParseError(f"missing field {exc.args[0]!r}", path=where, line=lineno) from exc
+        except (TypeError, ValueError) as exc:
+            raise ParseError(str(exc), path=where, line=lineno) from exc
+        seen.add(obj["request_id"])
     return requests
 
 
@@ -486,6 +491,26 @@ def _event_from_json(obj: dict) -> ServiceEvent:
         location=obj["location"],
         resident=obj["resident"],
     )
+
+
+def decode_text(data: bytes, where: str) -> str:
+    """UTF-8 ``data`` as text, with each ``\\r\\n`` or ``\\r`` read as ``\\n``, as ``open`` reads a file.
+
+    A byte that is not UTF-8 raises a :class:`ParseError` naming ``where``
+    and the line that holds the first such byte.
+    """
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise ParseError(f"not UTF-8: byte 0x{data[exc.start]:02x} ({exc.reason})", path=where, line=line) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
+def read_text(path: str | Path) -> str:
+    """The text of a UTF-8 file, by :func:`decode_text`."""
+    return decode_text(Path(path).read_bytes(), str(path))
 
 
 def parse_json(text: str, path: str, line: int | None = None):
@@ -524,15 +549,24 @@ def _bins_from_json(entries) -> dict[tuple[str, str], BinningSpec]:
 class EventStore:
     """A loaded store.
 
-    ``history`` is the index :func:`load_store` fills as it reads the event
-    lines; ``events`` are built from the accepted ``lines`` on first access.
-    ``header["bins"]``, when present, maps (service_id, attribute) to its spec.
+    ``history`` is the index :func:`load_store` builds from the store file,
+    whose text it does not keep.  The event ``lines`` and their ``events``
+    read the file again on first access; a file changed since the load
+    raises a :class:`DataError`.  ``header["bins"]``, when present, maps
+    (service_id, attribute) to its spec.
     """
 
     header: dict
     history: History
     path: str
-    lines: list[str] = field(repr=False)
+    stamp: tuple[int, int] = field(repr=False)  # the file's size and modification time at the load
+
+    @cached_property
+    def lines(self) -> list[str]:
+        """The event lines, stripped: every non-blank line after the header."""
+        if _stamp(os.stat(self.path)) != self.stamp:
+            raise DataError(f"{self.path}: store changed since it was loaded")
+        return [line for line in map(str.strip, read_text(self.path).split("\n")) if line][1:]
 
     @cached_property
     def events(self) -> list[ServiceEvent]:
@@ -540,6 +574,10 @@ class EventStore:
 
     def bin_specs(self) -> dict[tuple[str, str], BinningSpec]:
         return dict(self.header.get("bins", {}))
+
+
+def _stamp(status: os.stat_result) -> tuple[int, int]:
+    return status.st_size, status.st_mtime_ns
 
 
 def write_store(path: str | Path, events: Sequence[ServiceEvent], header: Mapping) -> None:
@@ -592,115 +630,191 @@ def _canonical_line(attributes: str, date: str, end: int, event_id: str, locatio
             f'"location":"{location}","resident":"{resident}","service_id":"{service_id}","start":{start}}}')
 
 
-# An event line of the form :func:`_canonical_line` writes.  A string here has no escape and no
-# control character, so its text is its value.  An integer has no leading zero (invalid JSON) and
-# at most five digits: every valid second fits, and int() never meets its 4300-digit limit.
+# One match per line of a piece of a store's event lines: an event line of the form :func:`_canonical_line`
+# writes, with its fields but the event id captured, or any other line, whole, in the last group.
+# Neither ``.`` nor any class here matches a newline.  A captured string has no escape and no control
+# character, so its text is its value.  An integer has no leading zero (invalid JSON) and at most five
+# digits: every valid second fits, and int() never meets its 4300-digit limit.
 _STRING = r'"([^"\\\x00-\x1f]*)"'
 _INTEGER = r"(0|[1-9][0-9]{0,4})"
-_CANONICAL_EVENT = re.compile(
-    rf'\{{"attributes":(\{{.*?\}}),"date":{_STRING},"end":{_INTEGER},"event_id":{_STRING},'
-    rf'"location":{_STRING},"resident":{_STRING},"service_id":{_STRING},"start":{_INTEGER}\}}')
+_STORE_LINE = re.compile(
+    rf'^(?:\{{"attributes":(\{{.*?\}}),"date":{_STRING},"end":{_INTEGER},"event_id":"[^"\\\x00-\x1f]*",'
+    rf'"location":{_STRING},"resident":{_STRING},"service_id":{_STRING},"start":{_INTEGER}\}}|(.*))$', re.M)
+_PIECE = 1 << 16  # characters of a store read at a time
+
+
+def _pieces(handle) -> Iterator[str]:
+    """The text of an open file in pieces of whole lines; each piece but the last ends with a newline."""
+    rest = ""
+    while chunk := handle.read(_PIECE):
+        cut = chunk.rfind("\n") + 1
+        if cut:
+            yield rest + chunk[:cut]
+            rest = chunk[cut:]
+        else:
+            rest += chunk
+    if rest:
+        yield rest
+
+
+def _items_of(attributes) -> tuple[tuple[str, str], ...]:
+    """The (attribute, item label) pairs of a stored attributes object; raises ``ValueError`` unless valid."""
+    if not isinstance(attributes, dict):
+        raise ValueError("attributes must be an object of objects")
+    return tuple((name, AttributeValue.item_label_of_json(value)) for name, value in attributes.items())
+
+
+def _blob_items(blob: str) -> tuple[tuple[str, str], ...] | None:
+    """The pairs of a captured attributes object, or ``None`` when it fails a check."""
+    try:
+        # A blob that json.loads accepts is one whole JSON value, so the line is an object
+        # of exactly the eight fields, and json.loads of the line gives the captured values.
+        return _items_of(json.loads(blob)) or None
+    except (LookupError, TypeError, ValueError, OverflowError):
+        return None
+
+
+def _ordinal(date: str) -> int:
+    """The ordinal of a captured date, or 0 (no date's) when it is not one."""
+    try:
+        return dt.date.fromisoformat(date).toordinal()
+    except ValueError:
+        return 0
+
+
+def _checked_row(obj) -> tuple:
+    """(service, location, date ordinal, start, end, resident, items) of a whole store event record."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+    for name in ("event_id", "service_id", "date", "location", "resident"):
+        if not isinstance(obj[name], str):
+            raise ValueError(f"{name} must be a string")
+    items = _items_of(obj["attributes"])
+    ordinal = dt.date.fromisoformat(obj["date"]).toordinal()
+    start, end = obj["start"], obj["end"]
+    check_interval(start, end)
+    if not items:
+        raise ValueError(f"event {obj['event_id']}: attributes must be non-empty")
+    return obj["service_id"], normalize_location(obj["location"]), ordinal, start, end, obj["resident"], items
+
+
+def _store_header(line: str, where: str, lineno: int) -> dict:
+    """The header of a store, from its first non-blank line, stripped (``""`` when it has none)."""
+    if not line:
+        raise ParseError(f"no store header, expected schema {STORE_SCHEMA!r}", path=where)
+    header = parse_json(line, where, lineno)
+    schema = header.get("schema") if isinstance(header, dict) else None
+    if schema != STORE_SCHEMA:
+        raise ParseError(f"unknown store schema {schema!r}", path=where, line=lineno)
+    if "bins" in header:
+        try:
+            header["bins"] = _bins_from_json(header["bins"])
+        except (LookupError, TypeError, ValueError, OverflowError) as exc:
+            raise ParseError(f"bad bins entry: {exc}", path=where, line=lineno) from exc
+    return header
+
+
+class _EventColumns:
+    """The :class:`History` columns of a store's event lines, read a piece of text at a time.
+
+    Each piece's canonical lines are captured by one ``findall``; every
+    other step works on whole columns.  Attribute objects, dates and
+    locations repeat across lines, so each distinct one is checked once.
+    """
+
+    def __init__(self, where: str):
+        self.where = where
+        self.service: list[str] = []
+        self.location: list[str] = []
+        self.resident: list[str] = []
+        self.items: list[tuple] = []
+        none = np.zeros(0, dtype=np.int64)
+        self.ordinal, self.start, self.end = [none], [none], [none]  # one array per piece
+        self.blobs: dict[str, tuple | None] = {}
+        self.ordinals: dict[str, int] = {}
+        self.locations: dict[str, str] = {}
+        self.labels: dict[str, str] = {}  # one copy of each resident and service label
+
+    def read(self, piece: str, lineno: int) -> int:
+        """Add the event lines of ``piece``, the first of them line ``lineno`` of the file; their count."""
+        rows = _STORE_LINE.findall(piece, 0, len(piece) - piece.endswith("\n"))
+        blob, date, end, location, resident, service, start, other = zip(*rows)
+        del rows
+        count = len(blob)
+        for memo, check, column in ((self.blobs, _blob_items, blob), (self.ordinals, _ordinal, date),
+                                    (self.locations, normalize_location, location)):
+            for text in dict.fromkeys(column).keys() - memo.keys():
+                memo[text] = check(text)
+        items = list(map(self.blobs.__getitem__, blob))  # None for a blob that fails, or no blob: ""
+        ordinal = np.fromiter(map(self.ordinals.__getitem__, date), np.int64, count)
+        if "" in blob:  # a line of another form captures no field; its row comes from the checked read
+            start, end = ([digits or "0" for digits in column] for column in (start, end))
+        start, end = np.fromstring(",".join(start + end), dtype=np.int64, sep=",").reshape(2, count)
+        failed = np.fromiter(map(operator.not_, items), bool, count)
+        failed |= (ordinal == 0) | (start == end) | (np.maximum(start, end) >= SECONDS_PER_DAY)
+        location = list(map(self.locations.__getitem__, location))
+        resident = list(map(self.labels.setdefault, resident, resident))
+        service = list(map(self.labels.setdefault, service, service))
+
+        # In file order, so the first line that the checked read rejects raises.
+        blank: list[int] = []
+        lines: list[str] = []
+        for row in np.flatnonzero(failed).tolist():
+            if blob[row]:  # a canonical line that failed a check: its text was not captured
+                lines = lines or piece.split("\n")
+                line = lines[row].strip()
+            else:
+                line = other[row].strip()
+            if not line:
+                blank.append(row)
+                continue
+            try:
+                fields = _checked_row(parse_json(line, self.where, lineno + row))
+            except (LookupError, TypeError, ValueError, OverflowError) as exc:
+                raise ParseError(f"bad event record: {exc}", path=self.where, line=lineno + row) from exc
+            service[row], location[row], ordinal[row], start[row], end[row], resident[row], items[row] = fields
+        for row in reversed(blank):  # a blank line holds no event
+            for column in (service, location, resident, items):
+                del column[row]
+        for columns, values in ((self.ordinal, ordinal), (self.start, start), (self.end, end)):
+            columns.append(np.delete(values, blank))
+        for column, values in ((self.service, service), (self.location, location), (self.resident, resident),
+                               (self.items, items)):
+            column.extend(values)
+        return count
+
+    def history(self) -> History:
+        return History.from_columns(self.service, self.location, np.concatenate(self.ordinal),
+                                    np.concatenate(self.start), np.concatenate(self.end), self.resident, self.items)
 
 
 def load_store(path: str | Path) -> EventStore:
-    """Read a store, appending each event line to the :class:`History` columns.
+    """Read a store, building the :class:`History` columns from the whole file, a piece at a time.
 
     An event line must pass every check that building its
     :class:`ServiceEvent` makes; the first that fails raises a
-    :class:`ParseError` naming its ``file:line``.  A line in the canonical
-    form :func:`write_store` writes is read with one pattern match and
-    checked from the captured fields; any other line, and any canonical
-    line that fails a check, is read and checked as a whole JSON object,
-    which raises that line's error.
+    :class:`ParseError` naming its ``file:line``.  Every line in the
+    canonical form :func:`write_store` writes is read by a pattern match
+    over the text, and checked from the captured fields.  Any other line,
+    and any canonical line that fails a check, is read and checked as a
+    whole JSON object, in file order, which raises the first such line's
+    error.
     """
-    path = Path(path)
-    header: dict | None = None
-    rows = HistoryRows()
-    lines: list[str] = []
-    # Attribute objects, dates and locations repeat across lines; each memo holds only values that passed.
-    blobs: dict[str, list[tuple[str, str]]] = {}
-    ordinals: dict[str, int] = {}
-    locations: dict[str, str] = {}
-
-    def items_of(attributes) -> list[tuple[str, str]]:
-        if not isinstance(attributes, dict):
-            raise ValueError("attributes must be an object of objects")
-        return [(name, AttributeValue.item_label_of_json(value)) for name, value in attributes.items()]
-
-    def ordinal_of(date: str) -> int:
-        ordinal = ordinals.get(date)
-        if ordinal is None:
-            ordinal = ordinals[date] = dt.date.fromisoformat(date).toordinal()
-        return ordinal
-
-    def location_of(label: str) -> str:
-        location = locations.get(label)
-        if location is None:
-            location = locations[label] = normalize_location(label)
-        return location
-
-    def canonical_row(match: re.Match) -> tuple:
-        # A blob that json.loads accepts is one whole JSON value, so the line is an
-        # object of exactly these eight fields, and json.loads of it gives these values.
-        blob, date, end, _, location, resident, service_id, start = match.groups()
-        items = blobs.get(blob)
-        if items is None:
-            items = items_of(json.loads(blob))
-            if not items:
-                raise ValueError("empty attributes")
-            blobs[blob] = items
-        start, end = int(start), int(end)
-        check_interval(start, end)
-        return service_id, location_of(location), ordinal_of(date), start, end, resident, items
-
-    def checked_row(obj) -> tuple:
-        if not isinstance(obj, dict):
-            raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
-        for name in ("event_id", "service_id", "date", "location", "resident"):
-            if not isinstance(obj[name], str):
-                raise ValueError(f"{name} must be a string")
-        items = items_of(obj["attributes"])
-        ordinal = ordinal_of(obj["date"])
-        start, end = obj["start"], obj["end"]
-        check_interval(start, end)
-        if not items:
-            raise ValueError(f"event {obj['event_id']}: attributes must be non-empty")
-        return obj["service_id"], location_of(obj["location"]), ordinal, start, end, obj["resident"], items
-
-    with path.open(encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if header is None:
-                header = parse_json(line, str(path), lineno)
-                schema = header.get("schema") if isinstance(header, dict) else None
-                if schema != STORE_SCHEMA:
-                    raise ParseError(f"unknown store schema {schema!r}", path=str(path), line=lineno)
-                if "bins" in header:
-                    try:
-                        header["bins"] = _bins_from_json(header["bins"])
-                    except (LookupError, TypeError, ValueError, OverflowError) as exc:
-                        raise ParseError(f"bad bins entry: {exc}", path=str(path), line=lineno) from exc
-                continue
-            row = None
-            match = _CANONICAL_EVENT.fullmatch(line)
-            if match is not None:
-                try:
-                    row = canonical_row(match)
-                except (LookupError, TypeError, ValueError, OverflowError):
-                    pass  # the checked read below raises this line's error
-            if row is None:
-                obj = parse_json(line, str(path), lineno)
-                try:
-                    row = checked_row(obj)
-                except (LookupError, TypeError, ValueError, OverflowError) as exc:
-                    raise ParseError(f"bad event record: {exc}", path=str(path), line=lineno) from exc
-            rows.append(*row)
-            lines.append(line)
-    if header is None:
-        raise ParseError(f"no store header, expected schema {STORE_SCHEMA!r}", path=str(path))
-    return EventStore(header=header, history=History.from_rows(rows), path=str(path), lines=lines)
+    where = str(path)
+    columns = _EventColumns(where)
+    try:
+        with open(path, encoding="utf-8") as handle:
+            stamp = _stamp(os.fstat(handle.fileno()))
+            lineno = 1
+            while (line := handle.readline()) and not line.strip():
+                lineno += 1
+            header = _store_header(line.strip(), where, lineno)
+            for piece in _pieces(handle):
+                lineno += columns.read(piece, lineno + 1)
+    except UnicodeDecodeError:
+        read_text(path)  # raises the ParseError naming the line of the first byte that is not UTF-8
+        raise
+    return EventStore(header=header, history=columns.history(), path=where, stamp=stamp)
 
 
 def sha256_file(path: str | Path) -> str:

@@ -15,7 +15,7 @@ form.
 
 from __future__ import annotations
 
-from array import array
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -79,21 +79,16 @@ class _Columns:
     midnight.
     """
 
-    def __init__(self, date: array, start: array, end: array, resident: array,
-                 items: dict[str, tuple[array, array]]):
-        self.date = np.asarray(date, dtype=np.int64)
-        self.start = np.asarray(start, dtype=np.int64)
-        end = np.asarray(end, dtype=np.int64)
-        wraps = end < self.start
+    def __init__(self, date: np.ndarray, start: np.ndarray, end: np.ndarray, resident: np.ndarray,
+                 items: dict[str, np.ndarray]):
+        self.date = date
+        self.start = start
+        wraps = end < start
         self.end1 = np.where(wraps, SECONDS_PER_DAY, end)
         self.end2 = np.where(wraps, end, 0)
         self.duration = self.end1 - self.start + self.end2
-        self.resident = np.asarray(resident, dtype=np.int64)
-        self.items: dict[str, np.ndarray] = {}
-        for name, (rows, codes) in items.items():
-            column = np.full(len(date), -1, dtype=np.int64)
-            column[np.asarray(rows, dtype=np.int64)] = np.asarray(codes, dtype=np.int64)
-            self.items[name] = column
+        self.resident = resident
+        self.items = items
 
     def overlap(self, window: TimeOfDayInterval) -> np.ndarray:
         """Seconds each event shares with ``window``, summed over the segment pairs."""
@@ -104,42 +99,17 @@ class _Columns:
         return total
 
 
-_NO_EVENTS = _Columns(array("q"), array("q"), array("q"), array("q"), {})
+_NONE = np.zeros(0, dtype=np.int64)
+_NO_EVENTS = _Columns(_NONE, _NONE, _NONE, _NONE, {})
 
 
-class HistoryRows:
-    """A history's rows, appended one at a time: what :class:`History` indexes.
-
-    A row is (service, location, date ordinal, start, end, resident,
-    [(attribute, item label), ...]).  Rows are grouped by (service, location)
-    into typed arrays, which hold no Python int objects and which numpy reads
-    without a copy; residents and item labels get codes in order of first
-    appearance.
-    """
-
-    def __init__(self) -> None:
-        self.resident_codes: dict[str, int] = {}
-        self.item_codes: dict[str, int] = {}
-        # (service, location) -> date, start, end, resident, {attribute: (rows, item codes)}
-        self.groups: dict[tuple[str, str], tuple[array, array, array, array, dict]] = {}
-
-    def append(self, service: str, location: str, date: int, start: int, end: int, resident: str,
-               items: Iterable[tuple[str, str]]) -> None:
-        group = self.groups.get((service, location))
-        if group is None:
-            group = self.groups[(service, location)] = (array("q"), array("q"), array("q"), array("q"), {})
-        dates, starts, ends, residents, columns = group
-        row = len(dates)
-        dates.append(date)
-        starts.append(start)
-        ends.append(end)
-        residents.append(self.resident_codes.setdefault(resident, len(self.resident_codes)))
-        for name, label in items:
-            column = columns.get(name)
-            if column is None:
-                column = columns[name] = (array("q"), array("q"))
-            column[0].append(row)
-            column[1].append(self.item_codes.setdefault(label, len(self.item_codes)))
+def _coded(values: Iterable, count: int) -> tuple[list, np.ndarray]:
+    """The ``count`` values' distinct ones, in order of first appearance, and each value's index among them."""
+    first: dict = {}  # each distinct value's first position
+    position = np.fromiter(map(first.setdefault, values, itertools.count()), np.int64, count)
+    code = np.zeros(count, dtype=np.int64)
+    code[list(first.values())] = np.arange(len(first))
+    return list(first), code[position]
 
 
 class History:
@@ -148,31 +118,61 @@ class History:
     Per (service, location) it holds numpy arrays in history order: the date
     ordinal, the time of day, a resident code and, per attribute, an item
     code (-1 where the event lacks the attribute).  Codes index
-    :attr:`residents` and :attr:`item_labels`; ``latest`` is the latest date
-    ordinal of the whole history, from which a lookback counts back.
+    :attr:`residents` and :attr:`item_labels`, each in order of first
+    appearance; ``latest`` is the latest date ordinal of the whole history,
+    from which a lookback counts back.
     """
 
     def __init__(self, events: Iterable[ServiceEvent]):
-        rows = HistoryRows()
-        for event in events:
-            rows.append(event.service_id, event.location, event.date.toordinal(), event.interval.start,
-                        event.interval.end, event.resident,
-                        [(name, value.item_label()) for name, value in event.attributes.items()])
-        self._index(rows)
+        events = list(events)
+        self._index([e.service_id for e in events], [e.location for e in events],
+                    [e.date.toordinal() for e in events], [e.interval.start for e in events],
+                    [e.interval.end for e in events], [e.resident for e in events],
+                    [tuple((name, value.item_label()) for name, value in e.attributes.items()) for e in events])
 
     @classmethod
-    def from_rows(cls, rows: HistoryRows) -> History:
-        """The index of rows appended straight from an input, with no event objects in between."""
+    def from_columns(cls, service: Sequence[str], location: Sequence[str], date: Sequence[int],
+                     start: Sequence[int], end: Sequence[int], resident: Sequence[str],
+                     items: Sequence[tuple[tuple[str, str], ...]]) -> History:
+        """The index of a history given as columns, one entry per event in history order.
+
+        ``date`` holds date ordinals, ``location`` normalized locations and
+        ``items`` each event's ((attribute, item label), ...).
+        """
         history = cls.__new__(cls)
-        history._index(rows)
+        history._index(service, location, date, start, end, resident, items)
         return history
 
-    def _index(self, rows: HistoryRows) -> None:
-        self.residents = tuple(rows.resident_codes)
-        self.item_labels = tuple(rows.item_codes)
-        self._resident_codes = rows.resident_codes
-        self.groups = {key: _Columns(*group) for key, group in rows.groups.items()}
-        self.latest = max((int(c.date.max()) for c in self.groups.values()), default=None)
+    def _index(self, service, location, date, start, end, resident, items) -> None:
+        count = len(service)
+        residents, resident = _coded(resident, count)
+        self.residents = tuple(residents)
+        self._resident_codes = {name: code for code, name in enumerate(residents)}
+        date, start, end = (np.asarray(column, dtype=np.int64) for column in (date, start, end))
+        self.latest = int(date.max()) if count else None
+
+        # Events share few distinct item tuples: each tuple's item codes are found once, and item
+        # labels get codes in order of first appearance over the tuples, which is that over the events.
+        tuples, kind = _coded(items, count)
+        item_codes: dict[str, int] = {}
+        by_attribute: dict[str, np.ndarray] = {}
+        for code, pairs in enumerate(tuples):
+            for name, label in pairs:
+                if name not in by_attribute:
+                    by_attribute[name] = np.full(len(tuples), -1, dtype=np.int64)
+                by_attribute[name][code] = item_codes.setdefault(label, len(item_codes))
+        self.item_labels = tuple(item_codes)
+
+        # One stable sort brings each (service, location)'s events together, in history order.
+        keys, group = _coded(zip(service, location), count)
+        order = np.argsort(group, kind="stable")
+        bounds = np.cumsum(np.bincount(group, minlength=len(keys))).tolist()
+        self.groups = {}
+        for key, lo, hi in zip(keys, [0, *bounds], bounds):
+            rows = order[lo:hi]
+            columns = {name: codes[kind[rows]] for name, codes in by_attribute.items()}
+            self.groups[key] = _Columns(date[rows], start[rows], end[rows], resident[rows],
+                                        {name: column for name, column in columns.items() if column.max() >= 0})
 
     @classmethod
     def of(cls, history: History | Iterable[ServiceEvent]) -> History:

@@ -117,6 +117,32 @@ def event_from_json(obj) -> ServiceEvent:
     )
 
 
+def history_columns(events: Sequence[ServiceEvent]) -> tuple:
+    """A history's residents, item labels, latest date ordinal and per-(service, location) columns, coded
+    in order of first appearance by one pass over the events: the reference for ``preferences.History``."""
+    residents: dict[str, int] = {}
+    labels: dict[str, int] = {}
+    rows: dict[tuple[str, str], list[tuple]] = {}
+    for e in events:
+        items = {name: labels.setdefault(value.item_label(), len(labels)) for name, value in e.attributes.items()}
+        rows.setdefault((e.service_id, e.location), []).append(
+            (e.date.toordinal(), e.interval, residents.setdefault(e.resident, len(residents)), items))
+    groups = {}
+    for key, group in rows.items():
+        names = {name: None for *_, items in group for name in items}
+        groups[key] = {
+            "date": [date for date, *_ in group],
+            "start": [interval.start for _, interval, *_ in group],
+            "end1": [interval.segments()[0][1] for _, interval, *_ in group],
+            "end2": [interval.end if interval.wraps else 0 for _, interval, *_ in group],
+            "duration": [interval.duration() for _, interval, *_ in group],
+            "resident": [resident for *_, resident, _ in group],
+            "items": {name: [items.get(name, -1) for *_, items in group] for name in names},
+        }
+    latest = max((e.date.toordinal() for e in events), default=None)
+    return tuple(residents), tuple(labels), latest, groups
+
+
 def event_to_json(e: ServiceEvent) -> dict:
     """An event's store record: ``dumps_json`` of it is the reference for ``write_store``'s event lines."""
     return {

@@ -55,11 +55,13 @@ def test_ingest_writes_every_event_line_in_the_canonical_form(tmp_path, monkeypa
     assert parsed == [header]
 
 
-# The names that a tracer wraps to time the stages: of the cli module for ingest, of the aggregate and
-# evaluate modules for resolve and evaluate.
+# The names that a tracer wraps to time the stages: of the cli module for ingest and the input readers,
+# of the aggregate and evaluate modules for resolve and evaluate.
 INGEST_STAGES = ("parse_event_log", "stabilize", "compute_bins", "apply_bins", "write_store")
 RESOLVE_STAGES = ("build_preference_table", "build_item_set", "build_preference_matrix", "consensus_distance")
 EVALUATE_STAGES = ("adopted_items", "satisfaction_gain", "harmonic_satisfaction", "average_satisfaction")
+# The input readers of the cli module, which a tracer wraps for resolve and evaluate.
+INPUT_STAGES = ("load_store", "load_requests", "sha256_file")
 
 
 def _count_calls(monkeypatch, module, names) -> dict:
@@ -86,24 +88,32 @@ def test_ingest_calls_each_stage_through_the_name_cli_imports(tmp_path, monkeypa
 
 
 def test_resolve_and_evaluate_call_each_stage_through_the_module_names(workspace, tmp_path, monkeypatch, capsys):
-    from homearbiter import aggregate, evaluate
+    from homearbiter import aggregate, cli as cli_module, evaluate
 
     inputs = ["--store", str(workspace / "store.jsonl"), "--requests", str(workspace / "requests.jsonl")]
+    stores, load_store = [], cli_module.load_store
+    monkeypatch.setattr(cli_module, "load_store", lambda path: stores.append(load_store(path)) or stores[-1])
+    read = _count_calls(monkeypatch, cli_module, INPUT_STAGES)
     built = _count_calls(monkeypatch, aggregate, RESOLVE_STAGES)
     scored = _count_calls(monkeypatch, evaluate, EVALUATE_STAGES)
     out = tmp_path / "resolved.jsonl"
     assert main(["resolve", *inputs, "--debug", "--out", str(out)]) == 0
     records = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()[1:]]
     assert records
+    assert read == {"load_store": 1, "load_requests": 1, "sha256_file": 2}
     assert built == {"build_preference_table": len(records), "build_item_set": len(records),
                      "build_preference_matrix": len(records),
                      "consensus_distance": sum(len(record["debug"]["items"]) for record in records)}
     assert main(["evaluate", *inputs, "--out-prefix", str(tmp_path / "report")]) == 0
     capsys.readouterr()
+    assert read == {"load_store": 2, "load_requests": 2, "sha256_file": 4}
     details = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))["details"]
     situations = [d for d in details if d["strategy"] == details[0]["strategy"]]
     assert scored == {"adopted_items": sum(d["group_size"] for d in situations), "satisfaction_gain": len(details),
                       "harmonic_satisfaction": len(details), "average_satisfaction": len(details)}
+    # A tracer counts a loaded store's events: one per event line.
+    event_lines = len((workspace / "store.jsonl").read_text(encoding="utf-8").splitlines()) - 1
+    assert [len(store.events) for store in stores] == [event_lines] * 2
 
 
 def test_store_header_embeds_config_and_digests(workspace):
@@ -582,6 +592,20 @@ def test_malformed_conflict_stream_exits_two(workspace, tmp_path, capsys):
     assert f"{numeric_start}:2: bad conflict record: expected HH:MM:SS, got 5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("separator", ["\x85", "\u2028", "\u2029"])
+def test_conflict_stream_lines_end_only_at_newlines(workspace, tmp_path, separator):
+    # JSON allows these raw inside a string, and str.splitlines would end a line at each of them.
+    inputs = ["--store", str(workspace / "store.jsonl"), "--requests", str(workspace / "requests.jsonl")]
+    detected, stream = tmp_path / "detected.jsonl", tmp_path / "stream.jsonl"
+    assert main(["detect", *inputs, "--out", str(detected)]) == 0
+    header, *records = detected.read_text(encoding="utf-8").splitlines()
+    header = json.dumps({**json.loads(header), "note": f"a{separator}b"}, ensure_ascii=False)
+    stream.write_text("\r\n".join([header, *records]) + "\r\n", encoding="utf-8")
+    assert main(["resolve", *inputs, "--conflicts", str(stream), "--out", str(tmp_path / "a.jsonl")]) == 0
+    assert main(["resolve", *inputs, "--conflicts", str(detected), "--out", str(tmp_path / "b.jsonl")]) == 0
+    assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
+
+
 def test_conflict_stream_header_must_match_inputs(workspace, tmp_path, capsys):
     renamed = tmp_path / "renamed-requests.jsonl"
     renamed.write_bytes((workspace / "requests.jsonl").read_bytes())
@@ -745,6 +769,36 @@ def test_location_map_with_a_huge_integer_exits_two(tmp_path, capsys):
     assert not (tmp_path / "store.jsonl").exists()
 
 
+@pytest.mark.parametrize("placement, newline", [("inside line 2", "\n"), ("after the last line", "\n"),
+                                                ("inside line 2", "\r\n"), ("after the last line", "\r")])
+@pytest.mark.parametrize("kind", ["store", "requests", "log", "location-map", "conflicts"])
+def test_a_byte_that_is_not_utf8_exits_two_naming_its_line(workspace, tmp_path, capsys, kind, placement, newline):
+    files = {"store": workspace / "store.jsonl", "requests": workspace / "requests.jsonl",
+             "log": DATA_DIR / "household60.csv", "location-map": tmp_path / "map.json",
+             "conflicts": tmp_path / "conflicts.jsonl"}
+    files["location-map"].write_text(json.dumps({"TV": "den", "radio": "kitchen"}, indent=1), encoding="utf-8")
+    assert main(["detect", "--store", str(files["store"]), "--requests", str(files["requests"]),
+                 "--out", str(files["conflicts"])]) == 0
+    lines = [line.encode("utf-8") for line in files[kind].read_text(encoding="utf-8").splitlines()]
+    if placement == "inside line 2":
+        lines[1] = lines[1][:5] + b"\xff" + lines[1][5:]
+        lineno = 2
+    else:
+        lines.append(b"\xff")
+        lineno = len(lines)
+    files[kind] = tmp_path / f"bad-{files[kind].name}"
+    files[kind].write_bytes(newline.encode().join(lines) + newline.encode())
+    inputs = ["--store", str(files["store"]), "--requests", str(files["requests"])]
+    argv = {"store": ["resolve", *inputs], "requests": ["evaluate", *inputs, "--out-prefix", str(tmp_path / "r")],
+            "log": ["ingest", str(files["log"]), "--out", str(tmp_path / "out.jsonl")],
+            "location-map": ["ingest", str(DATA_DIR / "household60.csv"), "--location-map",
+                             str(files["location-map"]), "--out", str(tmp_path / "out.jsonl")],
+            "conflicts": ["resolve", *inputs, "--conflicts", str(files["conflicts"])]}
+    assert main(argv[kind]) == 2
+    assert capsys.readouterr().err == f"data error: {files[kind]}:{lineno}: not UTF-8: byte 0xff (invalid start byte)\n"
+    assert not (tmp_path / "out.jsonl").exists()
+
+
 def test_history_is_indexed_once_per_call(workspace, tmp_path, monkeypatch, capsys):
     from homearbiter.model import ServiceEvent
     from homearbiter.preferences import History
@@ -752,9 +806,9 @@ def test_history_is_indexed_once_per_call(workspace, tmp_path, monkeypatch, caps
     builds, events = [], []
     index, construct = History._index, ServiceEvent.__init__
 
-    def counting_index(self, rows):
-        builds.append(sum(len(group[0]) for group in rows.groups.values()))
-        index(self, rows)
+    def counting_index(self, service, *columns):
+        builds.append(len(service))
+        index(self, service, *columns)
 
     def counting_events(self, *args, **kwargs):
         events.append(args or kwargs)

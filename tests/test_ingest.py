@@ -6,6 +6,7 @@ import itertools
 import json
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from conftest import (
     compute_bins_loop,
     event_from_json,
     event_to_json,
+    history_columns,
     make_event,
     read_log_records,
 )
@@ -283,6 +285,22 @@ def test_store_header_is_first_non_blank_line(tmp_path):
             load_store(store_path)
 
 
+def test_store_events_read_the_file_again_and_reject_a_changed_one(tmp_path):
+    path = write_log(tmp_path, "2026-01-01,20:00:00,TV,ON,channel=Ch1,r1,living room\n"
+                               "2026-01-01,21:00:00,TV,OFF,,r1,living room\n"
+                               "2026-01-02,20:00:00,TV,ON,channel=Ch2,r1,living room\n"
+                               "2026-01-02,21:00:00,TV,OFF,,r1,living room\n")
+    events = parse_event_log(path).events
+    store_path = tmp_path / "store.jsonl"
+    write_store(store_path, events, header={"config": {}})
+    store, changed = load_store(store_path), load_store(store_path)
+    assert store.events == events
+    write_store(store_path, events[:1], header={"config": {}})
+    with pytest.raises(DataError, match=r"store\.jsonl: store changed since it was loaded"):
+        changed.events
+    assert store.events == events and load_store(store_path).events == events[:1]
+
+
 _json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
     lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=8), children, max_size=4),
@@ -459,6 +477,17 @@ def _canonical_event_text(old: str, new: str) -> _Raw:
     return _Raw(dumps_json(_STORE_EVENT).replace(old, new))
 
 
+# Lines that load_store skips: empty, or all whitespace as str.strip sees it.
+_BLANK_LINES = [_Raw(""), _Raw(" \t"), _Raw("\x1c\u3000")]
+# Characters load_store reads at a time: a line of the store may span pieces, or fill one.
+_PIECES = st.sampled_from([1, 40, 300, ingest._PIECE])
+
+
+def _oracle_example(valid, mutated, position, encoders, later=(), gap=0, piece=ingest._PIECE):
+    return example(valid=valid, mutated=mutated, position=position, encoders=encoders, later=list(later), gap=gap,
+                   piece=piece)
+
+
 def _store_outcome(store_path):
     """What loading a store gives: its error message, or its events and history."""
     try:
@@ -471,43 +500,73 @@ def _store_outcome(store_path):
 
 @settings(max_examples=200, deadline=None)
 @given(valid=st.lists(_VALID_EVENTS, max_size=6), mutated=_MUTATED_EVENTS, position=st.integers(0, 6),
-       encoders=st.lists(st.sampled_from(sorted(_ENCODERS)), min_size=7, max_size=7))
-@example(valid=[_VARIED_EVENT, _STORE_EVENT], mutated=_VARIED_EVENT, position=1, encoders=_CANONICAL)
-@example(valid=[_VARIED_EVENT, _STORE_EVENT] * 3, mutated=_VARIED_EVENT, position=6,
-         encoders=["escaped-first", "escaped-last", "json", "padded", "spaced", "canonical", "leading-zero"])
-@example(valid=[_VARIED_EVENT, _STORE_EVENT] * 3, mutated=_STORE_EVENT, position=6,
-         encoders=["escaped-first", "escaped-last", "json", "padded", "spaced", "canonical", "canonical"])
-@example(valid=[], mutated=_store_event_with("temp", {"kind": "bin", "index": None, "bounds": [1, 2]}), position=0,
-         encoders=_CANONICAL)
-@example(valid=[], mutated=_store_event_with("temp", {"kind": "bin", "index": 1, "bounds": [1]}), position=0,
-         encoders=_CANONICAL)
-@example(valid=[], mutated=_store_event_with("temp", {"kind": "bin", "index": -0.0, "bounds": [1, 2]}), position=0,
-         encoders=_CANONICAL)
-@example(valid=[], mutated=_store_event_with("temp", {"kind": "bin", "index": True, "bounds": "12"}), position=0,
-         encoders=_CANONICAL)
-@example(valid=[], mutated=_store_event_with("temp", {"kind": "bin"}), position=0, encoders=_CANONICAL)
-@example(valid=[], mutated=_store_event_with("temp", {"kind": "num", "value": " 1e3 "}), position=0,
-         encoders=_CANONICAL)
-@example(valid=[], mutated=_store_event_with("temp", {"kind": "num", "value": "3"}), position=0, encoders=_CANONICAL)
-@example(valid=[], mutated=_store_event_with("start", True), position=0, encoders=_CANONICAL)
-@example(valid=[], mutated=_store_event_with("start", 1.0), position=0, encoders=_CANONICAL)
-@example(valid=[], mutated=_store_event_with("start", 100000), position=0, encoders=_CANONICAL)
-@example(valid=[], mutated=_store_event_with("end", _STORE_EVENT["start"]), position=0, encoders=_CANONICAL)
-@example(valid=[], mutated=_store_event_with("attributes", {}), position=0, encoders=_CANONICAL)
-@example(valid=[_STORE_EVENT], mutated={**_STORE_EVENT, "attributes": {"date": {"kind": "cat", "label": "2026-01-02"}}},
-         position=1, encoders=_CANONICAL)
-@example(valid=[_STORE_EVENT], mutated=_canonical_event_text('"start":72000', '"start":1' + "0" * 4300), position=1,
-         encoders=_CANONICAL)
-@example(valid=[], mutated=_canonical_event_text("living room", "living\x01room"), position=0, encoders=_CANONICAL)
-@example(valid=[], mutated=_canonical_event_text("Ch1", "Ch\x1f1"), position=0, encoders=_CANONICAL)
-def test_load_store_matches_the_per_line_event_oracle(tmp_path_factory, valid, mutated, position, encoders):
-    events = [*valid[:position], mutated, *valid[position:]]
+       encoders=st.lists(st.sampled_from(sorted(_ENCODERS)), min_size=7, max_size=7),
+       later=st.lists(_MUTATED_EVENTS | _VALID_EVENTS | st.sampled_from(_BLANK_LINES), max_size=2),
+       gap=st.integers(0, 6), piece=_PIECES)
+@_oracle_example(valid=[_VARIED_EVENT, _STORE_EVENT], mutated=_VARIED_EVENT, position=1, encoders=_CANONICAL)
+@_oracle_example(valid=[_VARIED_EVENT, _STORE_EVENT] * 3, mutated=_VARIED_EVENT, position=6,
+                 encoders=["escaped-first", "escaped-last", "json", "padded", "spaced", "canonical", "leading-zero"])
+@_oracle_example(valid=[_VARIED_EVENT, _STORE_EVENT] * 3, mutated=_STORE_EVENT, position=6,
+                 encoders=["escaped-first", "escaped-last", "json", "padded", "spaced", "canonical", "canonical"])
+@_oracle_example(valid=[], mutated=_store_event_with("temp", {"kind": "bin", "index": None, "bounds": [1, 2]}),
+                 position=0, encoders=_CANONICAL)
+@_oracle_example(valid=[], mutated=_store_event_with("temp", {"kind": "bin", "index": 1, "bounds": [1]}), position=0,
+                 encoders=_CANONICAL)
+@_oracle_example(valid=[], mutated=_store_event_with("temp", {"kind": "bin", "index": -0.0, "bounds": [1, 2]}),
+                 position=0, encoders=_CANONICAL)
+@_oracle_example(valid=[], mutated=_store_event_with("temp", {"kind": "bin", "index": True, "bounds": "12"}),
+                 position=0, encoders=_CANONICAL)
+@_oracle_example(valid=[], mutated=_store_event_with("temp", {"kind": "bin"}), position=0, encoders=_CANONICAL)
+@_oracle_example(valid=[], mutated=_store_event_with("temp", {"kind": "num", "value": " 1e3 "}), position=0,
+                 encoders=_CANONICAL)
+@_oracle_example(valid=[], mutated=_store_event_with("temp", {"kind": "num", "value": "3"}), position=0,
+                 encoders=_CANONICAL)
+@_oracle_example(valid=[], mutated=_store_event_with("start", True), position=0, encoders=_CANONICAL)
+@_oracle_example(valid=[], mutated=_store_event_with("start", 1.0), position=0, encoders=_CANONICAL)
+@_oracle_example(valid=[], mutated=_store_event_with("start", 100000), position=0, encoders=_CANONICAL)
+@_oracle_example(valid=[], mutated=_store_event_with("end", _STORE_EVENT["start"]), position=0, encoders=_CANONICAL)
+@_oracle_example(valid=[], mutated=_store_event_with("attributes", {}), position=0, encoders=_CANONICAL)
+@_oracle_example(valid=[_STORE_EVENT],
+                 mutated={**_STORE_EVENT, "attributes": {"date": {"kind": "cat", "label": "2026-01-02"}}},
+                 position=1, encoders=_CANONICAL)
+@_oracle_example(valid=[_STORE_EVENT], mutated=_canonical_event_text('"start":72000', '"start":1' + "0" * 4300),
+                 position=1, encoders=_CANONICAL)
+@_oracle_example(valid=[], mutated=_canonical_event_text("living room", "living\x01room"), position=0,
+                 encoders=_CANONICAL)
+@_oracle_example(valid=[], mutated=_canonical_event_text("Ch1", "Ch\x1f1"), position=0, encoders=_CANONICAL)
+# Two failing lines: a bad blob after a bad interval, and the other way round; a non-canonical line of
+# bad JSON after a canonical line with a bad date; a repeated bad blob first used after a bad line.
+@_oracle_example(valid=[_STORE_EVENT] * 3, mutated=_store_event_with("start", 86400), position=1,
+                 encoders=_CANONICAL, later=[_store_event_with("temp", {"kind": "num", "value": "3"})], gap=1)
+@_oracle_example(valid=[_STORE_EVENT] * 3, mutated=_store_event_with("temp", {"kind": "num", "value": "3"}),
+                 position=1, encoders=_CANONICAL, later=[_store_event_with("end", _STORE_EVENT["start"])], gap=1)
+@_oracle_example(valid=[_STORE_EVENT] * 2, mutated=_store_event_with("date", "2026-13-01"), position=0,
+                 encoders=_CANONICAL, later=[_Raw('{"attributes": {"channel": ')], gap=2)
+@_oracle_example(valid=[_STORE_EVENT] * 2, mutated=_store_event_with("date", "2026-13-01"), position=2,
+                 encoders=["spaced"] * 7, later=[_Raw('{"attributes": {"channel": ')], gap=0)
+@_oracle_example(valid=[_STORE_EVENT] * 4, mutated=_store_event_with("date", 20260101), position=1,
+                 encoders=_CANONICAL, later=[_store_event_with("channel", {"kind": "cat", "label": ""})] * 2, gap=1)
+@_oracle_example(valid=[_STORE_EVENT] * 4, mutated=_canonical_event_text('"end":73800', '"end":72000'),
+                 position=1, encoders=_CANONICAL,
+                 later=[_canonical_event_text('"label":"Ch1"', '"label":""')] * 2, gap=2, piece=1)
+@_oracle_example(valid=[_VARIED_EVENT, _STORE_EVENT] * 3, mutated=_VARIED_EVENT, position=3,
+                 encoders=["padded", "canonical", "json", "canonical", "spaced", "canonical", "escaped-last"],
+                 later=[_STORE_EVENT, _VARIED_EVENT], gap=2, piece=40)
+@_oracle_example(valid=[_STORE_EVENT] * 2, mutated=_STORE_EVENT, position=1, encoders=_CANONICAL,
+                 later=_BLANK_LINES, gap=1)
+def test_load_store_matches_the_per_line_event_oracle(tmp_path_factory, valid, mutated, position, encoders, later,
+                                                      gap, piece):
+    # A mutated line, more lines, then up to two more mutated (or valid) lines: when several lines
+    # fail, in whichever check, the first of them in file order is the one named.
+    events = [*valid[:position], mutated, *valid[position:position + gap], *later, *valid[position + gap:]]
     store_path = tmp_path_factory.mktemp("store") / "store.jsonl"
     header = json.dumps({"schema": "homearbiter-store/1"})
-    lines = [_encode(encoder, event) for encoder, event in zip(encoders, events)]
+    lines = [_encode(encoder, event) for encoder, event in zip(itertools.cycle(encoders), events)]
     store_path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
     expected, rejection = [], None
     for lineno, line in enumerate(lines, start=2):
+        if not line.strip():
+            continue
         try:
             obj = json.loads(line)
         except ValueError:
@@ -518,7 +577,8 @@ def test_load_store_matches_the_per_line_event_oracle(tmp_path_factory, valid, m
         except (LookupError, TypeError, ValueError, OverflowError):
             rejection = f"{store_path}:{lineno}: bad event record: "
             break
-    outcome = _store_outcome(store_path)
+    with mock.patch.object(ingest, "_PIECE", piece):
+        outcome = _store_outcome(store_path)
     if isinstance(outcome, str):
         assert rejection is not None and outcome.startswith(rejection)
     else:
@@ -535,7 +595,8 @@ def test_load_store_matches_the_per_line_event_oracle(tmp_path_factory, valid, m
         except ValueError:
             return line
     store_path.write_text("\n".join([header, *map(respaced, lines)]) + "\n", encoding="utf-8")
-    assert _store_outcome(store_path) == outcome
+    with mock.patch.object(ingest, "_PIECE", piece):
+        assert _store_outcome(store_path) == outcome
 
 
 # Strings with every character class json.dumps escapes or keeps: quotes, backslashes, control
@@ -570,6 +631,44 @@ def test_write_store_lines_match_the_per_event_oracle(tmp_path_factory, events):
     ordered = sorted(events, key=store_order)
     assert store_path.read_text(encoding="utf-8").splitlines()[1:] == [dumps_json(event_to_json(e)) for e in ordered]
     assert load_store(store_path).events == ordered
+
+
+# Events of few services, locations and residents, so groups repeat, whose attribute sets differ
+# within and across groups, with values of every kind and labels that repeat across attributes.
+# Their attributes come in name order, the order a store holds them in.
+_GROUPED_EVENTS = st.builds(
+    lambda number, service, location, resident, date, start, length, attributes: ServiceEvent(
+        f"{resident}-{number:06d}", service, dict(sorted(attributes.items())), date,
+        TimeOfDayInterval(start, (start + length) % SECONDS_PER_DAY), location, resident),
+    st.integers(1, 999), st.sampled_from(["TV", "radio", "thermostat"]),
+    st.sampled_from(["den", " Den ", "kitchen", "häll"]), st.sampled_from(["r1", "r2", "ré"]),
+    st.dates(dt.date(2025, 12, 1), dt.date(2026, 2, 1)), st.integers(0, SECONDS_PER_DAY - 1),
+    st.integers(1, SECONDS_PER_DAY - 1),
+    st.dictionaries(st.sampled_from(["channel", "station", "temp"]),
+                    st.sampled_from([AttributeValue.categorical("Ch1"), AttributeValue.categorical("3"),
+                                     AttributeValue.numeric(3), AttributeValue.numeric(-0.0),
+                                     AttributeValue.binned(1, (2.0, 4.0)), AttributeValue.categorical("bin1")]),
+                    min_size=1, max_size=3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(events=st.lists(_GROUPED_EVENTS, max_size=12), piece=_PIECES)
+@example(events=[], piece=ingest._PIECE)
+@example(events=[make_event("r1", "20:00:00", "21:00:00", channel="Ch1"),
+                 make_event("r2", "20:00:00", "21:00:00", attributes={"temp": AttributeValue.numeric(3)}),
+                 make_event("r1", "22:00:00", "23:00:00", service="radio",
+                            attributes={"station": AttributeValue.categorical("3")})], piece=40)
+def test_history_of_events_and_of_the_loaded_store_match_the_per_event_oracle(tmp_path_factory, events, piece):
+    store_path = tmp_path_factory.mktemp("store") / "store.jsonl"
+    write_store(store_path, events, {"config": {}})
+    with mock.patch.object(ingest, "_PIECE", piece):
+        loaded = load_store(store_path).history
+    ordered = sorted(events, key=store_order)
+    indexed = History(ordered)
+    expected = history_columns(ordered)
+    for history in (loaded, indexed):
+        assert (history.residents, history.item_labels, history.latest, _group_columns(history)) == expected
+        assert list(history.groups) == list(expected[3])
 
 
 # ---------------------------------------------------------------------------
