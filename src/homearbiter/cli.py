@@ -129,9 +129,11 @@ def ingest(logs, out, residents, location_map, channels, **kwargs) -> None:
             if not isinstance(location, str) or not location.strip():
                 raise DataError(f"{location_map}: location of {sensor!r} must be a non-empty string")
 
-    ids = [r.strip() for r in residents.split(",")] if residents else [None] * len(logs)
+    ids = [r.strip() for r in residents.split(",")] if residents is not None else [None] * len(logs)
     if len(ids) != len(logs):
         raise click.UsageError(f"--residents names {len(ids)} ids for {len(logs)} log files")
+    if "" in ids:
+        raise click.UsageError("--residents names an empty id")
     warnings: list[str] = []
     events = []
     for index, (resident, path) in enumerate(zip(ids, logs)):

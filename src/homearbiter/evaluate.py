@@ -8,7 +8,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .aggregate import STRATEGIES, ResolutionDiagnostics, prepare, rank_prepared
+from .aggregate import STRATEGIES, Resolution, prepare, rank_prepared
 from .config import RunConfig
 from .detect import detect_conflicts
 from .model import ConflictSituation, ServiceEvent, ServiceRequest
@@ -52,7 +52,12 @@ def satisfaction_gain(
         raise ValueError("recommended list must be non-empty")
     adopted_set = set(adopted)
     counted = [item for item in recommended if item in adopted_set]
-    return sum(table.score(member, item) for member in group for item in counted) / len(group)
+    return sum(_score_sum(table, member, counted) for member in group) / len(group)
+
+
+def _score_sum(table: PreferenceMatrix, member: str, items: Sequence[str]) -> float:
+    """The member's scores summed over ``items``."""
+    return sum(table.score(member, item) for item in items)
 
 
 def adopted_items(events: WindowEvents, resident: str, attribute: str, threshold: float) -> set[str]:
@@ -88,7 +93,7 @@ def harmonic_satisfaction(table: PreferenceMatrix, group: Sequence[str], recomme
 
     A member with a zero sum makes the metric 0 (maximal unfairness).
     """
-    sums = [sum(table.score(member, item) for item in recommended) for member in group]
+    sums = [_score_sum(table, member, recommended) for member in group]
     if any(s <= 0 for s in sums):
         return 0.0
     return len(group) / sum(1.0 / s for s in sums)
@@ -99,14 +104,9 @@ def average_satisfaction(table: PreferenceMatrix, group: Sequence[str], chosen: 
 
     Members with an all-zero row carry no signal and are excluded.
     """
-    shares = []
-    for member in group:
-        best = _best_score(table, member)
-        if best > 0:
-            shares.append(table.score(member, chosen) / best)
-    if not shares:
-        return 0.0
-    return sum(shares) / len(shares)
+    bests = [(member, _best_score(table, member)) for member in group]
+    shares = [table.score(member, chosen) / best for member, best in bests if best > 0]
+    return sum(shares) / len(shares) if shares else 0.0
 
 
 def _best_score(table: PreferenceMatrix, member: str) -> float:
@@ -140,22 +140,19 @@ class ReportRow:
     avg_satisfaction: float | None
 
 
+# The metrics of every record and row, in output order.
+METRICS = ("sg", "harmonic", "avg_satisfaction")
+
+
 @dataclass(frozen=True)
 class MetricReport:
     rows: tuple[ReportRow, ...]
     details: tuple[SituationMetrics, ...]
 
     def to_csv_text(self, meta_lines: Sequence[str] = ()) -> str:
-        lines = [f"# {m}" for m in meta_lines]
-        lines.append("strategy,group_size,conflicts,sg,harmonic,avg_satisfaction")
-        for row in self.rows:
-            def fmt(x: float | None) -> str:
-                return "" if x is None else f"{x:.6f}"
-            lines.append(
-                f"{row.strategy},{row.group_size},{row.conflict_count},"
-                f"{fmt(row.sg)},{fmt(row.harmonic)},{fmt(row.avg_satisfaction)}"
-            )
-        return "\n".join(lines) + "\n"
+        rows = [[r.strategy, str(r.group_size), str(r.conflict_count), *(_fixed(getattr(r, m)) for m in METRICS)]
+                for r in self.rows]
+        return _delimited(meta_lines, ",", ["strategy", "group_size", "conflicts", *METRICS], rows)
 
     def to_json_obj(self) -> dict:
         return {
@@ -164,9 +161,7 @@ class MetricReport:
                     "strategy": r.strategy,
                     "group_size": r.group_size,
                     "conflicts": r.conflict_count,
-                    "sg": None if r.sg is None else round(r.sg, 6),
-                    "harmonic": None if r.harmonic is None else round(r.harmonic, 6),
-                    "avg_satisfaction": None if r.avg_satisfaction is None else round(r.avg_satisfaction, 6),
+                    **{metric: _rounded(getattr(r, metric)) for metric in METRICS},
                 }
                 for r in self.rows
             ],
@@ -177,9 +172,7 @@ class MetricReport:
                     "group_size": d.group_size,
                     "chosen": list(d.chosen),
                     "recommended": list(d.recommended),
-                    "sg": round(d.sg, 6),
-                    "harmonic": round(d.harmonic, 6),
-                    "avg_satisfaction": round(d.avg_satisfaction, 6),
+                    **{metric: _rounded(getattr(d, metric)) for metric in METRICS},
                     "harmonic_zero_members": list(d.harmonic_zero_members),
                     "excluded_members": list(d.excluded_members),
                 }
@@ -192,26 +185,27 @@ class MetricReport:
         strategies = sorted({r.strategy for r in self.rows})
         sizes = sorted({r.group_size for r in self.rows})
         by_cell = {(r.strategy, r.group_size): r for r in self.rows}
-        series = {}
-        for metric in ("sg", "harmonic", "avg_satisfaction"):
-            lines = [f"# {m}" for m in meta_lines]
-            lines.append("group_size\t" + "\t".join(strategies))
-            for size in sizes:
-                cells = []
-                for strategy in strategies:
-                    row = by_cell.get((strategy, size))
-                    value = getattr(row, metric) if row else None
-                    cells.append("" if value is None else f"{value:.6f}")
-                lines.append(f"{size}\t" + "\t".join(cells))
-            series[metric] = "\n".join(lines) + "\n"
-        return series
+        return {
+            metric: _delimited(meta_lines, "\t", ["group_size", *strategies], [
+                [str(size), *(_fixed(getattr(by_cell.get((s, size)), metric, None)) for s in strategies)]
+                for size in sizes
+            ])
+            for metric in METRICS
+        }
 
 
-def _situation_key(situation: ConflictSituation) -> str:
-    return "/".join(
-        [situation.service_id, situation.location, situation.attribute,
-         str(situation.window.start), str(situation.window.end)]
-    )
+def _delimited(meta_lines: Sequence[str], sep: str, header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
+    """``# ``-prefixed meta lines, then the header and rows with ``sep`` between fields."""
+    lines = [*(f"# {m}" for m in meta_lines), sep.join(header), *(sep.join(row) for row in rows)]
+    return "\n".join(lines) + "\n"
+
+
+def _fixed(value: float | None) -> str:
+    return "" if value is None else f"{value:.6f}"
+
+
+def _rounded(value: float | None) -> float | None:
+    return None if value is None else round(value, 6)
 
 
 def run_experiment(
@@ -228,68 +222,52 @@ def run_experiment(
     """
     situations = detect_conflicts(requests)
     history = History.of(history)
+    # Records by (strategy, group size), in report order.
+    cells: dict[tuple[str, int], list[SituationMetrics]] = {
+        (strategy, size): [] for strategy in cfg.strategies for size in cfg.group_sizes
+    }
     # Every strategy ranks the same prepared matrix and is scored against the
     # same adopted items, and both read the same window events, so each
     # situation scans the history once and is prepared once.
-    by_size: dict[int, list[tuple[ConflictSituation, ResolutionDiagnostics, set[str]]]] = {
-        g: [] for g in cfg.group_sizes
-    }
     for situation in situations:
         size = len(situation.requests)
-        if size in by_size:
+        if size in cfg.group_sizes:
             events = window_events(history, situation, run_cfg.lookback_days)
-            adopted: set[str] = set()
-            for member in sorted(situation.residents):
-                adopted |= adopted_items(events, member, situation.attribute, run_cfg.adopted_threshold)
-            by_size[size].append((situation, prepare(situation, events, run_cfg), adopted))
-
-    details: list[SituationMetrics] = []
-    rows: list[ReportRow] = []
-    for strategy in cfg.strategies:
-        for size in cfg.group_sizes:
-            cell = by_size[size]
-            if not cell:
-                rows.append(ReportRow(strategy, size, 0, None, None, None))
-                continue
-            sgs, harms, sats = [], [], []
-            for situation, prepared, adopted in cell:
+            members = sorted(situation.residents)
+            adopted = set().union(*(adopted_items(events, member, situation.attribute, run_cfg.adopted_threshold)
+                                    for member in members))
+            prepared = prepare(situation, events, run_cfg)
+            for strategy in cfg.strategies:
                 resolution = rank_prepared(prepared, situation, run_cfg, strategy)
-                table = prepared.table
-                members = sorted(situation.residents)
-                recommended = tuple(item for item, _ in resolution.ranked[: cfg.recommendation_list_size])
-                sg = satisfaction_gain(table, members, recommended, adopted)
-                harmonic = harmonic_satisfaction(table, members, recommended)
-                chosen_top = resolution.ranked[0][0]
-                avg_sat = average_satisfaction(table, members, chosen_top)
-                zero_members = tuple(
-                    m for m in members if sum(table.score(m, i) for i in recommended) <= 0
-                )
-                excluded = tuple(m for m in members if _best_score(table, m) <= 0)
-                details.append(
-                    SituationMetrics(
-                        strategy=strategy,
-                        situation_key=_situation_key(situation),
-                        group_size=size,
-                        chosen=resolution.chosen,
-                        recommended=recommended,
-                        sg=sg,
-                        harmonic=harmonic,
-                        avg_satisfaction=avg_sat,
-                        harmonic_zero_members=zero_members,
-                        excluded_members=excluded,
-                    )
-                )
-                sgs.append(sg)
-                harms.append(harmonic)
-                sats.append(avg_sat)
-            rows.append(
-                ReportRow(
-                    strategy=strategy,
-                    group_size=size,
-                    conflict_count=len(cell),
-                    sg=sum(sgs) / len(sgs),
-                    harmonic=sum(harms) / len(harms),
-                    avg_satisfaction=sum(sats) / len(sats),
-                )
-            )
-    return MetricReport(rows=tuple(rows), details=tuple(details))
+                cells[strategy, size].append(_score(situation, members, resolution, adopted,
+                                                    cfg.recommendation_list_size))
+    rows = tuple(_mean_row(strategy, size, records) for (strategy, size), records in cells.items())
+    return MetricReport(rows=rows, details=tuple(d for records in cells.values() for d in records))
+
+
+def _mean_row(strategy: str, size: int, records: Sequence[SituationMetrics]) -> ReportRow:
+    """Each metric's mean over a cell's records, summed in record order; ``None`` for an empty cell."""
+    means = (sum(getattr(r, metric) for r in records) / len(records) if records else None for metric in METRICS)
+    return ReportRow(strategy, size, len(records), *means)
+
+
+def _score(
+    situation: ConflictSituation,
+    members: Sequence[str],
+    resolution: Resolution,
+    adopted: set[str],
+    list_size: int,
+) -> SituationMetrics:
+    """One strategy's resolution of a situation, scored by every metric."""
+    table = resolution.diagnostics.table
+    recommended = tuple(item for item, _ in resolution.ranked[:list_size])
+    # The key drops the request ids; the metrics are positional, in METRICS order.
+    return SituationMetrics(
+        resolution.strategy, "/".join(map(str, situation.key()[:5])), len(situation.requests), resolution.chosen,
+        recommended,
+        satisfaction_gain(table, members, recommended, adopted),
+        harmonic_satisfaction(table, members, recommended),
+        average_satisfaction(table, members, resolution.ranked[0][0]),
+        harmonic_zero_members=tuple(m for m in members if _score_sum(table, m, recommended) <= 0),
+        excluded_members=tuple(m for m in members if _best_score(table, m) <= 0),
+    )

@@ -145,6 +145,9 @@ def _read_log_records(path: str | Path, resident: str | None, location_map: Mapp
     times: dict[str, int] = {}
     attributes: dict[str, tuple[str, AttributeValue]] = {}
     locations: dict[tuple[str, str], str] = {}
+    # The last physical line read; a quoted value may span lines, so a record's
+    # number is the line after the previous record's end.
+    end = 0
     try:
         with path.open(newline="", encoding="utf-8") as handle:
             reader = csv.reader(handle)
@@ -154,8 +157,10 @@ def _read_log_records(path: str | Path, resident: str | None, location_map: Mapp
                 return
             if [h.strip() for h in header] != LOG_COLUMNS:
                 raise ParseError(f"expected header {','.join(LOG_COLUMNS)!r}", path=str(path), line=1)
+            end = reader.line_num
             previous = None
-            for lineno, row in enumerate(reader, start=2):
+            for row in reader:
+                lineno, end = end + 1, reader.line_num
                 if not row or (len(row) == 1 and not row[0].strip()):
                     continue
                 if len(row) != len(LOG_COLUMNS):
@@ -196,6 +201,8 @@ def _read_log_records(path: str | Path, resident: str | None, location_map: Mapp
                 else:
                     location = None
                 yield date, time, sensor, status, attribute, effective_resident, location
+    except csv.Error as exc:
+        raise ParseError(f"bad CSV: {exc}", path=str(path), line=end + 1) from exc
     except UnicodeDecodeError:
         read_text(path)  # raises the ParseError naming the line of the first byte that is not UTF-8
         raise

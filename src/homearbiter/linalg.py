@@ -76,18 +76,18 @@ def svd(matrix) -> SvdResult:
     # Fix signs: dominant entry of each right vector nonnegative, mirrored
     # onto the paired left vector; unpaired basis columns fixed independently.
     k = min(m, n)
-    for j in range(n):
-        i = int(np.argmax(np.abs(v_full[:, j])))
-        if v_full[i, j] < 0:
-            v_full[:, j] = -v_full[:, j]
-            if j < k:
-                a_full[:, j] = -a_full[:, j]
-    for j in range(k, m):
-        i = int(np.argmax(np.abs(a_full[:, j])))
-        if a_full[i, j] < 0:
-            a_full[:, j] = -a_full[:, j]
-
+    v_signs = _dominant_signs(v_full)
+    v_full *= v_signs
+    a_full *= np.concatenate([v_signs[:k], _dominant_signs(a_full[:, k:])])
     return SvdResult(A=a_full, singular_values=sigma, V=v_full)
+
+
+def _dominant_signs(columns: np.ndarray) -> np.ndarray:
+    """-1.0 for each column whose largest-magnitude entry (the first of a tie) is negative, else 1.0."""
+    if not columns.size:
+        return np.ones(columns.shape[1])
+    dominant = columns[np.argmax(np.abs(columns), axis=0), np.arange(columns.shape[1])]
+    return np.where(dominant < 0, -1.0, 1.0)
 
 
 def truncate(result: SvdResult, alpha: float) -> TruncatedSvd:

@@ -10,6 +10,7 @@ import pytest
 from homearbiter.errors import DataError, ParseError
 from homearbiter.ingest import LOG_COLUMNS, BinningSpec, _parse_attribute
 from homearbiter.intervals import TimeOfDayInterval, parse_hms
+from homearbiter.linalg import SvdResult
 from homearbiter.model import AttributeValue, ServiceEvent, ServiceRequest, normalize_location
 from homearbiter.preferences import PreferenceMatrix
 
@@ -174,7 +175,9 @@ def read_log_records(path: str | Path, resident: str | None, location_map: Mappi
         if [h.strip() for h in header] != LOG_COLUMNS:
             raise ParseError(f"expected header {','.join(LOG_COLUMNS)!r}", path=str(path), line=1)
         previous = None
-        for lineno, row in enumerate(reader, start=2):
+        end = reader.line_num
+        for row in reader:
+            lineno, end = end + 1, reader.line_num  # a record's first physical line
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) != len(LOG_COLUMNS):
@@ -275,6 +278,25 @@ def compute_bins_loop(values: Sequence[float], bin_count: int, attribute: str = 
     cuts.reverse()
     boundaries = tuple(distinct[i] for i in cuts)
     return BinningSpec(attribute=attribute, bin_count=bin_count, boundaries=boundaries, lo=vals[0], hi=vals[-1])
+
+
+def svd_loop(matrix) -> SvdResult:
+    """``linalg.svd`` with its sign convention applied column by column: the reference for its array steps."""
+    a_full, sigma, vt = np.linalg.svd(np.asarray(matrix, dtype=np.float64), full_matrices=True)
+    v_full = vt.T
+    m, n = a_full.shape[0], v_full.shape[0]
+    k = min(m, n)
+    for j in range(n):
+        i = int(np.argmax(np.abs(v_full[:, j])))
+        if v_full[i, j] < 0:
+            v_full[:, j] = -v_full[:, j]
+            if j < k:
+                a_full[:, j] = -a_full[:, j]
+    for j in range(k, m):
+        i = int(np.argmax(np.abs(a_full[:, j])))
+        if a_full[i, j] < 0:
+            a_full[:, j] = -a_full[:, j]
+    return SvdResult(A=a_full, singular_values=sigma, V=v_full)
 
 
 def reconstruct(result) -> np.ndarray:

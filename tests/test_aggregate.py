@@ -118,6 +118,30 @@ def _tables(draw):
     return situation, matrix_from_entries(entries, residents=members, items=items), entries
 
 
+
+@st.composite
+def _scores_alpha_columns(draw):
+    """A non-negative matrix up to 8x12, an alpha in (0, 1) and a non-empty set of its columns."""
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 12))
+    entries = st.floats(0, 1e3, allow_nan=False, allow_infinity=False)
+    scores = np.array(draw(st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows)))
+    alpha = draw(st.floats(0, 1, exclude_min=True, exclude_max=True))
+    requested = sorted(draw(st.sets(st.integers(0, cols - 1), min_size=1)))
+    return scores, alpha, requested
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=_scores_alpha_columns())
+def test_consensus_is_the_mean_of_the_requested_columns_of_the_rank_w_reconstruction(drawn):
+    # A_w diag(s_w) V_w[j] is column j of the reconstruction, so projecting the
+    # unrounded mean of the requested rows of V_w gives the mean of those
+    # columns, whatever the signs of the factors.
+    scores, alpha, requested = drawn
+    tsvd = truncate(svd(scores), alpha)
+    ideal = tsvd.A_w @ np.diag(tsvd.singular_values) @ tsvd.V_w.T
+    got = consensus_scores(tsvd, tsvd.V_w[requested].mean(axis=0))
+    assert np.max(np.abs(got - ideal[:, requested].mean(axis=1))) <= 1e-9 * scores.max()
+
 @settings(max_examples=200, deadline=None)
 @given(drawn=_tables(), top_n=st.integers(1, 4),
        columns=st.lists(st.sampled_from(_TABLE_ITEMS + _OUTSIDE_ITEMS), min_size=1, max_size=5, unique=True))

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -183,6 +184,17 @@ def test_ingest_flags_that_would_draw_nothing_are_usage_errors(tmp_path, capsys,
     log.write_text("not,a,log\n", encoding="utf-8")
     assert main(["ingest", str(log), "--out", str(tmp_path / "store.jsonl"), *flags]) == 1
     assert capsys.readouterr().err.splitlines()[-1] == f"Error: {message}"
+    assert not (tmp_path / "store.jsonl").exists()
+
+
+@pytest.mark.parametrize("residents", [" ,b", "a,", "", " "])
+def test_ingest_empty_resident_id_is_a_usage_error(tmp_path, capsys, residents):
+    # The logs are not valid CSV: the ids are rejected before any parsing.
+    logs = [tmp_path / "a.csv", tmp_path / "b.csv"][:residents.count(",") + 1]
+    for log in logs:
+        log.write_text("not,a,log\n", encoding="utf-8")
+    assert main(["ingest", *map(str, logs), "--residents", residents, "--out", str(tmp_path / "store.jsonl")]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == "Error: --residents names an empty id"
     assert not (tmp_path / "store.jsonl").exists()
 
 
@@ -377,6 +389,28 @@ def test_reversed_log_exits_two_with_line(tmp_path, capsys):
     assert main(["ingest", str(reversed_log), "--out", str(tmp_path / "s.jsonl")]) == 2
     err = capsys.readouterr().err
     assert f"{reversed_log}:3: row at" in err and "warning" not in err
+    assert not (tmp_path / "s.jsonl").exists()
+
+
+def test_log_errors_name_the_first_line_of_a_record_spanning_lines(tmp_path, capsys):
+    log = tmp_path / "log.csv"
+    log.write_text("date,time,sensor,status,value,resident,location\n"
+                   '2026-01-01,08:00:00,TV,ON,Ch1,r1,"living\nroom"\n'
+                   "2026-01-01,09:00:00,TV,OFF,,r1,den\n"
+                   "2026-01-01,10:00:00,TV,BOGUS,,r1,den\n", encoding="utf-8")
+    assert main(["ingest", str(log), "--out", str(tmp_path / "s.jsonl")]) == 2
+    assert capsys.readouterr().err == f"data error: {log}:5: unknown status 'BOGUS'\n"
+
+
+def test_log_field_over_the_csv_limit_exits_two_with_line(tmp_path, capsys):
+    log = tmp_path / "log.csv"
+    log.write_text("date,time,sensor,status,value,resident,location\n"
+                   "2026-01-01,08:00:00,TV,ON,Ch1,r1,den\n"
+                   '2026-01-01,09:00:00,TV,SET,"' + "x" * (csv.field_size_limit() + 1) + '",r1,den\n',
+                   encoding="utf-8")
+    assert main(["ingest", str(log), "--out", str(tmp_path / "s.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {log}:3: bad CSV: field larger than field limit") and "internal" not in err
     assert not (tmp_path / "s.jsonl").exists()
 
 

@@ -267,6 +267,43 @@ def test_run_experiment_matches_per_strategy_resolve(monkeypatch):
     assert got == expected
 
 
+def test_report_rows_are_the_means_of_their_cells_records():
+    history, requests = _experiment_inputs()
+    # Resident d has no history, so d scores zero on every item.
+    requests += [make_request("a", "Ch1", start="20:30:00", end="21:00:00", request_id="qa3"),
+                 make_request("d", "Ch9", start="20:30:00", end="21:00:00", request_id="qd3")]
+    cfg = EvaluationConfig(strategies=("svd", "avg", "use-first"), group_sizes=(2, 3, 4))
+    run_cfg = RunConfig(k=2)
+    report = run_experiment(history, requests, cfg, run_cfg)
+    assert [(r.strategy, r.group_size) for r in report.rows] == \
+        [(s, g) for s in cfg.strategies for g in cfg.group_sizes]
+    for row in report.rows:
+        records = [d for d in report.details if (d.strategy, d.group_size) == (row.strategy, row.group_size)]
+        assert row.conflict_count == len(records)
+        for metric in ("sg", "harmonic", "avg_satisfaction"):
+            values = [getattr(d, metric) for d in records]
+            assert getattr(row, metric) == (sum(values) / len(values) if values else None)
+    assert [r.conflict_count for r in report.rows if r.group_size == 4] == [0, 0, 0]
+
+    situations = {"/".join(map(str, s.key()[:5])): s for s in detect_conflicts(requests)}
+    for d in report.details:
+        situation = situations[d.situation_key]
+        resolution = resolve(situation, history, run_cfg, d.strategy)
+        table = resolution.diagnostics.table
+        members = sorted(situation.residents)
+        # A zero member is one whose own harmonic score is 0; an excluded
+        # member is one average_satisfaction leaves out, having no positive score.
+        assert d.harmonic_zero_members == tuple(
+            m for m in members if harmonic_satisfaction(table, [m], d.recommended) == 0)
+        assert (d.harmonic == 0) == bool(d.harmonic_zero_members)
+        assert d.excluded_members == tuple(
+            m for m in members if not (table.scores[table.residents.index(m)] > 0).any())
+        kept = [m for m in members if m not in d.excluded_members]
+        top = resolution.ranked[0][0]
+        assert d.avg_satisfaction == (average_satisfaction(table, kept, top) if kept else 0.0)
+    assert any(d.excluded_members == ("d",) and d.harmonic_zero_members for d in report.details)
+
+
 def test_run_experiment_reads_the_run_config_adopted_threshold():
     history, requests = _experiment_inputs()
     cfg = EvaluationConfig(strategies=("svd",))

@@ -27,7 +27,10 @@ LOOKBACKS = {"all": [], "lookback20": ["--lookback-days", "20"]}
 
 
 def write_outputs(out: Path) -> None:
-    """Ingest the bundled log, then resolve with every strategy and evaluate, with and without a lookback."""
+    """Ingest the bundled log, then resolve with every strategy and evaluate, with and without a lookback.
+
+    svd also resolves once at a truncating alpha.
+    """
     with tempfile.TemporaryDirectory() as tmp:
         # The store's file name is part of every output header, so it is fixed.
         store = Path(tmp) / "household60.store.jsonl"
@@ -42,6 +45,13 @@ def write_outputs(out: Path) -> None:
                              "--out", str(target / f"resolve-{strategy}.jsonl")]) == 0
             assert main(["evaluate", *inputs, *lookback, "--plot-data",
                          "--out-prefix", str(target / "report")]) == 0
+        # At alpha 0.8 household60's first two situations keep less than full
+        # rank, so svd on truncated factors of real data is pinned too.
+        target = out / "alpha08"
+        target.mkdir(parents=True, exist_ok=True)
+        assert main(["resolve", *inputs, "--alpha", "0.8", "--strategy", "svd", "--debug", "--k", "2",
+                     "--dump-preferences", str(target / "preferences-svd.csv"),
+                     "--out", str(target / "resolve-svd.jsonl")]) == 0
 
 
 def _files(root: Path) -> dict[str, bytes]:
@@ -52,7 +62,7 @@ def test_household60_outputs_match_goldens(tmp_path, capsys):
     write_outputs(tmp_path)
     got, want = _files(tmp_path), _files(GOLDEN)
     assert sorted(got) == sorted(want)
-    assert len(want) == len(LOOKBACKS) * (2 * len(STRATEGIES) + 5)
+    assert len(want) == len(LOOKBACKS) * (2 * len(STRATEGIES) + 5) + 2
     for name in want:
         assert got[name] == want[name], f"{name} differs from its golden"
 

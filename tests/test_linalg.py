@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 from homearbiter.errors import ConvergenceError
 from homearbiter.linalg import SvdResult, svd, truncate
 
-from conftest import reconstruct
+from conftest import reconstruct, svd_loop
 
 WORKED_MATRIX = np.array(
     [
@@ -56,6 +56,19 @@ def test_sign_convention_dominant_entry_nonnegative():
         for j in range(result.V.shape[1]):
             col = result.V[:, j]
             assert col[np.argmax(np.abs(col))] >= 0
+
+
+def test_sign_steps_match_the_column_loop_bit_for_bit():
+    rng = np.random.RandomState(12)
+    matrices = [np.zeros((3, 4)), np.ones((4, 2)), np.eye(5)[:, :3], np.zeros((0, 3)), np.zeros((3, 0))]
+    for _ in range(300):
+        m, n = rng.randint(1, 13), rng.randint(1, 41)
+        # Rounded non-negative scores repeat entries and leave some columns tied or zero.
+        matrices.append(rng.randn(m, n) if rng.randint(2) else np.round(rng.rand(m, n) * rng.randint(1, 4)))
+    for matrix in matrices:
+        got, want = svd(matrix), svd_loop(matrix)
+        assert got.A.tobytes() == want.A.tobytes() and got.A.shape == want.A.shape
+        assert got.V.tobytes() == want.V.tobytes() and got.V.shape == want.V.shape
 
 
 def test_svd_input_validation():
