@@ -134,11 +134,12 @@ def ingest(logs, out, residents, location_map, channels, **kwargs) -> None:
         raise click.UsageError(f"--residents names {len(ids)} ids for {len(logs)} log files")
     if "" in ids:
         raise click.UsageError("--residents names an empty id")
-    warnings: list[str] = []
-    events = []
-    for index, (resident, path) in enumerate(zip(ids, logs)):
+    for index, resident in enumerate(ids):
         if resident is not None and resident in ids[:index]:
             raise DataError(f"duplicate resident id {resident!r} in --residents")
+    warnings: list[str] = []
+    events = []
+    for resident, path in zip(ids, logs):
         # Ids stay unique: a resident's own log numbers from 1, other logs on after the earlier logs' events.
         result = parse_event_log(path, resident=resident, location_map=loc_map,
                                  first_number=1 if resident is not None else len(events) + 1)
@@ -243,7 +244,13 @@ def _load_conflict_stream(path: str, requests, inputs: list[dict]) -> list[Confl
                                  "(input sha256 digests differ)", path=where, line=lineno)
             continue
         try:
-            members = tuple(by_id[i] for i in obj["request_ids"])
+            for name in ("service_id", "location", "attribute"):
+                if not isinstance(obj[name], str):
+                    raise TypeError(f"{name} must be a string")
+            ids = obj["request_ids"]
+            if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
+                raise TypeError("request_ids must be a list of strings")
+            members = tuple(by_id[i] for i in ids)
             situations.append(
                 ConflictSituation(
                     service_id=obj["service_id"],

@@ -5,11 +5,13 @@ location, for the same attribute, from different residents, with different
 values, over overlapping time windows (open-interval semantics: touching
 endpoints do not overlap).
 
-Groups are found with a sweep over each (service, location, attribute)
-partition: a conflict situation is a maximal window over which the set of
-co-active, mutually incompatible requests stays constant.  Chained overlaps
-therefore split at every membership change, which matches a brute-force
-scan of the timeline at 1-second resolution.
+Each (service, location, attribute) partition takes the day-circle sweep
+that ``covering_span`` also uses: ``intervals.day_arcs`` cuts the circle at
+every request endpoint, each arc is keyed by its co-active, mutually
+incompatible requests, and ``intervals.join_runs`` joins equal keys, across
+midnight too.  A conflict situation is thus a maximal window over which that
+set stays constant, so chained overlaps split at every membership change,
+which matches a brute-force scan of the timeline at 1-second resolution.
 """
 
 from __future__ import annotations
@@ -17,12 +19,12 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Sequence
 
-from .intervals import SECONDS_PER_DAY, TimeOfDayInterval
+from .intervals import SECONDS_PER_DAY, TimeOfDayInterval, day_arcs, join_runs
 from .model import ConflictSituation, ServiceRequest
 
 
 def _dedupe_by_resident(requests: list[ServiceRequest]) -> list[ServiceRequest]:
-    # One request per resident per cell: keep the earliest start, then the
+    # One request per resident per arc: keep the earliest start, then the
     # smallest request id.
     best: dict[str, ServiceRequest] = {}
     for r in requests:
@@ -32,48 +34,12 @@ def _dedupe_by_resident(requests: list[ServiceRequest]) -> list[ServiceRequest]:
     return list(best.values())
 
 
-def _cells(group: list[ServiceRequest]) -> list[tuple[int, int, frozenset[str]]]:
-    """Elementary sweep cells ``(start, end, member request ids)`` with conflicts."""
-    points: set[int] = set()
-    for r in group:
-        for s, e in r.interval.segments():
-            points.add(s)
-            points.add(e % SECONDS_PER_DAY)
-    bounds = sorted(points)
-    cells = []
-    for i, a in enumerate(bounds):
-        b = bounds[i + 1] if i + 1 < len(bounds) else bounds[0] + SECONDS_PER_DAY
-        if b <= a:
-            continue
-        active = [r for r in group if r.interval.covers(a, min(b, SECONDS_PER_DAY))
-                  and (b <= SECONDS_PER_DAY or r.interval.covers(0, b - SECONDS_PER_DAY))]
-        active = _dedupe_by_resident(active)
-        if len(active) < 2:
-            continue
-        if len({r.value.item_label() for r in active}) < 2:
-            continue
-        cells.append((a, b, frozenset(r.request_id for r in active)))
-    return cells
-
-
-def _merge_cells(cells: list[tuple[int, int, frozenset[str]]]) -> list[tuple[int, int, frozenset[str]]]:
-    if not cells:
-        return []
-    merged = [list(cells[0])]
-    for a, b, members in cells[1:]:
-        last = merged[-1]
-        if last[1] % SECONDS_PER_DAY == a % SECONDS_PER_DAY and last[2] == members:
-            last[1] = last[1] + (b - a)
-        else:
-            merged.append([a, b, members])
-    # Stitch a run that crosses midnight: the last run ends on the circle
-    # exactly where the first one starts, with the same membership.
-    if len(merged) > 1:
-        first, last = merged[0], merged[-1]
-        if last[1] % SECONDS_PER_DAY == first[0] and last[2] == first[2]:
-            last[1] = last[1] + (first[1] - first[0])
-            merged.pop(0)
-    return [(a, b, m) for a, b, m in merged]
+def _members(active: list[ServiceRequest]) -> tuple[ServiceRequest, ...] | None:
+    """The deduplicated requests of ``active`` if they conflict, else ``None``."""
+    active = _dedupe_by_resident(active)
+    if len(active) < 2 or len({r.value.item_label() for r in active}) < 2:
+        return None
+    return tuple(sorted(active, key=lambda r: r.request_id))
 
 
 def _window(a: int, b: int) -> TimeOfDayInterval:
@@ -96,21 +62,18 @@ def detect_conflicts(requests: Sequence[ServiceRequest]) -> list[ConflictSituati
         partitions[(r.service_id, r.location, r.attribute)].append(r)
 
     situations: list[ConflictSituation] = []
-    for (service_id, location, attribute) in sorted(partitions):
-        group = sorted(partitions[(service_id, location, attribute)], key=lambda r: r.request_id)
-        if len(group) < 2:
-            continue
-        by_id = {r.request_id: r for r in group}
-        for a, b, member_ids in _merge_cells(_cells(group)):
-            members = tuple(by_id[i] for i in sorted(member_ids))
-            situations.append(
-                ConflictSituation(
-                    service_id=service_id,
-                    location=location,
-                    attribute=attribute,
-                    window=_window(a, b),
-                    requests=members,
+    for (service_id, location, attribute), group in partitions.items():
+        arcs = day_arcs([r.interval for r in group])
+        for a, b, members in join_runs([(a, b, _members([group[i] for i in covering])) for a, b, covering in arcs]):
+            if members is not None:
+                situations.append(
+                    ConflictSituation(
+                        service_id=service_id,
+                        location=location,
+                        attribute=attribute,
+                        window=_window(a, b),
+                        requests=members,
+                    )
                 )
-            )
     situations.sort(key=lambda s: s.key())
     return situations

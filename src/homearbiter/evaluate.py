@@ -24,6 +24,8 @@ class EvaluationConfig:
     def __post_init__(self) -> None:
         if not self.strategies:
             raise ValueError("need at least one strategy")
+        if not self.group_sizes:
+            raise ValueError("need at least one group size")
         unknown = [s for s in self.strategies if s not in STRATEGIES]
         if unknown:
             raise ValueError(f"unknown strategy {unknown[0]!r}; expected one of {', '.join(STRATEGIES)}")

@@ -11,9 +11,11 @@ semantics: intervals that merely touch at an endpoint do not overlap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, TypeVar
 
 SECONDS_PER_DAY = 86400
+
+K = TypeVar("K")
 
 
 # The text of each time field: one or two ASCII digits.
@@ -88,31 +90,43 @@ class TimeOfDayInterval:
         return f"[{format_hms(self.start)},{format_hms(self.end)}]"
 
 
+def day_arcs(intervals: Sequence[TimeOfDayInterval]) -> list[tuple[int, int, tuple[int, ...]]]:
+    """Cut the day circle at every endpoint of ``intervals`` into arcs ``(a, b, covering)``.
+
+    ``covering`` holds the indices of the intervals that cover the arc; no
+    endpoint falls inside an arc, so the arc's first second decides.  The arcs
+    run in order from the earliest endpoint; the last one runs past 86400.
+    """
+    bounds = sorted({t for iv in intervals for t in (iv.start, iv.end)})
+    ends = bounds[1:] + [t + SECONDS_PER_DAY for t in bounds[:1]]
+    return [(a, b, tuple(i for i, iv in enumerate(intervals) if iv.covers(a, a + 1)))
+            for a, b in zip(bounds, ends)]
+
+
+def join_runs(arcs: Sequence[tuple[int, int, K]]) -> list[tuple[int, int, K]]:
+    """Join consecutive arcs with equal keys into runs ``(a, b, key)``.
+
+    ``arcs`` go once around the circle, as :func:`day_arcs` gives them, so
+    the last run ends where the first one starts: with the same key, it is
+    joined to the first run across midnight and ends past 86400.
+    """
+    runs: list[tuple[int, int, K]] = []
+    for a, b, key in arcs:
+        if runs and runs[-1][2] == key:
+            runs[-1] = (runs[-1][0], b, key)
+        else:
+            runs.append((a, b, key))
+    if len(runs) > 1 and runs[-1][2] == runs[0][2]:
+        a, _, key = runs.pop()
+        runs[0] = (a, runs[0][1] + SECONDS_PER_DAY, key)
+    return runs
+
+
 def covering_span(intervals: Sequence[TimeOfDayInterval]) -> int:
     """Length of the smallest circular arc containing every interval.
 
-    For a set whose hull does not cross midnight this equals
-    ``max(end) - min(start)``, the plain linear span.
+    That is the day minus its longest uncovered run; for a set whose hull does
+    not cross midnight, ``max(end) - min(start)``, the plain linear span.
     """
-    segs: list[tuple[int, int]] = []
-    for iv in intervals:
-        segs.extend(iv.segments())
-    segs.sort()
-    merged: list[list[int]] = []
-    for s, e in segs:
-        if merged and s <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], e)
-        else:
-            merged.append([s, e])
-    if len(merged) > 1 and merged[0][0] == 0 and merged[-1][1] == SECONDS_PER_DAY:
-        merged[0][0] = merged[-1][0] - SECONDS_PER_DAY
-        merged.pop()
-    covered = sum(e - s for s, e in merged)
-    if covered >= SECONDS_PER_DAY:
-        return SECONDS_PER_DAY
-    max_gap = 0
-    for (s1, e1), (s2, e2) in zip(merged, merged[1:]):
-        max_gap = max(max_gap, s2 - e1)
-    wrap_gap = merged[0][0] + SECONDS_PER_DAY - merged[-1][1]
-    max_gap = max(max_gap, wrap_gap)
-    return SECONDS_PER_DAY - max_gap
+    runs = join_runs([(a, b, bool(covering)) for a, b, covering in day_arcs(intervals)])
+    return SECONDS_PER_DAY - max((b - a for a, b, covered in runs if not covered), default=0)

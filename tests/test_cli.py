@@ -327,6 +327,8 @@ def test_evaluate_unknown_strategy_is_usage_error(workspace, tmp_path, monkeypat
         (["--strategies", "avg,avg"], "duplicate strategy in 'avg,avg'"),
         (["--group-sizes", "2,2"], "duplicate group size in '2,2'"),
         (["--strategies", "avg,avg", "--group-sizes", "2,2"], "duplicate strategy"),
+        (["--group-sizes", ""], "need at least one group size"),
+        (["--group-sizes", " , "], "need at least one group size"),
     )
     for options, message in cases:
         rc = main([
@@ -571,6 +573,15 @@ def test_ingest_rejects_a_duplicate_resident_id(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_ingest_rejects_a_duplicate_resident_id_before_parsing_any_log(tmp_path, capsys):
+    header = "date,time,sensor,status,value,resident,location\n"
+    (tmp_path / "bad.csv").write_text(header + "2026-01-01,25:00:00,TV,ON,,x,den\n", encoding="utf-8")
+    (tmp_path / "good.csv").write_text(header + "2026-01-01,20:00:00,TV,ON,,x,den\n", encoding="utf-8")
+    assert main(["ingest", str(tmp_path / "bad.csv"), str(tmp_path / "good.csv"),
+                 "--residents", "a,a", "--out", str(tmp_path / "store.jsonl")]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == "data error: duplicate resident id 'a' in --residents"
+
+
 def test_cli_module_runs_as_a_script():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-m", "homearbiter.cli", "demo"], capture_output=True, text=True,
@@ -624,6 +635,28 @@ def test_malformed_conflict_stream_exits_two(workspace, tmp_path, capsys):
     ])
     assert rc == 2
     assert f"{numeric_start}:2: bad conflict record: expected HH:MM:SS, got 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("location", 5, "location must be a string"),
+    ("location", None, "location must be a string"),
+    ("location", ["living room"], "location must be a string"),
+    ("location", {"room": "living room"}, "location must be a string"),
+    ("service_id", ["TV"], "service_id must be a string"),
+    ("attribute", 7, "attribute must be a string"),
+    ("request_ids", "tv", "request_ids must be a list of strings"),
+    ("request_ids", [1, 2], "request_ids must be a list of strings"),
+    ("request_ids", None, "request_ids must be a list of strings"),
+])
+def test_conflict_record_field_of_the_wrong_type_exits_two(workspace, tmp_path, capsys, field, value, message):
+    inputs = ["--store", str(workspace / "store.jsonl"), "--requests", str(workspace / "requests.jsonl")]
+    stream = tmp_path / "conflicts.jsonl"
+    assert main(["detect", *inputs, "--out", str(stream)]) == 0
+    header, situation, *records = stream.read_text(encoding="utf-8").splitlines()
+    stream.write_text("\n".join([header, json.dumps({**json.loads(situation), field: value}), *records]) + "\n",
+                      encoding="utf-8")
+    assert main(["resolve", *inputs, "--conflicts", str(stream)]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"data error: {stream}:2: bad conflict record: {message}"
 
 
 @pytest.mark.parametrize("separator", ["\x85", "\u2028", "\u2029"])

@@ -232,6 +232,27 @@ def test_detect_matches_second_scan_oracle_randomized():
         assert _detected_keys(detect_conflicts(requests)) == sweep_oracle(requests), f"case {case}"
 
 
+def test_detect_matches_second_scan_oracle_across_midnight():
+    rng = np.random.RandomState(29)
+    for case in range(300):
+        requests = []
+        for i in range(int(rng.randint(2, 7))):
+            start = SECONDS_PER_DAY - int(rng.randint(1, 301))
+            end = (start + int(rng.randint(1, 401))) % SECONDS_PER_DAY
+            requests.append(
+                ServiceRequest(
+                    request_id=f"q{i}",
+                    service_id="TV",
+                    attribute="channel",
+                    value=AttributeValue.categorical(f"v{rng.randint(0, 3)}"),
+                    interval=TimeOfDayInterval(start, end),
+                    location="living room",
+                    resident=f"r{rng.randint(0, 4)}",
+                )
+            )
+        assert _detected_keys(detect_conflicts(requests)) == sweep_oracle(requests), f"case {case}"
+
+
 def test_detect_matches_oracle_wraparound_cases():
     cases = [
         [("q0", "r1", "v1", 86100, 300), ("q1", "r2", "v2", 86200, 200)],

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -117,3 +118,37 @@ def test_overlap_bounded_by_durations(a, b):
 @given(a=_intervals())
 def test_covering_span_of_single_interval(a):
     assert covering_span([a]) == a.duration()
+
+
+def _span_by_second_scan(intervals):
+    """86400 minus the longest circular run of seconds no interval covers."""
+    uncovered = np.ones(SECONDS_PER_DAY, dtype=bool)
+    for iv in intervals:
+        for s, e in iv.segments():
+            uncovered[s:e] = False
+    if not uncovered.any():
+        return SECONDS_PER_DAY
+    # Around the circle twice, so a run across midnight is counted whole.
+    twice = np.concatenate([[False], uncovered, uncovered, [False]]).astype(np.int8)
+    edges = np.flatnonzero(np.diff(twice))
+    return SECONDS_PER_DAY - int((edges[1::2] - edges[::2]).max())
+
+
+def test_covering_span_matches_a_second_scan():
+    rng = np.random.RandomState(23)
+    kinds = {"wrapping": 0, "near full day": 0, "fully covering": 0}
+    for case in range(400):
+        intervals = []
+        for _ in range(int(rng.randint(1, 5))):
+            start = int(rng.randint(0, SECONDS_PER_DAY))
+            length = int(rng.choice([rng.randint(1, 3601), rng.randint(80000, SECONDS_PER_DAY)]))
+            intervals.append(TimeOfDayInterval(start, (start + length) % SECONDS_PER_DAY))
+        if case % 4 == 3:
+            # An interval and its complement cover the whole day between them.
+            intervals[-1:] = [intervals[-1], TimeOfDayInterval(intervals[-1].end, intervals[-1].start)]
+        expected = _span_by_second_scan(intervals)
+        assert covering_span(intervals) == expected, f"case {case}"
+        kinds["wrapping"] += any(iv.wraps for iv in intervals)
+        kinds["near full day"] += any(iv.duration() >= 80000 for iv in intervals)
+        kinds["fully covering"] += expected == SECONDS_PER_DAY
+    assert min(kinds.values()) >= 50, kinds
