@@ -12,7 +12,8 @@ is most likely to accept.
 
 Baselines rank items by their column mean (avg), minimum (lm, least
 misery), or maximum (mp, most pleasure); use-first simply grants the
-earliest requester's value.
+earliest requester's value, "earliest" measured back from the start of the
+conflict window, across midnight too.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import DataError
+from .intervals import lead_time
 from .linalg import TruncatedSvd, svd, truncate
 from .model import ConflictSituation, ServiceEvent
 from .preferences import History, PreferenceMatrix, WindowEvents, build_preference_table, window_events
@@ -162,8 +164,8 @@ def rank_by_most_pleasure(matrix: PreferenceMatrix) -> tuple[tuple[str, float], 
 
 
 def _rank_use_first(prepared: ResolutionDiagnostics, situation: ConflictSituation, cfg: RunConfig):
-    """Only the value of whoever asked earliest (ties: smallest resident id)."""
-    winner = min(situation.requests, key=lambda r: (r.interval.start, r.resident))
+    """Only the value of whoever asked earliest before the window, across midnight too (ties: smallest resident id)."""
+    winner = min(situation.requests, key=lambda r: (-lead_time(r.interval.start, situation.window.start), r.resident))
     return ((winner.value.item_label(), float(winner.interval.start)),), prepared
 
 

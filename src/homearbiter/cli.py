@@ -24,14 +24,17 @@ from .ingest import (
     PRNG_NAME,
     apply_bins,
     augment_channels,
+    check_record,
     compute_bins,
     decode_text,
     dumps_json,
+    json_lines,
     load_requests,
     load_store,
     parse_event_log,
     parse_json,
     read_text,
+    record_errors,
     sha256_file,
     stabilize,
     write_store,
@@ -229,11 +232,7 @@ def _load_conflict_stream(path: str, requests, inputs: list[dict]) -> list[Confl
     where = "stdin" if path == "-" else path
     text = decode_text(sys.stdin.buffer.read(), where) if path == "-" else read_text(path)
     header = None
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        obj = parse_json(line, where, lineno)
+    for lineno, obj in json_lines(text, where):
         if header is None:
             header = obj if isinstance(obj, dict) else {}
             if header.get("schema") != CONFLICTS_SCHEMA:
@@ -243,27 +242,20 @@ def _load_conflict_stream(path: str, requests, inputs: list[dict]) -> list[Confl
                 raise ParseError("conflict stream was detected from a different store or requests file "
                                  "(input sha256 digests differ)", path=where, line=lineno)
             continue
-        try:
-            for name in ("service_id", "location", "attribute"):
-                if not isinstance(obj[name], str):
-                    raise TypeError(f"{name} must be a string")
-            ids = obj["request_ids"]
-            if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
-                raise TypeError("request_ids must be a list of strings")
-            members = tuple(by_id[i] for i in ids)
+        with record_errors(where, lineno, "bad conflict record: "):
+            check_record(obj, {"service_id": str, "location": str, "attribute": str, "request_ids": list, "window": dict})
+            for request_id in obj["request_ids"]:
+                if request_id not in by_id:
+                    raise ParseError(f"conflict stream references unknown key {request_id!r}", path=where, line=lineno)
             situations.append(
                 ConflictSituation(
                     service_id=obj["service_id"],
                     location=obj["location"],
                     attribute=obj["attribute"],
                     window=TimeOfDayInterval(parse_hms(obj["window"]["start"]), parse_hms(obj["window"]["end"])),
-                    requests=members,
+                    requests=tuple(by_id[i] for i in obj["request_ids"]),
                 )
             )
-        except KeyError as exc:
-            raise ParseError(f"conflict stream references unknown key {exc.args[0]!r}", path=where, line=lineno) from exc
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"bad conflict record: {exc}", path=where, line=lineno) from exc
     if header is None:
         raise ParseError(f"empty conflict stream, expected a {CONFLICTS_SCHEMA} header", path=where)
     return situations

@@ -19,27 +19,20 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Sequence
 
-from .intervals import SECONDS_PER_DAY, TimeOfDayInterval, day_arcs, join_runs
+from .intervals import SECONDS_PER_DAY, TimeOfDayInterval, day_arcs, join_runs, lead_time
 from .model import ConflictSituation, ServiceRequest
 
 
-def _dedupe_by_resident(requests: list[ServiceRequest]) -> list[ServiceRequest]:
-    # One request per resident per arc: keep the earliest start, then the
-    # smallest request id.
+def _members(active: list[ServiceRequest], t: int) -> tuple[ServiceRequest, ...] | None:
+    """The requests of ``active`` on the arc from second ``t``, one per resident, if they conflict, else ``None``."""
+    # Of a resident's requests, keep the one that began earliest before t, across
+    # midnight too, then the smallest request id.
     best: dict[str, ServiceRequest] = {}
-    for r in requests:
-        cur = best.get(r.resident)
-        if cur is None or (r.interval.start, r.request_id) < (cur.interval.start, cur.request_id):
-            best[r.resident] = r
-    return list(best.values())
-
-
-def _members(active: list[ServiceRequest]) -> tuple[ServiceRequest, ...] | None:
-    """The deduplicated requests of ``active`` if they conflict, else ``None``."""
-    active = _dedupe_by_resident(active)
-    if len(active) < 2 or len({r.value.item_label() for r in active}) < 2:
+    for r in sorted(active, key=lambda r: (-lead_time(r.interval.start, t), r.request_id)):
+        best.setdefault(r.resident, r)
+    if len(best) < 2 or len({r.value.item_label() for r in best.values()}) < 2:
         return None
-    return tuple(sorted(active, key=lambda r: r.request_id))
+    return tuple(sorted(best.values(), key=lambda r: r.request_id))
 
 
 def _window(a: int, b: int) -> TimeOfDayInterval:
@@ -64,7 +57,7 @@ def detect_conflicts(requests: Sequence[ServiceRequest]) -> list[ConflictSituati
     situations: list[ConflictSituation] = []
     for (service_id, location, attribute), group in partitions.items():
         arcs = day_arcs([r.interval for r in group])
-        for a, b, members in join_runs([(a, b, _members([group[i] for i in covering])) for a, b, covering in arcs]):
+        for a, b, members in join_runs([(a, b, _members([group[i] for i in covering], a)) for a, b, covering in arcs]):
             if members is not None:
                 situations.append(
                     ConflictSituation(

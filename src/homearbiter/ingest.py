@@ -31,6 +31,7 @@ import math
 import operator
 import os
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -442,17 +443,9 @@ def load_requests(path: str | Path, bin_specs: Mapping[tuple[str, str], BinningS
     where = str(path)
     requests: list[ServiceRequest] = []
     seen: set[str] = set()
-    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        obj = parse_json(line, where, lineno)
-        if not isinstance(obj, dict):
-            raise ParseError(f"expected a JSON object, got {type(obj).__name__}", path=where, line=lineno)
-        try:
-            for name in ("request_id", "service_id", "attribute", "location", "resident"):
-                if not isinstance(obj[name], str):
-                    raise ValueError(f"{name} must be a string")
+    for lineno, obj in json_lines(read_text(path), where):
+        with record_errors(where, lineno):
+            check_record(obj, dict.fromkeys(("request_id", "service_id", "attribute", "location", "resident"), str))
             if not obj["location"].strip():
                 raise ValueError("location must be non-empty")
             if obj["request_id"] in seen:
@@ -476,10 +469,6 @@ def load_requests(path: str | Path, bin_specs: Mapping[tuple[str, str], BinningS
                     resident=obj["resident"],
                 )
             )
-        except KeyError as exc:
-            raise ParseError(f"missing field {exc.args[0]!r}", path=where, line=lineno) from exc
-        except (TypeError, ValueError) as exc:
-            raise ParseError(str(exc), path=where, line=lineno) from exc
         seen.add(obj["request_id"])
     return requests
 
@@ -530,6 +519,40 @@ def parse_json(text: str, path: str, line: int | None = None):
         raise ParseError(f"bad JSON: {exc}", path=path, line=line) from exc
 
 
+def json_lines(text: str, where: str) -> Iterator[tuple[int, object]]:
+    """``(line number, value)`` of each non-blank line of a JSON-lines text, stripped, by :func:`parse_json`."""
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if line:
+            yield lineno, parse_json(line, where, lineno)
+
+
+_KIND_NAMES = {str: "a string", list: "a list of strings", dict: "an object"}
+
+
+def check_record(obj, fields: Mapping[str, type]) -> None:
+    """Raise unless ``obj`` is a JSON object whose ``fields`` are of their kinds: strings, lists of strings, objects."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+    for name, kind in fields.items():
+        if not isinstance(obj[name], kind) or kind is list and not all(isinstance(item, str) for item in obj[name]):
+            raise ValueError(f"{name} must be {_KIND_NAMES[kind]}")
+
+
+@contextmanager
+def record_errors(where: str, lineno: int, prefix: str = "") -> Iterator[None]:
+    """Raise a record's lookup, type, value or overflow error as a ``where:lineno: prefix...`` :class:`ParseError`.
+
+    A ``KeyError``, such as :func:`check_record` raises for a missing field, reads ``missing field 'x'``.
+    """
+    try:
+        yield
+    except KeyError as exc:
+        raise ParseError(f"{prefix}missing field {exc.args[0]!r}", path=where, line=lineno) from exc
+    except (LookupError, TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{prefix}{exc}", path=where, line=lineno) from exc
+
+
 def dumps_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
@@ -541,11 +564,14 @@ def _bins_to_json(specs: Mapping[tuple[str, str], BinningSpec]) -> list[dict]:
 
 
 def _bins_from_json(entries) -> dict[tuple[str, str], BinningSpec]:
+    if not isinstance(entries, list):
+        raise ValueError("bins must be a list")
     specs = {}
     for entry in entries:
+        check_record(entry, {"service_id": str, "attribute": str})
+        if not isinstance(entry["boundaries"], list):
+            raise ValueError("boundaries must be a list")
         key = (entry["service_id"], entry["attribute"])
-        if not all(isinstance(name, str) for name in key):
-            raise ValueError("service_id and attribute must be strings")
         specs[key] = BinningSpec(attribute=key[1], bin_count=entry["bin_count"],
                                  boundaries=tuple(map(finite_number, entry["boundaries"])),
                                  lo=finite_number(entry["lo"]), hi=finite_number(entry["hi"]))
@@ -666,8 +692,6 @@ def _pieces(handle) -> Iterator[str]:
 
 def _items_of(attributes) -> tuple[tuple[str, str], ...]:
     """The (attribute, item label) pairs of a stored attributes object; raises ``ValueError`` unless valid."""
-    if not isinstance(attributes, dict):
-        raise ValueError("attributes must be an object of objects")
     return tuple((name, AttributeValue.item_label_of_json(value)) for name, value in attributes.items())
 
 
@@ -691,11 +715,8 @@ def _ordinal(date: str) -> int:
 
 def _checked_row(obj) -> tuple:
     """(service, location, date ordinal, start, end, resident, items) of a whole store event record."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
-    for name in ("event_id", "service_id", "date", "location", "resident"):
-        if not isinstance(obj[name], str):
-            raise ValueError(f"{name} must be a string")
+    check_record(obj, {**dict.fromkeys(("event_id", "service_id", "date", "location", "resident"), str),
+                       "attributes": dict})
     items = _items_of(obj["attributes"])
     ordinal = dt.date.fromisoformat(obj["date"]).toordinal()
     start, end = obj["start"], obj["end"]
@@ -714,10 +735,8 @@ def _store_header(line: str, where: str, lineno: int) -> dict:
     if schema != STORE_SCHEMA:
         raise ParseError(f"unknown store schema {schema!r}", path=where, line=lineno)
     if "bins" in header:
-        try:
+        with record_errors(where, lineno, "bad bins entry: "):
             header["bins"] = _bins_from_json(header["bins"])
-        except (LookupError, TypeError, ValueError, OverflowError) as exc:
-            raise ParseError(f"bad bins entry: {exc}", path=where, line=lineno) from exc
     return header
 
 
@@ -775,10 +794,8 @@ class _EventColumns:
             if not line:
                 blank.append(row)
                 continue
-            try:
+            with record_errors(self.where, lineno + row, "bad event record: "):
                 fields = _checked_row(parse_json(line, self.where, lineno + row))
-            except (LookupError, TypeError, ValueError, OverflowError) as exc:
-                raise ParseError(f"bad event record: {exc}", path=self.where, line=lineno + row) from exc
             service[row], location[row], ordinal[row], start[row], end[row], resident[row], items[row] = fields
         for row in reversed(blank):  # a blank line holds no event
             for column in (service, location, resident, items):

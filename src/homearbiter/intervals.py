@@ -53,6 +53,11 @@ def check_interval(start: int, end: int) -> None:
         raise ValueError("zero-length interval")
 
 
+def lead_time(start: int, t: int) -> int:
+    """Seconds from ``start`` on to ``t`` around the day circle: how long before ``t`` a window from ``start`` began."""
+    return (t - start) % SECONDS_PER_DAY
+
+
 @dataclass(frozen=True)
 class TimeOfDayInterval:
     """A daily time window ``[start, end]`` in seconds since midnight.

@@ -1,15 +1,17 @@
 import csv
 import datetime as dt
+import json
 import math
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from homearbiter.errors import DataError, ParseError
 from homearbiter.ingest import LOG_COLUMNS, BinningSpec, _parse_attribute
-from homearbiter.intervals import TimeOfDayInterval, parse_hms
+from homearbiter.intervals import SECONDS_PER_DAY, TimeOfDayInterval, format_hms, parse_hms
 from homearbiter.linalg import SvdResult
 from homearbiter.model import AttributeValue, ServiceEvent, ServiceRequest, normalize_location
 from homearbiter.preferences import PreferenceMatrix
@@ -17,6 +19,11 @@ from homearbiter.preferences import PreferenceMatrix
 
 def hms(text: str) -> int:
     return parse_hms(text)
+
+
+def shifted(text: str, seconds: int) -> str:
+    """The ``HH:MM:SS`` time ``seconds`` after ``text`` around the day circle."""
+    return format_hms((parse_hms(text) + seconds) % SECONDS_PER_DAY)
 
 
 def interval(start: str, end: str) -> TimeOfDayInterval:
@@ -116,6 +123,44 @@ def event_from_json(obj) -> ServiceEvent:
         location=obj["location"],
         resident=obj["resident"],
     )
+
+
+# Any JSON value: scalars of every type, and lists and objects of them.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+# The value that makes ``rewrite_json_line`` delete its field.
+DELETE = object()
+
+
+def rewrite_json_line(path: str | Path, lineno: int, keys: Sequence = (), value=DELETE,
+                      out: str | Path | None = None) -> Path:
+    """Write the JSON-lines file ``path`` with its line ``lineno`` (from 1) changed to ``out``, by default in place.
+
+    ``keys`` is a path of object keys and list indices into the line's value:
+    the field it names is set to ``value``, or deleted when ``value`` is
+    :data:`DELETE`.  With no keys the whole line becomes ``value``.  Every
+    other line is written as it was.
+    """
+    lines = Path(path).read_text(encoding="utf-8").split("\n")
+    obj = json.loads(lines[lineno - 1])
+    if keys:
+        *parents, last = keys
+        node = obj
+        for key in parents:
+            node = node[key]
+        if value is DELETE:
+            del node[last]
+        else:
+            node[last] = value
+    else:
+        obj = value
+    lines[lineno - 1] = json.dumps(obj)
+    out = Path(path if out is None else out)
+    out.write_text("\n".join(lines), encoding="utf-8")
+    return out
 
 
 def history_columns(events: Sequence[ServiceEvent]) -> tuple:

@@ -22,7 +22,7 @@ from homearbiter.errors import DataError
 from homearbiter.linalg import TruncatedSvd, svd, truncate
 from homearbiter.model import ConflictSituation
 
-from conftest import hms, item_set_by_sort, make_request, matrix_by_lookup, matrix_from_entries
+from conftest import hms, item_set_by_sort, make_request, matrix_by_lookup, matrix_from_entries, shifted
 
 WORKED = np.array(
     [
@@ -341,6 +341,15 @@ def test_use_first():
     tie_a = make_request("ra", "Chx", start="20:00:00", end="20:30:00")
     tie_b = make_request("rb", "Chy", start="20:00:00", end="20:30:00")
     assert resolve(_situation(tie_b, tie_a), [], RunConfig(), "use-first").chosen == ("Chx",)
+
+
+@pytest.mark.parametrize("shift", [0, 600, 43200])
+def test_use_first_grants_who_asked_first_across_midnight(shift):
+    # alice asked at 23:50, fifteen minutes before bob, though her start second is the larger one.
+    alice = make_request("alice", "Ch1", start=shifted("23:50:00", shift), end=shifted("00:30:00", shift))
+    bob = make_request("bob", "Ch2", start=shifted("00:05:00", shift), end=shifted("00:30:00", shift))
+    resolution = resolve(_situation(alice, bob), [], RunConfig(), "use-first")
+    assert resolution.ranked == (("Ch1", float(alice.interval.start)),)
 
 
 def test_resolve_with_strategy_dispatch(reference_history, reference_situation):

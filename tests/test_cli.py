@@ -14,6 +14,8 @@ from homearbiter.cli import cli, main
 from homearbiter.config import RunConfig
 from homearbiter.synthetic import DEFAULT_SEED, synthetic_household
 
+from conftest import DELETE, rewrite_json_line
+
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 SRC_DIR = DATA_DIR.parent / "src"
 
@@ -624,10 +626,7 @@ def test_malformed_conflict_stream_exits_two(workspace, tmp_path, capsys):
     detected, numeric_start = tmp_path / "detected.jsonl", tmp_path / "numeric-start.jsonl"
     assert main(["detect", "--store", str(workspace / "store.jsonl"), "--requests", str(workspace / "requests.jsonl"),
                  "--out", str(detected)]) == 0
-    header, situation, *_ = detected.read_text(encoding="utf-8").splitlines()
-    situation = json.loads(situation)
-    situation["window"]["start"] = 5
-    numeric_start.write_text("\n".join([header, json.dumps(situation)]) + "\n", encoding="utf-8")
+    rewrite_json_line(detected, 2, ["window", "start"], 5, out=numeric_start)
     rc = main([
         "resolve", "--store", str(workspace / "store.jsonl"),
         "--requests", str(workspace / "requests.jsonl"),
@@ -647,16 +646,42 @@ def test_malformed_conflict_stream_exits_two(workspace, tmp_path, capsys):
     ("request_ids", "tv", "request_ids must be a list of strings"),
     ("request_ids", [1, 2], "request_ids must be a list of strings"),
     ("request_ids", None, "request_ids must be a list of strings"),
+    ("window", "20:00:00", "window must be an object"),
+    ("window", None, "window must be an object"),
+    ("window", ["20:00:00", "20:30:00"], "window must be an object"),
 ])
 def test_conflict_record_field_of_the_wrong_type_exits_two(workspace, tmp_path, capsys, field, value, message):
     inputs = ["--store", str(workspace / "store.jsonl"), "--requests", str(workspace / "requests.jsonl")]
     stream = tmp_path / "conflicts.jsonl"
     assert main(["detect", *inputs, "--out", str(stream)]) == 0
-    header, situation, *records = stream.read_text(encoding="utf-8").splitlines()
-    stream.write_text("\n".join([header, json.dumps({**json.loads(situation), field: value}), *records]) + "\n",
-                      encoding="utf-8")
+    rewrite_json_line(stream, 2, [field], value)
     assert main(["resolve", *inputs, "--conflicts", str(stream)]) == 2
     assert capsys.readouterr().err.splitlines()[-1] == f"data error: {stream}:2: bad conflict record: {message}"
+
+
+@pytest.mark.parametrize("kind, lineno, keys, value, message", [
+    ("conflicts", 2, ["service_id"], DELETE, "bad conflict record: missing field 'service_id'"),
+    ("conflicts", 2, ["window", "end"], DELETE, "bad conflict record: missing field 'end'"),
+    ("conflicts", 2, [], [1], "bad conflict record: expected a JSON object, got list"),
+    ("store", 2, ["start"], DELETE, "bad event record: missing field 'start'"),
+    ("store", 2, [], [1], "bad event record: expected a JSON object, got list"),
+    ("store", 1, ["bins"], 5, "bad bins entry: bins must be a list"),
+    ("store", 1, ["bins"], {"temp": {}}, "bad bins entry: bins must be a list"),
+    ("store", 1, ["bins", 0, "lo"], DELETE, "bad bins entry: missing field 'lo'"),
+    ("store", 1, ["bins", 0], [], "bad bins entry: expected a JSON object, got list"),
+    ("requests", 1, ["start"], DELETE, "missing field 'start'"),
+    ("requests", 1, [], [1], "expected a JSON object, got list"),
+])
+def test_a_bad_record_reads_one_way_in_every_reader(workspace, tmp_path, capsys, kind, lineno, keys, value, message):
+    inputs = {"store": workspace / "store.jsonl", "requests": workspace / "requests.jsonl"}
+    stream = tmp_path / "conflicts.jsonl"
+    assert main(["detect", "--store", str(inputs["store"]), "--requests", str(inputs["requests"]),
+                 "--out", str(stream)]) == 0
+    inputs["conflicts"] = stream
+    inputs[kind] = bad = rewrite_json_line(inputs[kind], lineno, keys, value, out=tmp_path / f"bad-{kind}.jsonl")
+    assert main(["resolve", "--store", str(inputs["store"]), "--requests", str(inputs["requests"]),
+                 "--conflicts", str(inputs["conflicts"])]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"data error: {bad}:{lineno}: {message}"
 
 
 @pytest.mark.parametrize("separator", ["\x85", "\u2028", "\u2029"])

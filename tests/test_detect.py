@@ -1,12 +1,13 @@
 import dataclasses
 
 import numpy as np
+import pytest
 
 from homearbiter.detect import detect_conflicts
 from homearbiter.intervals import SECONDS_PER_DAY, TimeOfDayInterval
 from homearbiter.model import AttributeValue, ServiceRequest
 
-from conftest import intervals_overlap, make_request
+from conftest import hms, intervals_overlap, make_request, shifted
 
 
 def is_conflict(a: ServiceRequest, b: ServiceRequest) -> bool:
@@ -176,8 +177,8 @@ def sweep_oracle(requests):
         for t in seconds:
             active = [r for r in group
                       if any(s <= t < e for s, e in r.interval.segments())]
-            best = {}
-            for r in sorted(active, key=lambda r: (r.interval.start, r.request_id)):
+            best = {}  # per resident, the request that began longest before t, around the circle
+            for r in sorted(active, key=lambda r: (-((t - r.interval.start) % SECONDS_PER_DAY), r.request_id)):
                 best.setdefault(r.resident, r)
             active = list(best.values())
             if len(active) < 2 or len({r.value.item_label() for r in active}) < 2:
@@ -258,6 +259,8 @@ def test_detect_matches_oracle_wraparound_cases():
         [("q0", "r1", "v1", 86100, 300), ("q1", "r2", "v2", 86200, 200)],
         [("q0", "r1", "v1", 86350, 120), ("q1", "r2", "v2", 50, 200), ("q2", "r3", "v3", 86300, 400)],
         [("q0", "r1", "v1", 86000, 800), ("q1", "r2", "v1", 86100, 500), ("q2", "r2", "v2", 86100, 500)],
+        # r1's q0 began before midnight and q1 after it; q0 began first.
+        [("q0", "r1", "v1", 85800, 2400), ("q1", "r1", "v3", 300, 1500), ("q2", "r2", "v2", 300, 1500)],
     ]
     for case in cases:
         requests = [
@@ -284,3 +287,17 @@ def test_detect_same_resident_duplicates_deduped():
     situations = detect_conflicts(requests)
     assert len(situations) == 1
     assert tuple(r.request_id for r in situations[0].requests) == ("A", "C")
+
+
+@pytest.mark.parametrize("shift", [0, 600, 43200])
+def test_detect_dedupe_keeps_the_request_that_began_first_across_midnight(shift):
+    # a1 began at 23:50, fifteen minutes before a2, though its start second is the larger one.
+    requests = [
+        make_request("alice", "Ch1", start=shifted("23:50:00", shift), end=shifted("00:30:00", shift), request_id="a1"),
+        make_request("alice", "Ch3", start=shifted("00:05:00", shift), end=shifted("00:30:00", shift), request_id="a2"),
+        make_request("bob", "Ch2", start=shifted("00:05:00", shift), end=shifted("00:30:00", shift), request_id="b1"),
+    ]
+    (situation,) = detect_conflicts(requests)
+    assert tuple(r.request_id for r in situation.requests) == ("a1", "b1")
+    assert (situation.window.start, situation.window.end) == (hms(shifted("00:05:00", shift)),
+                                                              hms(shifted("00:30:00", shift)))

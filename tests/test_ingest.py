@@ -34,6 +34,7 @@ from homearbiter.model import AttributeValue, ServiceEvent
 from homearbiter.preferences import History
 
 from conftest import (
+    JSON_VALUES,
     binning_sse,
     compute_bins_loop,
     event_from_json,
@@ -301,11 +302,6 @@ def test_store_events_read_the_file_again_and_reject_a_changed_one(tmp_path):
     assert store.events == events and load_store(store_path).events == events[:1]
 
 
-_json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
-    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=8), children, max_size=4),
-    max_leaves=12,
-)
 _STORE_EVENT = {
     "event_id": "r1-000001", "service_id": "TV", "date": "2026-01-01", "start": 72000, "end": 73800,
     "location": "living room", "resident": "r1",
@@ -324,8 +320,8 @@ def _store_event_with(field, value):
 
 
 @settings(max_examples=150, deadline=None)
-@given(line=_json_values | st.builds(_store_event_with, st.sampled_from([*_STORE_EVENT, "channel", "temp"]),
-                                     _json_values))
+@given(line=JSON_VALUES | st.builds(_store_event_with, st.sampled_from([*_STORE_EVENT, "channel", "temp"]),
+                                     JSON_VALUES))
 @example(line=[1, 2])
 @example(line=_store_event_with("attributes", [1]))
 @example(line=_store_event_with("channel", "Ch1"))
@@ -359,10 +355,10 @@ def _bins_entry_with(field, value):
 
 
 @settings(max_examples=150, deadline=None)
-@given(bins=_json_values
-       | st.lists(st.builds(_bins_entry_with, st.sampled_from([*_STORE_BINS, "boundary"]), _json_values),
+@given(bins=JSON_VALUES
+       | st.lists(st.builds(_bins_entry_with, st.sampled_from([*_STORE_BINS, "boundary"]), JSON_VALUES),
                   min_size=1, max_size=1)
-       | st.builds(lambda entry: [entry], st.dictionaries(st.sampled_from(sorted(_STORE_BINS)), _json_values)))
+       | st.builds(lambda entry: [entry], st.dictionaries(st.sampled_from(sorted(_STORE_BINS)), JSON_VALUES)))
 @example(bins=[{k: v for k, v in _STORE_BINS.items() if k != "lo"}])
 @example(bins=[{"service_id": "thermostat"}])
 @example(bins=[_bins_entry_with("bin_count", 2.0)])
@@ -392,8 +388,8 @@ _STORE_HEADER = {"schema": "homearbiter-store/1", "bins": [_STORE_BINS], "config
 
 
 @settings(max_examples=150, deadline=None)
-@given(first=_json_values | st.builds(lambda field, value: {**_STORE_HEADER, field: value},
-                                      st.sampled_from(sorted(_STORE_HEADER)), _json_values))
+@given(first=JSON_VALUES | st.builds(lambda field, value: {**_STORE_HEADER, field: value},
+                                      st.sampled_from(sorted(_STORE_HEADER)), JSON_VALUES))
 @example(first=_STORE_HEADER)
 @example(first={**_STORE_HEADER, "schema": "homearbiter-store/2"})
 @example(first={**_STORE_HEADER, "bins": {"temp": 1}})
@@ -426,13 +422,13 @@ _VALID_EVENTS = st.builds(
     st.integers(0, SECONDS_PER_DAY - 1), st.integers(1, SECONDS_PER_DAY - 1), _VALID_ATTRIBUTES)
 # Attribute values of every kind with arbitrary fields, and events with one field replaced.
 _MUTATED_EVENTS = (
-    _json_values
-    | st.builds(_store_event_with, st.sampled_from([*_STORE_EVENT, "channel", "temp"]), _json_values)
+    JSON_VALUES
+    | st.builds(_store_event_with, st.sampled_from([*_STORE_EVENT, "channel", "temp"]), JSON_VALUES)
     | st.builds(_store_event_with, st.sampled_from(["channel", "temp"]),
                 st.fixed_dictionaries({"kind": st.sampled_from(["cat", "num", "bin"])},
-                                      optional={"label": _json_values, "value": _json_values, "index": _json_values,
+                                      optional={"label": JSON_VALUES, "value": JSON_VALUES, "index": JSON_VALUES,
                                                 "bounds": st.lists(st.integers() | st.floats() | st.text(max_size=3),
-                                                                   max_size=3) | _json_values}))
+                                                                   max_size=3) | JSON_VALUES}))
 )
 _VARIED_EVENT = {**_STORE_EVENT, "location": " Living Room ", "date": "20260103", "start": 80000, "end": 3600,
                  "attributes": {"temp": {"kind": "num", "value": -0.0}, "level": {"kind": "bin", "index": 0,
@@ -994,7 +990,7 @@ def _request_with(field, value):
 
 
 @settings(max_examples=150, deadline=None)
-@given(line=_json_values | st.builds(_request_with, st.sampled_from(sorted(_REQUEST)), _json_values))
+@given(line=JSON_VALUES | st.builds(_request_with, st.sampled_from(sorted(_REQUEST)), JSON_VALUES))
 @example(line=[1])
 @example(line=_request_with("start", 5))
 @example(line=_request_with("end", None))
