@@ -318,14 +318,15 @@ def resolve(store_path, requests_path, conflicts_path, strategy, dump_preference
                     request_centroid=_round6(diag.centroid),
                     consensus_scores=_round6(diag.consensus),
                 )
-        window = situation.window
-        preference_rows.append(
-            f"# situation: {situation.service_id}/{situation.location}/{situation.attribute}"
-            f"/{format_hms(window.start)}-{format_hms(window.end)}"
-        )
-        table = diag.table
-        for resident, row in zip(table.residents, table.scores.tolist()):
-            preference_rows.extend(f"{resident},{item},{score:.4f}" for item, score in zip(table.items, row) if score > 0)
+        if dump_preferences:
+            window, table = situation.window, diag.table
+            preference_rows.append(
+                f"# situation: {situation.service_id}/{situation.location}/{situation.attribute}"
+                f"/{format_hms(window.start)}-{format_hms(window.end)}"
+            )
+            for resident, row in zip(table.residents, table.scores.tolist()):
+                preference_rows.extend(f"{resident},{item},{score:.4f}"
+                                       for item, score in zip(table.items, row) if score > 0)
         lines.append(dumps_json(record))
     _write_lines(lines, out)
     if dump_preferences:

@@ -16,8 +16,9 @@ unique, so :func:`stabilize` puts them in store order.
 
 Request file: one JSON object per line with keys request_id, service_id,
 attribute, value, start, end (HH:MM:SS), location, resident.  Every field
-but the value is a JSON string, the location not an empty or all-space one;
-the value is a string or a finite number and follows the log rule either way.
+but the value is a JSON string, the ids, attribute, location and resident
+not an empty or all-space one; the value is a string or a finite number and
+follows the log rule either way.
 """
 
 from __future__ import annotations
@@ -28,12 +29,12 @@ import datetime as dt
 import hashlib
 import json
 import math
-import operator
 import os
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
@@ -441,13 +442,15 @@ def load_requests(path: str | Path, bin_specs: Mapping[tuple[str, str], BinningS
     in the same item space as a binned history.
     """
     where = str(path)
+    labels = ("request_id", "service_id", "attribute", "location", "resident")
     requests: list[ServiceRequest] = []
     seen: set[str] = set()
     for lineno, obj in json_lines(read_text(path), where):
         with record_errors(where, lineno):
-            check_record(obj, dict.fromkeys(("request_id", "service_id", "attribute", "location", "resident"), str))
-            if not obj["location"].strip():
-                raise ValueError("location must be non-empty")
+            check_record(obj, dict.fromkeys(labels, str))
+            for name in labels:
+                if not obj[name].strip():
+                    raise ValueError(f"{name} must be non-empty")
             if obj["request_id"] in seen:
                 raise ValueError(f"duplicate request id {obj['request_id']!r}")
             raw = obj["value"]
@@ -583,9 +586,9 @@ class EventStore:
     """A loaded store.
 
     ``history`` is the index :func:`load_store` builds from the store file,
-    whose text it does not keep.  The event ``lines`` and their ``events``
-    read the file again on first access; a file changed since the load
-    raises a :class:`DataError`.  ``header["bins"]``, when present, maps
+    whose text it does not keep.  The ``events`` read the file again on
+    first access; a file changed since the load raises a
+    :class:`DataError`.  ``header["bins"]``, when present, maps
     (service_id, attribute) to its spec.
     """
 
@@ -595,15 +598,11 @@ class EventStore:
     stamp: tuple[int, int] = field(repr=False)  # the file's size and modification time at the load
 
     @cached_property
-    def lines(self) -> list[str]:
-        """The event lines, stripped: every non-blank line after the header."""
+    def events(self) -> list[ServiceEvent]:
+        """The event of every non-blank line after the header."""
         if _stamp(os.stat(self.path)) != self.stamp:
             raise DataError(f"{self.path}: store changed since it was loaded")
-        return [line for line in map(str.strip, read_text(self.path).split("\n")) if line][1:]
-
-    @cached_property
-    def events(self) -> list[ServiceEvent]:
-        return [_event_from_json(parse_json(line, self.path)) for line in self.lines]
+        return [_event_from_json(obj) for _, obj in islice(json_lines(read_text(self.path), self.path), 1, None)]
 
     def bin_specs(self) -> dict[tuple[str, str], BinningSpec]:
         return dict(self.header.get("bins", {}))
@@ -663,16 +662,16 @@ def _canonical_line(attributes: str, date: str, end: int, event_id: str, locatio
             f'"location":"{location}","resident":"{resident}","service_id":"{service_id}","start":{start}}}')
 
 
-# One match per line of a piece of a store's event lines: an event line of the form :func:`_canonical_line`
-# writes, with its fields but the event id captured, or any other line, whole, in the last group.
-# Neither ``.`` nor any class here matches a newline.  A captured string has no escape and no control
-# character, so its text is its value.  An integer has no leading zero (invalid JSON) and at most five
-# digits: every valid second fits, and int() never meets its 4300-digit limit.
+# One match per event line of the form :func:`_canonical_line` writes in a piece of a store, with its
+# fields but the event id captured; a line of any other form has none.  Neither ``.`` nor any class
+# here matches a newline.  A captured string has no escape and no control character, so its text is
+# its value.  An integer has no leading zero (invalid JSON) and at most five digits: every valid
+# second fits, and int() never meets its 4300-digit limit.
 _STRING = r'"([^"\\\x00-\x1f]*)"'
 _INTEGER = r"(0|[1-9][0-9]{0,4})"
 _STORE_LINE = re.compile(
-    rf'^(?:\{{"attributes":(\{{.*?\}}),"date":{_STRING},"end":{_INTEGER},"event_id":"[^"\\\x00-\x1f]*",'
-    rf'"location":{_STRING},"resident":{_STRING},"service_id":{_STRING},"start":{_INTEGER}\}}|(.*))$', re.M)
+    rf'^\{{"attributes":(\{{.*?\}}),"date":{_STRING},"end":{_INTEGER},"event_id":"[^"\\\x00-\x1f]*",'
+    rf'"location":{_STRING},"resident":{_STRING},"service_id":{_STRING},"start":{_INTEGER}\}}$', re.M)
 _PIECE = 1 << 16  # characters of a store read at a time
 
 
@@ -718,7 +717,9 @@ def _checked_row(obj) -> tuple:
     check_record(obj, {**dict.fromkeys(("event_id", "service_id", "date", "location", "resident"), str),
                        "attributes": dict})
     items = _items_of(obj["attributes"])
-    ordinal = dt.date.fromisoformat(obj["date"]).toordinal()
+    ordinal = _ordinal(obj["date"])
+    if not ordinal:
+        raise ValueError(f"date must be an ISO date, got {obj['date']!r}")
     start, end = obj["start"], obj["end"]
     check_interval(start, end)
     if not items:
@@ -741,15 +742,14 @@ def _store_header(line: str, where: str, lineno: int) -> dict:
 
 
 class _EventColumns:
-    """The :class:`History` columns of a store's event lines, read a piece of text at a time.
+    """The :class:`History` columns of a store whose event lines are all canonical, read a piece at a time.
 
-    Each piece's canonical lines are captured by one ``findall``; every
-    other step works on whole columns.  Attribute objects, dates and
-    locations repeat across lines, so each distinct one is checked once.
+    Each piece's lines are captured by one ``findall``; every other step
+    works on whole columns.  Attribute objects, dates and locations repeat
+    across lines, so each distinct one is checked once.
     """
 
-    def __init__(self, where: str):
-        self.where = where
+    def __init__(self):
         self.service: list[str] = []
         self.location: list[str] = []
         self.resident: list[str] = []
@@ -761,51 +761,30 @@ class _EventColumns:
         self.locations: dict[str, str] = {}
         self.labels: dict[str, str] = {}  # one copy of each resident and service label
 
-    def read(self, piece: str, lineno: int) -> int:
-        """Add the event lines of ``piece``, the first of them line ``lineno`` of the file; their count."""
-        rows = _STORE_LINE.findall(piece, 0, len(piece) - piece.endswith("\n"))
-        blob, date, end, location, resident, service, start, other = zip(*rows)
+    def read(self, piece: str) -> bool:
+        """Whether each line of ``piece`` is a canonical event line that passes every check; only then add them."""
+        rows = _STORE_LINE.findall(piece)
+        if len(rows) != piece.count("\n") + (not piece.endswith("\n")):  # a blank line, or one of another form
+            return False
+        blob, date, end, location, resident, service, start = zip(*rows)
         del rows
         count = len(blob)
         for memo, check, column in ((self.blobs, _blob_items, blob), (self.ordinals, _ordinal, date),
                                     (self.locations, normalize_location, location)):
             for text in dict.fromkeys(column).keys() - memo.keys():
                 memo[text] = check(text)
-        items = list(map(self.blobs.__getitem__, blob))  # None for a blob that fails, or no blob: ""
+        items = list(map(self.blobs.__getitem__, blob))  # None for a blob that fails
         ordinal = np.fromiter(map(self.ordinals.__getitem__, date), np.int64, count)
-        if "" in blob:  # a line of another form captures no field; its row comes from the checked read
-            start, end = ([digits or "0" for digits in column] for column in (start, end))
         start, end = np.fromstring(",".join(start + end), dtype=np.int64, sep=",").reshape(2, count)
-        failed = np.fromiter(map(operator.not_, items), bool, count)
-        failed |= (ordinal == 0) | (start == end) | (np.maximum(start, end) >= SECONDS_PER_DAY)
-        location = list(map(self.locations.__getitem__, location))
-        resident = list(map(self.labels.setdefault, resident, resident))
-        service = list(map(self.labels.setdefault, service, service))
-
-        # In file order, so the first line that the checked read rejects raises.
-        blank: list[int] = []
-        lines: list[str] = []
-        for row in np.flatnonzero(failed).tolist():
-            if blob[row]:  # a canonical line that failed a check: its text was not captured
-                lines = lines or piece.split("\n")
-                line = lines[row].strip()
-            else:
-                line = other[row].strip()
-            if not line:
-                blank.append(row)
-                continue
-            with record_errors(self.where, lineno + row, "bad event record: "):
-                fields = _checked_row(parse_json(line, self.where, lineno + row))
-            service[row], location[row], ordinal[row], start[row], end[row], resident[row], items[row] = fields
-        for row in reversed(blank):  # a blank line holds no event
-            for column in (service, location, resident, items):
-                del column[row]
+        if not all(items) or ((ordinal == 0) | (start == end) | (np.maximum(start, end) >= SECONDS_PER_DAY)).any():
+            return False
         for columns, values in ((self.ordinal, ordinal), (self.start, start), (self.end, end)):
-            columns.append(np.delete(values, blank))
-        for column, values in ((self.service, service), (self.location, location), (self.resident, resident),
-                               (self.items, items)):
-            column.extend(values)
-        return count
+            columns.append(values)
+        self.location.extend(map(self.locations.__getitem__, location))
+        self.resident.extend(map(self.labels.setdefault, resident, resident))
+        self.service.extend(map(self.labels.setdefault, service, service))
+        self.items.extend(items)
+        return True
 
     def history(self) -> History:
         return History.from_columns(self.service, self.location, np.concatenate(self.ordinal),
@@ -813,19 +792,20 @@ class _EventColumns:
 
 
 def load_store(path: str | Path) -> EventStore:
-    """Read a store, building the :class:`History` columns from the whole file, a piece at a time.
+    """Read a store, building the :class:`History` columns from the whole file.
 
     An event line must pass every check that building its
     :class:`ServiceEvent` makes; the first that fails raises a
-    :class:`ParseError` naming its ``file:line``.  Every line in the
-    canonical form :func:`write_store` writes is read by a pattern match
-    over the text, and checked from the captured fields.  Any other line,
-    and any canonical line that fails a check, is read and checked as a
-    whole JSON object, in file order, which raises the first such line's
-    error.
+    :class:`ParseError` naming its ``file:line``.  A store whose event
+    lines are all in the canonical form :func:`write_store` writes is read
+    a piece at a time by a pattern match over the text, and checked from
+    the captured fields.  Any other store, with a blank line, a line of
+    another form or a line that fails a check, is read again, whole, and
+    each line checked as a JSON object in file order, which raises the
+    first bad line's error.
     """
     where = str(path)
-    columns = _EventColumns(where)
+    columns = _EventColumns()
     try:
         with open(path, encoding="utf-8") as handle:
             stamp = _stamp(os.fstat(handle.fileno()))
@@ -833,12 +813,18 @@ def load_store(path: str | Path) -> EventStore:
             while (line := handle.readline()) and not line.strip():
                 lineno += 1
             header = _store_header(line.strip(), where, lineno)
-            for piece in _pieces(handle):
-                lineno += columns.read(piece, lineno + 1)
+            canonical = all(map(columns.read, _pieces(handle)))
     except UnicodeDecodeError:
-        read_text(path)  # raises the ParseError naming the line of the first byte that is not UTF-8
-        raise
-    return EventStore(header=header, history=columns.history(), path=where, stamp=stamp)
+        canonical = False
+    if canonical:
+        history = columns.history()
+    else:  # read_text names the line of a byte that is not UTF-8
+        rows = []
+        for lineno, obj in islice(json_lines(read_text(path), where), 1, None):
+            with record_errors(where, lineno, "bad event record: "):
+                rows.append(_checked_row(obj))
+        history = History.from_columns(*(list(zip(*rows)) or [()] * 7))  # no rows: seven empty columns
+    return EventStore(header=header, history=history, path=where, stamp=stamp)
 
 
 def sha256_file(path: str | Path) -> str:

@@ -45,7 +45,7 @@ def test_ingest_is_deterministic(workspace, tmp_path):
 
 @pytest.mark.parametrize("flags, kind", [([], "bin"), (["--bin-count", "1000"], "num")])
 def test_ingest_writes_every_event_line_in_the_canonical_form(tmp_path, monkeypatch, capsys, flags, kind):
-    # load_store reads a canonical line without json.loads; any other line falls back to parse_json.
+    # load_store reads a store of canonical lines without json.loads; any other store is read again by parse_json.
     store = tmp_path / "store.jsonl"
     assert main(["ingest", str(DATA_DIR / "household60.csv"), "--out", str(store), *flags]) == 0
     capsys.readouterr()
@@ -54,7 +54,8 @@ def test_ingest_writes_every_event_line_in_the_canonical_form(tmp_path, monkeypa
     parsed = []
     parse_json = ingest.parse_json
     monkeypatch.setattr(ingest, "parse_json", lambda text, *where: parsed.append(text) or parse_json(text, *where))
-    assert len(ingest.load_store(store).lines) == len(events)
+    history = ingest.load_store(store).history
+    assert sum(len(columns.date) for columns in history.groups.values()) == len(events)
     assert parsed == [header]
 
 
@@ -671,6 +672,7 @@ def test_conflict_record_field_of_the_wrong_type_exits_two(workspace, tmp_path, 
     ("store", 1, ["bins", 0], [], "bad bins entry: expected a JSON object, got list"),
     ("requests", 1, ["start"], DELETE, "missing field 'start'"),
     ("requests", 1, [], [1], "expected a JSON object, got list"),
+    ("store", 2, ["date"], "x", "bad event record: date must be an ISO date, got 'x'"),
 ])
 def test_a_bad_record_reads_one_way_in_every_reader(workspace, tmp_path, capsys, kind, lineno, keys, value, message):
     inputs = {"store": workspace / "store.jsonl", "requests": workspace / "requests.jsonl"}

@@ -280,6 +280,10 @@ def test_store_header_is_first_non_blank_line(tmp_path):
     event_first.write_text("\n" + "\n".join(store_path.read_text().splitlines()[3:]) + "\n", encoding="utf-8")
     with pytest.raises(ParseError, match=r"event_first\.jsonl:2: unknown store schema None"):
         load_store(event_first)
+    header_only = tmp_path / "header_only.jsonl"
+    header_only.write_text(store_path.read_text().splitlines()[2] + "\n\n \n", encoding="utf-8")
+    store = load_store(header_only)  # blank lines: the checked read, of no event line
+    assert (store.events, store.history.groups, store.history.latest) == ([], {}, None)
     for body in ("", "\n\n"):
         store_path.write_text(body, encoding="utf-8")
         with pytest.raises(ParseError, match="no store header"):
@@ -550,6 +554,14 @@ def _store_outcome(store_path):
                  later=[_STORE_EVENT, _VARIED_EVENT], gap=2, piece=40)
 @_oracle_example(valid=[_STORE_EVENT] * 2, mutated=_STORE_EVENT, position=1, encoders=_CANONICAL,
                  later=_BLANK_LINES, gap=1)
+# Pieces of one or two lines, so that the first pieces are taken before the last one declines: a trailing
+# blank line, only the last line re-spaced, and a canonical last line whose end is its start.
+@_oracle_example(valid=[_STORE_EVENT] * 3, mutated=_STORE_EVENT, position=3, encoders=_CANONICAL,
+                 later=[_Raw("")], piece=300)
+@_oracle_example(valid=[_STORE_EVENT] * 3, mutated=_STORE_EVENT, position=3,
+                 encoders=["canonical"] * 3 + ["spaced"] + ["canonical"] * 3, piece=300)
+@_oracle_example(valid=[_STORE_EVENT] * 3, mutated=_store_event_with("end", _STORE_EVENT["start"]), position=3,
+                 encoders=_CANONICAL, piece=300)
 def test_load_store_matches_the_per_line_event_oracle(tmp_path_factory, valid, mutated, position, encoders, later,
                                                       gap, piece):
     # A mutated line, more lines, then up to two more mutated (or valid) lines: when several lines
@@ -593,6 +605,18 @@ def test_load_store_matches_the_per_line_event_oracle(tmp_path_factory, valid, m
     store_path.write_text("\n".join([header, *map(respaced, lines)]) + "\n", encoding="utf-8")
     with mock.patch.object(ingest, "_PIECE", piece):
         assert _store_outcome(store_path) == outcome
+
+
+@pytest.mark.parametrize("encoder", ["canonical", "spaced"])
+def test_load_store_reads_a_last_line_without_a_newline(tmp_path, encoder):
+    store_path = tmp_path / "store.jsonl"
+    lines = [json.dumps({"schema": "homearbiter-store/1"}), dumps_json(_STORE_EVENT), _encode(encoder, _VARIED_EVENT)]
+    store_path.write_text("\n".join(lines), encoding="utf-8")
+    # A store need not end with a newline: its last line is read like any other, not dropped.
+    expected = [event_from_json(json.loads(line)) for line in lines[1:]]
+    oracle = History(expected)
+    assert _store_outcome(store_path) == (expected, oracle.residents, oracle.item_labels, oracle.latest,
+                                          _group_columns(oracle))
 
 
 # Strings with every character class json.dumps escapes or keeps: quotes, backslashes, control
@@ -970,6 +994,17 @@ def test_request_empty_location_carries_line(tmp_path, location):
     line = dict(json.loads(_request_line(19.0)), location=location)
     path.write_text(_request_line(20.0) + "\n" + json.dumps(line) + "\n", encoding="utf-8")
     with pytest.raises(ParseError, match=r"requests\.jsonl:2: location must be non-empty"):
+        load_requests(path)
+
+
+@pytest.mark.parametrize("value", ["", "  "])
+@pytest.mark.parametrize("field", ["request_id", "service_id", "attribute", "resident"])
+def test_request_empty_labels_carry_line(tmp_path, field, value):
+    # Like an empty location, an empty label would load and take part in detection.
+    path = tmp_path / "requests.jsonl"
+    line = dict(json.loads(_request_line(19.0)), **{field: value})
+    path.write_text(_request_line(20.0) + "\n" + json.dumps(line) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=rf"requests\.jsonl:2: {field} must be non-empty"):
         load_requests(path)
 
 
