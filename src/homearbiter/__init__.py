@@ -30,6 +30,7 @@ from .evaluate import (
 )
 from .ingest import (
     BinningSpec,
+    EventRows,
     apply_bins,
     augment_channels,
     compute_bins,

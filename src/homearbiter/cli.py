@@ -22,6 +22,7 @@ from .errors import ArbiterError, DataError, ParseError
 from .evaluate import EvaluationConfig, run_experiment
 from .ingest import (
     PRNG_NAME,
+    EventRows,
     apply_bins,
     augment_channels,
     check_record,
@@ -141,21 +142,21 @@ def ingest(logs, out, residents, location_map, channels, **kwargs) -> None:
         if resident is not None and resident in ids[:index]:
             raise DataError(f"duplicate resident id {resident!r} in --residents")
     warnings: list[str] = []
-    events = []
+    parts: list[EventRows] = []
     for resident, path in zip(ids, logs):
         # Ids stay unique: a resident's own log numbers from 1, other logs on after the earlier logs' events.
         result = parse_event_log(path, resident=resident, location_map=loc_map,
-                                 first_number=1 if resident is not None else len(events) + 1)
+                                 first_number=1 if resident is not None else sum(map(len, parts)) + 1)
         warnings.extend(f"{Path(path).name}: {w}" for w in result.warnings)
-        events.extend(result.events)
+        parts.append(result.events)
 
-    events = stabilize(events, cfg.settling_window)
+    events = stabilize(EventRows.joined(parts), cfg.settling_window, warnings)
 
     numeric_values: dict[tuple[str, str], list[float]] = {}
-    for event in events:
-        for name, value in event.attributes.items():
+    for service_id, attributes in zip(events.service, events.attributes):
+        for name, value in attributes.items():
             if value.kind == "numeric":
-                numeric_values.setdefault((event.service_id, name), []).append(value.value)
+                numeric_values.setdefault((service_id, name), []).append(value.value)
     specs = {}
     for (service_id, attribute), values in sorted(numeric_values.items()):
         if len(set(values)) < cfg.bin_count:
@@ -165,15 +166,8 @@ def ingest(logs, out, residents, location_map, channels, **kwargs) -> None:
             )
             continue
         specs[(service_id, attribute)] = compute_bins(values, cfg.bin_count, attribute=attribute)
-    if specs:
-        binned = []
-        for event in events:
-            for (service_id, attribute), spec in specs.items():
-                value = event.attribute(attribute)
-                if event.service_id == service_id and value is not None and value.kind == "numeric":
-                    event = apply_bins(event, spec, warnings)
-            binned.append(event)
-        events = binned
+    for (service_id, attribute), spec in specs.items():
+        events = apply_bins(events, service_id, spec, warnings)
 
     if labels is not None:
         events = augment_channels(events, labels, seed=cfg.seed)

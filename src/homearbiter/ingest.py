@@ -32,9 +32,9 @@ import math
 import os
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import islice
+from dataclasses import dataclass, field, replace
+from functools import cache, cached_property
+from itertools import groupby, islice
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
@@ -91,21 +91,75 @@ class BinningSpec:
         return (lower, upper)
 
 
-def _replaced(event: ServiceEvent, attributes: Mapping[str, AttributeValue],
-              interval: TimeOfDayInterval) -> ServiceEvent:
-    """``dataclasses.replace`` of the attributes and interval, without its scan of the fields."""
-    return ServiceEvent(event.event_id, event.service_id, attributes, event.date, interval, event.location,
-                        event.resident)
+def _ranks(labels: Sequence) -> np.ndarray:
+    """Each label's place in the order of the distinct labels."""
+    rank = {label: index for index, label in enumerate(sorted(set(labels)))}
+    return np.fromiter(map(rank.__getitem__, labels), np.int64, len(labels))
 
 
-def store_order(event: ServiceEvent) -> tuple:
-    """Sort key of the canonical event order: date, start, resident, event id."""
-    return (event.date, event.interval.start, event.resident, event.event_id)
+@dataclass(eq=False, repr=False)
+class EventRows(Sequence[ServiceEvent]):
+    """Service events as numpy columns; an item is a :class:`ServiceEvent`, built on access.
+
+    ``ingest`` carries its events from the log to the store as rows and
+    builds no event.  Rows share attributes mappings, which no step changes.
+    """
+
+    ids: np.ndarray  # of objects, like the service, location, resident and attributes columns
+    service: np.ndarray
+    location: np.ndarray
+    resident: np.ndarray
+    ordinal: np.ndarray  # of int64, like the start and end columns
+    start: np.ndarray
+    end: np.ndarray
+    attributes: np.ndarray
+
+    @classmethod
+    def of(cls, events: Sequence[ServiceEvent]) -> EventRows:
+        """The rows of ``events``: the events themselves when they are rows."""
+        return events if isinstance(events, EventRows) else cls.from_records(
+            [(e.event_id, e.service_id, e.location, e.resident, e.date.toordinal(), e.interval.start, e.interval.end,
+              e.attributes) for e in events])
+
+    @classmethod
+    def from_records(cls, records: Sequence[tuple]) -> EventRows:
+        """The rows of ``(event id, service, location, resident, date ordinal, start, end, attributes)`` records."""
+        columns = list(zip(*records)) or [()] * 8
+        return cls(*(np.fromiter(column, np.int64 if 4 <= index < 7 else object, len(column))  # int64: date, times
+                     for index, column in enumerate(columns)))
+
+    @classmethod
+    def joined(cls, parts: Sequence[EventRows]) -> EventRows:
+        """The rows of each part in turn."""
+        return cls(*map(np.concatenate, zip(*(vars(part).values() for part in parts))))
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, index):
+        """The event at an integer ``index``, or the rows at a slice or an index array, in its order."""
+        columns = [column[index] for column in vars(self).values()]
+        if isinstance(index, (slice, np.ndarray)):
+            return EventRows(*columns)
+        event_id, service, location, resident, ordinal, start, end, attributes = columns
+        return ServiceEvent(event_id, service, attributes, dt.date.fromordinal(int(ordinal)),
+                            TimeOfDayInterval(int(start), int(end)), location, resident)
+
+    def __eq__(self, other):
+        return list(self) == list(other) if isinstance(other, (list, EventRows)) else NotImplemented
+
+    def in_store_order(self) -> EventRows:
+        """The rows in store order: by date, start, resident and event id; the ids are ranked only for a tie."""
+        keys = [_ranks(self.resident), self.ordinal * SECONDS_PER_DAY + self.start]  # np.lexsort: last key first
+        order = np.lexsort(keys)
+        if (np.diff(np.stack(keys)[:, order]) == 0).all(axis=0).any():
+            order = np.lexsort([_ranks(self.ids), *keys])
+        return self if (np.diff(order) > 0).all() else self[order]
 
 
 @dataclass
 class ParseResult:
-    events: list[ServiceEvent]
+    events: EventRows
     warnings: list[str]
 
 
@@ -141,12 +195,10 @@ def _read_log_records(path: str | Path, resident: str | None, location_map: Mapp
     for the other statuses, which keep their session's location.
     """
     path = Path(path)
-    # Dates, times, values and locations repeat across rows.  A memo holds only fields that passed
-    # their checks, so a bad field still raises at its own row.
-    dates: dict[str, dt.date] = {}
-    times: dict[str, int] = {}
-    attributes: dict[str, tuple[str, AttributeValue]] = {}
-    locations: dict[tuple[str, str], str] = {}
+    # Dates, times, values and locations repeat across rows.  A memo keeps no call that raised, so a bad
+    # field still raises at its own row.
+    date_of, time_of, attribute_of = map(cache, (dt.date.fromisoformat, parse_hms, _parse_attribute))
+    location_of = cache(lambda sensor, location: normalize_location(location_map.get(sensor, location)))
     # The last physical line read; a quoted value may span lines, so a record's
     # number is the line after the previous record's end.
     end = 0
@@ -169,15 +221,7 @@ def _read_log_records(path: str | Path, resident: str | None, location_map: Mapp
                     raise ParseError(f"expected {len(LOG_COLUMNS)} fields, got {len(row)}", path=str(path), line=lineno)
                 date_s, time_s, sensor, status, value, row_resident, location = map(str.strip, row)
                 try:
-                    date = dates.get(date_s)
-                    if date is None:
-                        date = dates[date_s] = dt.date.fromisoformat(date_s)
-                    time = times.get(time_s)
-                    if time is None:
-                        time = times[time_s] = parse_hms(time_s)
-                    attribute = attributes.get(value)
-                    if attribute is None:
-                        attribute = attributes[value] = _parse_attribute(value)
+                    date, time, attribute = date_of(date_s), time_of(time_s), attribute_of(value)
                 except ValueError as exc:
                     raise ParseError(str(exc), path=str(path), line=lineno) from exc
                 if previous is not None and (date, time) < previous:
@@ -192,22 +236,71 @@ def _read_log_records(path: str | Path, resident: str | None, location_map: Mapp
                 effective_resident = resident if resident is not None else row_resident
                 if not effective_resident:
                     raise ParseError("no resident id (column empty and none supplied)", path=str(path), line=lineno)
-                if status == "ON":
-                    mapped = locations.get((sensor, location))
-                    if mapped is None:
-                        mapped = normalize_location(location_map.get(sensor, location))
-                        if not mapped:
-                            raise ParseError("empty location (column empty and none mapped)", path=str(path), line=lineno)
-                        locations[sensor, location] = mapped
-                    location = mapped
-                else:
-                    location = None
+                location = location_of(sensor, location) if status == "ON" else None
+                if location == "":
+                    raise ParseError("empty location (column empty and none mapped)", path=str(path), line=lineno)
                 yield date, time, sensor, status, attribute, effective_resident, location
     except csv.Error as exc:
         raise ParseError(f"bad CSV: {exc}", path=str(path), line=end + 1) from exc
     except UnicodeDecodeError:
         read_text(path)  # raises the ParseError naming the line of the first byte that is not UTF-8
         raise
+
+
+_LOG_HEADER = (",".join(LOG_COLUMNS) + "\n").encode()
+# How each row of a log in the canonical form starts: digits where the template has a 0.
+_ROW_START = np.frombuffer(b"0000-00-00,00:00:00,", dtype=np.uint8)
+_DIGIT = _ROW_START == ord("0")
+
+
+def _rest_record(rest: bytes, resident: str | None, location_map: Mapping[str, str]) -> tuple | None:
+    """``(sensor, status, attribute, resident, location)`` of a row's fields after its time, if they pass every
+    check of :func:`_read_log_records`."""
+    try:
+        sensor, status, value, row_resident, location = map(str.strip, rest.decode("utf-8").split(","))
+        attribute = _parse_attribute(value)
+    except ValueError:  # not UTF-8, not five fields, or a bad value
+        return None
+    status, resident = status.upper(), row_resident if resident is None else resident
+    location = normalize_location(location_map.get(sensor, location)) if status == "ON" else None
+    if sensor and status in ("ON", "OFF", "SET") and resident and location != "":
+        return sensor, status, attribute, resident, location
+
+
+def _read_log_columns(path: str | Path, resident: str | None,
+                      location_map: Mapping[str, str]) -> Iterator[tuple] | None:
+    """The records of :func:`_read_log_records` for a log in the canonical form, else ``None``.
+
+    The canonical form: the exact header, no ``"``, ``\\r`` or NUL byte, a final newline, no line over the csv
+    field limit, and rows in (date, time) order that each start with ``YYYY-MM-DD,HH:MM:SS,`` of a real date and
+    time.  Dates and times are checked as columns, each distinct date and rest of a row once.  This reader words
+    no error: the row reader reads a declined log and names its first bad line.
+    """
+    data = Path(path).read_bytes()
+    if not data.startswith(_LOG_HEADER) or not data.endswith(b"\n") or any(c in data for c in (b'"', b"\r", b"\0")):
+        return None
+    text = np.frombuffer(data, dtype=np.uint8)
+    newlines = np.flatnonzero(text == ord("\n"))
+    starts, ends = newlines[:-1] + 1, newlines[1:]
+    if len(starts) and ((ends - starts).min() < len(_ROW_START) or (ends - starts).max() > csv.field_size_limit()):
+        return None
+    head = np.stack([text[starts + offset] for offset in range(len(_ROW_START))])  # (20, rows) of uint8
+    digits = head[_DIGIT] - ord("0")  # a byte below "0" wraps around to above 9
+    century, year, month, day, hour, minute, second = digits[0::2].astype(np.int64) * 10 + digits[1::2]
+    stamp, time = ((century * 100 + year) * 100 + month) * 100 + day, (hour * 60 + minute) * 60 + second
+    if ((digits > 9).any() or (head[~_DIGIT] != _ROW_START[~_DIGIT, None]).any() or (hour > 23).any()
+            or (minute > 59).any() or (second > 59).any() or (np.diff(stamp * SECONDS_PER_DAY + time) < 0).any()):
+        return None
+    stamps, date_index = np.unique(stamp, return_inverse=True)
+    try:
+        dates = [dt.date(s // 10000, s // 100 % 100, s % 100) for s in stamps.tolist()]
+    except ValueError:
+        return None
+    rests = [line[len(_ROW_START):] for line in data.split(b"\n")[1:-1]]
+    records = {rest: _rest_record(rest, resident, location_map) for rest in set(rests)}
+    if None in records.values():
+        return None
+    return zip(map(dates.__getitem__, date_index.tolist()), time.tolist(), *zip(*map(records.__getitem__, rests)))
 
 
 def parse_event_log(
@@ -226,11 +319,23 @@ def parse_event_log(
     overnight, wrap-around event.  Event ids are ``<resident>-<number>``; a
     later log of one household numbers on after the earlier logs' events.
     """
-    events: list[ServiceEvent] = []
+    location_map = location_map or {}
+    records = _read_log_columns(path, resident, location_map)
+    if records is None:
+        records = _read_log_records(path, resident, location_map)
+    events: list[tuple] = []  # the EventRows record of each event
     warnings: list[str] = []
     # (sensor, resident) -> its open session: (date, start, attributes, location).
     open_sessions: dict[tuple[str, str], tuple[dt.date, int, dict, str]] = {}
+    # (id of a session's attributes or of None, id of a record's attribute) -> the attributes with it, shared by
+    # its sessions.  The readers keep every attribute alive, and the memo every attributes, so no id is reused.
+    made: dict[tuple[int, int], dict] = {}
     counter = first_number - 1
+
+    def with_attribute(attributes: dict | None, attribute: tuple[str, AttributeValue]) -> dict:
+        if (id(attributes), id(attribute)) not in made:
+            made[id(attributes), id(attribute)] = {**(attributes or {}), attribute[0]: attribute[1]}
+        return made[id(attributes), id(attribute)]
 
     def emit(sensor: str, res: str, session: tuple, end: int) -> None:
         nonlocal counter
@@ -238,9 +343,7 @@ def parse_event_log(
         if end == start:
             return  # zero-length segment: value changed within one second
         counter += 1
-        # A session emits at most once, and SET copies its attributes first, so the event may keep them.
-        events.append(ServiceEvent(f"{res}-{counter:06d}", sensor, attributes, date,
-                                   TimeOfDayInterval(start, end), location, res))
+        events.append((f"{res}-{counter:06d}", sensor, location, res, date.toordinal(), start, end, attributes))
 
     def close_at_day_end(key: tuple[str, str], session: tuple) -> None:
         emit(key[0], key[1], session, END_OF_DAY)
@@ -248,7 +351,7 @@ def parse_event_log(
             f"{key[0]}/{key[1]}: ON at {session[0]} {format_hms(session[1])} without OFF; closed at end of day"
         )
 
-    for date, time, sensor, status, attribute, res, location in _read_log_records(path, resident, location_map or {}):
+    for date, time, sensor, status, attribute, res, location in records:
         key = (sensor, res)
         session = open_sessions.get(key)
         if session is not None and date != session[0]:
@@ -263,17 +366,13 @@ def parse_event_log(
             if session is not None:
                 emit(sensor, res, session, time)
                 warnings.append(f"{sensor}/{res}: ON at {date} {format_hms(time)} while already on")
-            name, value = attribute
-            open_sessions[key] = (date, time, {name: value}, location)
+            open_sessions[key] = (date, time, with_attribute(None, attribute), location)
         elif status == "SET":
             if session is None:
                 warnings.append(f"{sensor}/{res}: SET at {date} {format_hms(time)} while off; ignored")
                 continue
             emit(sensor, res, session, time)
-            name, value = attribute
-            attributes = dict(session[2])
-            attributes[name] = value
-            open_sessions[key] = (date, time, attributes, session[3])
+            open_sessions[key] = (date, time, with_attribute(session[2], attribute), session[3])
         else:  # OFF
             if session is None:
                 warnings.append(f"{sensor}/{res}: OFF at {date} {format_hms(time)} while not on; ignored")
@@ -284,41 +383,39 @@ def parse_event_log(
     for key in sorted(open_sessions):
         close_at_day_end(key, open_sessions[key])
 
-    events.sort(key=store_order)
-    return ParseResult(events=events, warnings=warnings)
+    return ParseResult(events=EventRows.from_records(events).in_store_order(), warnings=warnings)
 
 
-def stabilize(events: Sequence[ServiceEvent], settling_window: int) -> list[ServiceEvent]:
-    """Keep only the settled value of each burst of rapid changes.
+def stabilize(events: Sequence[ServiceEvent], settling_window: int, warnings: list[str] | None = None) -> EventRows:
+    """Keep only the settled value of each burst of rapid changes, in store order.
 
     Within one (resident, service, location, day), consecutive events whose
     start times are closer than ``settling_window`` seconds form a run; only
     the run's final event survives, its interval stretched back to the first
-    change.  Idempotent: surviving starts are at least a window apart.  With
-    unique event ids the result does not depend on the input order.
+    change, unless it wraps past midnight and would then reach its own end:
+    it keeps its start, with a warning.  Idempotent: surviving starts are at
+    least a window apart.  With unique ids the input order does not matter.
     """
     if settling_window <= 0:
         raise ValueError("settling_window must be positive")
-    # In store order a group's events come by (start, event id), so each event either extends the
-    # run of its group's previous event, and takes its slot as the run's last event, or starts a run.
-    kept: list[ServiceEvent | None] = []
-    firsts: list[int] = []  # the start of each kept event's run
-    latest: dict[tuple, int] = {}  # (resident, service, location, day) -> slot of its latest event
-    for e in sorted(events, key=store_order):
-        group = (e.resident, e.service_id, e.location, e.date)
-        start = first = e.interval.start
-        slot = latest.get(group)
-        if slot is not None and start - kept[slot].interval.start < settling_window:
-            first = firsts[slot]
-            kept[slot] = None
-        latest[group] = len(kept)
-        kept.append(e)
-        firsts.append(first)
-    out = [e if e.interval.start == first else _replaced(e, e.attributes, TimeOfDayInterval(first, e.interval.end))
-           for e, first in zip(kept, firsts) if e is not None]
-    if len(out) < len(kept):  # a run folded, and its survivor now starts earlier
-        out.sort(key=store_order)
-    return out
+    rows = EventRows.of(events).in_store_order()
+    # A stable sort by group keeps the store order within a group: by start, then event id.
+    group = _ranks(list(zip(rows.resident, rows.service, rows.location)))
+    order = np.lexsort((rows.ordinal, group))
+    start = rows.start[order]
+    # Whether each event's run goes on to the next event of the sorted order.
+    goes_on = (np.diff(group[order]) == 0) & (np.diff(rows.ordinal[order]) == 0) & (np.diff(start) < settling_window)
+    first, survives = np.empty_like(start), np.empty(len(rows), dtype=bool)
+    first[order] = start[np.maximum.accumulate(np.where(np.r_[True, ~goes_on], np.arange(len(start)), 0))]
+    survives[order] = np.r_[~goes_on, True]
+    kept = rows[np.flatnonzero(survives)]
+    first = first[survives]
+    own = (kept.end < kept.start) & (first <= kept.end)  # a wrapping survivor the stretch would turn inside out
+    for i in np.flatnonzero(own).tolist() if warnings is not None else ():
+        at, day = format_hms(int(kept.start[i])), dt.date.fromordinal(int(kept.ordinal[i]))
+        warnings.append(f"{kept.service[i]}/{kept.resident[i]}: settled value at {day} {at} would span a whole day "
+                        f"from {format_hms(int(first[i]))}; kept from {at}")
+    return replace(kept, start=np.where(own, kept.start, first)).in_store_order()
 
 
 def compute_bins(values: Sequence[float], bin_count: int, attribute: str = "value") -> BinningSpec:
@@ -335,14 +432,7 @@ def compute_bins(values: Sequence[float], bin_count: int, attribute: str = "valu
     vals = sorted(float(v) for v in values)
     if len(vals) < bin_count:
         raise DataError(f"attribute {attribute!r}: {len(vals)} values cannot fill {bin_count} bins")
-    distinct: list[float] = []
-    weights: list[int] = []
-    for v in vals:
-        if distinct and v == distinct[-1]:
-            weights[-1] += 1
-        else:
-            distinct.append(v)
-            weights.append(1)
+    distinct, weights = zip(*((v, len(list(equal))) for v, equal in groupby(vals)))  # each run's first value
     d = len(distinct)
     if d < bin_count:
         raise DataError(f"attribute {attribute!r}: {d} distinct values cannot fill {bin_count} bins")
@@ -396,39 +486,52 @@ def bin_value(value: float, spec: BinningSpec) -> tuple[AttributeValue, str | No
     return spec.bin_values[min(spec.bin_index(value), spec.bin_count - 1)], warning
 
 
-def apply_bins(event: ServiceEvent, spec: BinningSpec, warnings: list[str] | None = None) -> ServiceEvent:
-    """Replace the event's numeric attribute named by the spec with its bin."""
-    current = event.attribute(spec.attribute)
-    if current is None or current.kind != "numeric":
-        raise ValueError(f"event {event.event_id} has no numeric attribute {spec.attribute!r}")
-    binned, warning = bin_value(current.value, spec)
-    if warning and warnings is not None:
-        warnings.append(f"event {event.event_id}: {warning}")
-    attrs = dict(event.attributes)
-    attrs[spec.attribute] = binned
-    return _replaced(event, attrs, event.interval)
+def _with_values(rows: EventRows, index: Sequence[int], name: str, values: Sequence[AttributeValue]) -> EventRows:
+    """The rows with attribute ``name`` set to each value at its index; rows that shared attributes and get one
+    value share the new attributes."""
+    attributes = rows.attributes.copy()
+    made: dict[tuple[int, int], dict] = {}  # rows.attributes and the values keep the keyed objects alive
+    for row, value in zip(index, values):
+        key = (id(attributes[row]), id(value))
+        if key not in made:
+            made[key] = {**attributes[row], name: value}
+        attributes[row] = made[key]
+    return replace(rows, attributes=attributes)
 
 
-def augment_channels(events: Sequence[ServiceEvent], channels: Sequence[str], seed: int) -> list[ServiceEvent]:
+def apply_bins(events: Sequence[ServiceEvent], service_id: str, spec: BinningSpec,
+               warnings: list[str] | None = None) -> EventRows:
+    """Replace the numeric attribute named by the spec with its bin in each event of the service that has one.
+
+    The bins of all the events come from one ``np.searchsorted``; other events pass unchanged.
+    """
+    rows = EventRows.of(events)
+    index = [row for row in np.flatnonzero(rows.service == service_id).tolist()
+             if getattr(rows.attributes[row].get(spec.attribute), "kind", None) == "numeric"]
+    values = [rows.attributes[row][spec.attribute].value for row in index]
+    for row, value in zip(index, values):
+        if warnings is not None and not spec.lo <= value <= spec.hi:
+            warnings.append(f"event {rows.ids[row]}: {bin_value(value, spec)[1]}")
+    bins = np.searchsorted(spec.boundaries, values, side="right").tolist()  # bisect_right of each value
+    return _with_values(rows, index, spec.attribute, [spec.bin_values[b] for b in bins])
+
+
+def augment_channels(events: Sequence[ServiceEvent], channels: Sequence[str], seed: int) -> EventRows:
     """Assign a uniformly random channel to TV events that lack one.
 
     Draws come from a fixed, versioned generator (``PRNG_NAME``) seeded with
-    ``seed``, so the same seed always produces the same augmented log.
-    Events already carrying the attribute pass through untouched.
+    ``seed``, one per such event in order, so the same seed always produces
+    the same augmented log.  Events already carrying the attribute pass
+    through untouched.
     """
     if not channels:
         raise ValueError("channels must be non-empty")
-    rng = np.random.RandomState(seed)
-    out: list[ServiceEvent] = []
-    for e in events:
-        if e.service_id == CHANNEL_SERVICE and e.attribute(CHANNEL_ATTRIBUTE) is None:
-            pick = channels[int(rng.randint(0, len(channels)))]
-            attrs = dict(e.attributes)
-            attrs[CHANNEL_ATTRIBUTE] = AttributeValue.categorical(pick)
-            out.append(_replaced(e, attrs, e.interval))
-        else:
-            out.append(e)
-    return out
+    rows = EventRows.of(events)
+    index = [row for row in np.flatnonzero(rows.service == CHANNEL_SERVICE).tolist()
+             if rows.attributes[row].get(CHANNEL_ATTRIBUTE) is None]
+    draws = np.random.RandomState(seed).randint(0, len(channels), size=len(index)).tolist()
+    picks = {draw: AttributeValue.categorical(channels[draw]) for draw in set(draws)}
+    return _with_values(rows, index, CHANNEL_ATTRIBUTE, list(map(picks.__getitem__, draws)))
 
 
 # ---------------------------------------------------------------------------
@@ -616,34 +719,24 @@ def write_store(path: str | Path, events: Sequence[ServiceEvent], header: Mappin
     """Write the store; ``header["bins"]``, when present, maps (service_id, attribute) to its spec.
 
     Each event line is ``dumps_json`` of the event's record, written through
-    :func:`_canonical_line`.  Attributes, dates and labels repeat across
-    events, so each distinct one is encoded once.
+    :func:`_canonical_line` from the columns of :class:`EventRows`.
+    Attributes, dates and labels repeat across events, so each distinct one
+    is encoded once.
     """
     header = {"schema": STORE_SCHEMA, **header}
     if "bins" in header:
         header["bins"] = _bins_to_json(header["bins"])
-    blobs: dict[tuple, tuple[str, tuple]] = {}
-    dates: dict[dt.date, str] = {}
-    labels: dict[tuple[str, str, str], tuple[str, str, str]] = {}
-    lines = [dumps_json(header)]
-    for e in sorted(events, key=store_order):
-        # Keyed by identity, since equal values can encode apart (0.0 and -0.0); each entry keeps
-        # its values alive, so no other value can take their ids while the store is written.
-        attributes = e.attributes
-        identity = (*attributes, *map(id, attributes.values()))
-        blob = blobs.get(identity)
-        if blob is None:
-            blob = blobs[identity] = (dumps_json({name: value.to_json() for name, value in attributes.items()}),
-                                      tuple(attributes.values()))
-        date = dates.get(e.date)
-        if date is None:
-            date = dates[e.date] = e.date.isoformat()  # digits and hyphens: json.dumps adds only the quotes
-        label = (e.location, e.resident, e.service_id)
-        texts = labels.get(label)
-        if texts is None:
-            texts = labels[label] = tuple(map(_json_text, label))
-        lines.append(_canonical_line(blob[0], date, e.interval.end, _json_text(e.event_id), *texts, e.interval.start))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    ids, service, location, resident, ordinal, start, end, attributes = (
+        column.tolist() for column in vars(EventRows.of(events).in_store_order()).values())
+    # Keyed by identity, since equal values can encode apart (0.0 and -0.0); the rows keep the mappings alive.
+    blobs = {id(mapping): dumps_json({name: value.to_json() for name, value in mapping.items()})
+             for mapping in {id(mapping): mapping for mapping in attributes}.values()}
+    dates = {day: dt.date.fromordinal(day).isoformat() for day in set(ordinal)}  # json.dumps adds only quotes
+    texts = {label: _json_text(label) for label in {*location, *resident, *service}}
+    labels = (map(texts.__getitem__, column) for column in (location, resident, service))
+    lines = map(_canonical_line, map(blobs.__getitem__, map(id, attributes)), map(dates.__getitem__, ordinal), end,
+                map(_json_text, ids), *labels, start)
+    Path(path).write_text("\n".join([dumps_json(header), *lines]) + "\n", encoding="utf-8", newline="\n")
 
 
 # A string that json.dumps writes as it is: printable ASCII without '"' or '\\'.
@@ -663,14 +756,16 @@ def _canonical_line(attributes: str, date: str, end: int, event_id: str, locatio
 
 
 # One match per event line of the form :func:`_canonical_line` writes in a piece of a store, with its
-# fields but the event id captured; a line of any other form has none.  Neither ``.`` nor any class
-# here matches a newline.  A captured string has no escape and no control character, so its text is
-# its value.  An integer has no leading zero (invalid JSON) and at most five digits: every valid
-# second fits, and int() never meets its 4300-digit limit.
+# fields but the event id captured; a line of any other form has none.  No class here matches a
+# newline.  The attributes object is matched by its structure, so a label holding a brace declines.
+# A captured string has no escape and no control character, so its text is its value.  An integer
+# has no leading zero (invalid JSON) and at most five digits: every valid second fits, and int()
+# never meets its 4300-digit limit.
 _STRING = r'"([^"\\\x00-\x1f]*)"'
 _INTEGER = r"(0|[1-9][0-9]{0,4})"
+_ATTRIBUTES = r'\{"[^"\n]*":\{[^{}\n]*\}(?:,"[^"\n]*":\{[^{}\n]*\})*\}'
 _STORE_LINE = re.compile(
-    rf'^\{{"attributes":(\{{.*?\}}),"date":{_STRING},"end":{_INTEGER},"event_id":"[^"\\\x00-\x1f]*",'
+    rf'^\{{"attributes":({_ATTRIBUTES}),"date":{_STRING},"end":{_INTEGER},"event_id":"[^"\\\x00-\x1f]*",'
     rf'"location":{_STRING},"resident":{_STRING},"service_id":{_STRING},"start":{_INTEGER}\}}$', re.M)
 _PIECE = 1 << 16  # characters of a store read at a time
 

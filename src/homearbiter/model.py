@@ -143,9 +143,6 @@ class ServiceEvent:
             raise ValueError(f"event {self.event_id}: attributes must be non-empty")
         object.__setattr__(self, "location", normalize_location(self.location))
 
-    def attribute(self, name: str) -> AttributeValue | None:
-        return self.attributes.get(name)
-
 
 @dataclass(frozen=True)
 class ServiceRequest:

@@ -60,7 +60,7 @@ def adopted_scan(events, resident, attribute, threshold):
     for event in events:
         if event.resident == resident:
             active_days.add(event.date)
-            value = event.attribute(attribute)
+            value = event.attributes.get(attribute)
             if value is not None:
                 item_days.setdefault(value.item_label(), set()).add(event.date)
     return {item for item, days in item_days.items() if len(days) > threshold * len(active_days)}
@@ -187,6 +187,12 @@ def history_columns(events: Sequence[ServiceEvent]) -> tuple:
         }
     latest = max((e.date.toordinal() for e in events), default=None)
     return tuple(residents), tuple(labels), latest, groups
+
+
+def store_order(event: ServiceEvent) -> tuple:
+    """Sort key of the canonical event order, date, start, resident, event id: the reference for the order of
+    ``ingest.EventRows.in_store_order``."""
+    return (event.date, event.interval.start, event.resident, event.event_id)
 
 
 def event_to_json(e: ServiceEvent) -> dict:

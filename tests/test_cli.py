@@ -12,6 +12,7 @@ import pytest
 from homearbiter import ingest
 from homearbiter.cli import cli, main
 from homearbiter.config import RunConfig
+from homearbiter.model import ServiceEvent
 from homearbiter.synthetic import DEFAULT_SEED, synthetic_household
 
 from conftest import DELETE, rewrite_json_line
@@ -86,9 +87,44 @@ def test_ingest_calls_each_stage_through_the_name_cli_imports(tmp_path, monkeypa
     store = tmp_path / "store.jsonl"
     assert main(["ingest", str(DATA_DIR / "household60.csv"), "--out", str(store)]) == 0
     capsys.readouterr()
-    binned = sum('"kind":"bin"' in line for line in store.read_text(encoding="utf-8").splitlines()[1:])
-    assert binned > 0
-    assert calls == {"parse_event_log": 1, "stabilize": 1, "compute_bins": 1, "apply_bins": binned, "write_store": 1}
+    header, *lines = store.read_text(encoding="utf-8").splitlines()
+    assert any('"kind":"bin"' in line for line in lines)
+    specs = len(json.loads(header)["bins"])
+    assert calls == {"parse_event_log": 1, "stabilize": 1, "compute_bins": specs, "apply_bins": specs,
+                     "write_store": 1}
+
+
+def test_ingest_of_a_canonical_log_takes_the_column_reader_and_builds_no_event(tmp_path, monkeypatch, capsys):
+    # A log the column reader declines gives the same store from the row reader, only slower; only this shows it.
+    def called(*args, **kwargs):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(ingest, "_read_log_records", called)
+    monkeypatch.setattr(ServiceEvent, "__post_init__", called)
+    log = tmp_path / "log.csv"
+    log.write_text(synthetic_household(days=120)[0], encoding="utf-8")
+    for path in (DATA_DIR / "household60.csv", log):
+        assert main(["ingest", str(path), "--out", str(tmp_path / "store.jsonl")]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("off, end", [("00:01:40", 100), ("00:02:00", 120)])
+def test_ingest_keeps_the_own_start_of_a_settled_value_that_would_wrap_past_its_end(tmp_path, capsys, off, end):
+    # Channel b settles within the window after a, and runs to the next day; stretched back to a's start,
+    # it would end where it starts, or hold for 20 seconds instead of about a day.
+    log = tmp_path / "log.csv"
+    log.write_text("date,time,sensor,status,value,resident,location\n"
+                   "2026-03-02,00:01:40,TV,ON,channel=a,bob,living room\n"
+                   "2026-03-02,00:02:10,TV,ON,channel=b,bob,living room\n"
+                   f"2026-03-03,{off},TV,OFF,,bob,living room\n", encoding="utf-8")
+    store = tmp_path / "store.jsonl"
+    assert main(["ingest", str(log), "--out", str(store)]) == 0
+    header, *lines = store.read_text(encoding="utf-8").splitlines()
+    events = [json.loads(line) for line in lines]
+    assert [(e["attributes"]["channel"]["label"], e["start"], e["end"]) for e in events] == [("b", 130, end)]
+    warning = "TV/bob: settled value at 2026-03-02 00:02:10 would span a whole day from 00:01:40; kept from 00:02:10"
+    assert json.loads(header)["warnings"][-1] == warning
+    assert f"warning: {warning}\n" in capsys.readouterr().err
 
 
 def test_resolve_and_evaluate_call_each_stage_through_the_module_names(workspace, tmp_path, monkeypatch, capsys):

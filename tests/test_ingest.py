@@ -26,7 +26,6 @@ from homearbiter.ingest import (
     load_store,
     parse_event_log,
     stabilize,
-    store_order,
     write_store,
 )
 from homearbiter.intervals import SECONDS_PER_DAY, TimeOfDayInterval, parse_hms
@@ -42,6 +41,7 @@ from conftest import (
     history_columns,
     make_event,
     read_log_records,
+    store_order,
 )
 
 HEADER = "date,time,sensor,status,value,resident,location\n"
@@ -250,6 +250,89 @@ def test_read_log_records_matches_the_per_row_oracle(tmp_path_factory, rows, ord
     path.write_text(text.getvalue(), encoding="utf-8")
     assert (_records_until_rejection(ingest._read_log_records, path, resident, location_map)
             == _records_until_rejection(read_log_records, path, resident, location_map))
+
+
+# Log rows in the canonical form, whose fields repeat down a log, and texts that the column reader
+# declines, or that fail a check, to replace a few of their fields.
+_CANONICAL_FIELDS = [
+    ["2026-01-01", "2026-01-02", "2026-03-01"],
+    ["00:00:00", "20:00:00", "20:00:59", "21:30:00", "23:59:59"],
+    ["TV", "radio"],
+    ["ON", "ON", "OFF", "SET"],
+    ["", "channel=Ch1", "Ch2", "temp=21.5", "temp=-0", "x=1"],
+    ["r1", "r2"],
+    ["living room", "Den", "Küche"],
+]
+_DECLINED_FIELDS = [
+    ["2026-02-30", "0000-01-01", " 2026-01-02", "20260102", "2026-1-02"],
+    ["24:00:00", "20:60:00", "9:5:0", " 21:00:00", "1:00:00"],
+    ["", " TV ", 'say "hi"', "x" * 131073],
+    ["on", " Set ", "BOGUS"],
+    ["nan", "temp=inf", "x=", "a,b", "multi\nline"],
+    ["", " r1 "],
+    ["", " Den "],
+]
+
+
+@st.composite
+def _near_canonical_logs(draw) -> bytes:
+    """A log in the canonical form, or one with a few changes to its fields, rows, line ends or bytes."""
+    rows = draw(st.lists(st.tuples(*map(st.sampled_from, _CANONICAL_FIELDS)).map(list), max_size=12))
+    if draw(st.sampled_from([True, True, True, False])):
+        rows.sort(key=lambda row: row[:2])  # canonical dates and times sort as text in (date, time) order
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2])) if rows else 0):
+        index, column = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(LOG_COLUMNS) - 1))
+        rows[index][column] = draw(st.sampled_from(_DECLINED_FIELDS[column]))
+    if draw(st.sampled_from([False, False, False, True])):
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from([[], [" "], ["\t"]])))
+    text = io.StringIO()
+    csv.writer(text, lineterminator=draw(st.sampled_from(["\n", "\n", "\n", "\r\n", "\r"]))).writerows(
+        [LOG_COLUMNS, *rows])
+    data = text.getvalue().encode("utf-8")
+    change = draw(st.sampled_from([b""] * 4 + [b"\xef\xbb\xbf", b"\xff", b"\x00", None]))
+    if change is None:
+        return data.rstrip(b"\r\n")  # no final newline
+    at = 0 if change == b"\xef\xbb\xbf" else draw(st.integers(0, len(data)))
+    return data[:at] + change + data[at:]
+
+
+def _parse_outcome(path, resident, location_map):
+    try:
+        result = parse_event_log(path, resident, location_map)
+    except ParseError as exc:
+        return str(exc)
+    return list(result.events), result.warnings
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=_near_canonical_logs(), resident=st.sampled_from([None, None, "z", ""]),
+       location_map=st.sampled_from([{}, {}, {"TV": " Den "}, {"radio": " "}]))
+@example(data=HEADER.encode(), resident=None, location_map={})
+@example(data=(HEADER + "2026-01-01,20:00:00,TV,ON,channel=Ch1,r1,den\n"
+               "2026-01-02,01:00:00,TV,OFF,,r1,den\n").encode(), resident=None, location_map={})
+@example(data=(HEADER + f"2026-01-01,20:00:00,TV,ON,{'x' * 131073},r1,den\n").encode(), resident=None,
+         location_map={})
+@example(data=(HEADER + "2026-01-01,20:00:00,TV,ON,,r1,den\n2026-02-30,20:00:00,TV,OFF,,r1,den\n").encode(),
+         resident=None, location_map={})
+@example(data=(HEADER + "2026-01-01,20:00:00,TV,ON,,r1,den\n2026-01-01,24:00:00,TV,OFF,,r1,den\n").encode(),
+         resident=None, location_map={})
+@example(data=(HEADER + "2026-01-02,20:00:00,TV,ON,,r1,den\n2026-01-01,21:00:00,TV,OFF,,r1,den\n").encode(),
+         resident=None, location_map={})
+@example(data=(HEADER + '2026-01-01,20:00:00,TV,ON,"Ch1",r1,den\n').encode(), resident=None, location_map={})
+@example(data=(HEADER + "2026-01-01,20:00:00,TV,on,,r1,den\n2026-01-01,21:00:00,TV,off,,r1,\n").encode(),
+         resident=None, location_map={})
+@example(data=(HEADER + "2026-01-01,20:00:00,TV,ON,,r1,den\n2026-01-01,21:00:00,TV,BOGUS,,r1,den\n").encode(),
+         resident=None, location_map={})
+@example(data=(HEADER + "2026-01-01,20:00:00,TV,ON,,r1,\n").encode(), resident=None, location_map={"TV": "den"})
+@example(data=(HEADER + "2026-01-01,20:00:00,TV,ON,,r1, \n").encode(), resident="z", location_map={})
+def test_the_column_reader_folds_to_the_row_readers_events_or_error(tmp_path_factory, data, resident, location_map):
+    # The column reader takes a log in the canonical form and declines any other; either way, the fold
+    # of its records gives the events and warnings, or the error, of the fold of the row reader's.
+    path = tmp_path_factory.mktemp("log") / "log.csv"
+    path.write_bytes(data)
+    with mock.patch.object(ingest, "_read_log_columns", lambda *args: None):
+        expected = _parse_outcome(path, resident, location_map)
+    assert _parse_outcome(path, resident, location_map) == expected
 
 
 def test_parse_serialize_parse_roundtrip(tmp_path):
@@ -534,6 +617,9 @@ def _store_outcome(store_path):
 @_oracle_example(valid=[], mutated=_canonical_event_text("living room", "living\x01room"), position=0,
                  encoders=_CANONICAL)
 @_oracle_example(valid=[], mutated=_canonical_event_text("Ch1", "Ch\x1f1"), position=0, encoders=_CANONICAL)
+# A label holding braces: the pattern does not match its attributes object, and the checked reader reads the store.
+@_oracle_example(valid=[_STORE_EVENT], mutated=_store_event_with("channel", {"kind": "cat", "label": "a}{b"}),
+                 position=1, encoders=_CANONICAL)
 # Two failing lines: a bad blob after a bad interval, and the other way round; a non-canonical line of
 # bad JSON after a canonical line with a bad date; a repeated bad blob first used after a bad line.
 @_oracle_example(valid=[_STORE_EVENT] * 3, mutated=_store_event_with("start", 86400), position=1,
@@ -891,14 +977,16 @@ def test_apply_bins_replaces_attribute():
     event = make_event("r1", "20:00:00", "21:00:00", channel=None,
                        attributes={"temp": AttributeValue.numeric(3.0),
                                    "mode": AttributeValue.categorical("eco")})
+    other_service = dataclasses.replace(event, service_id="radio")
     warnings = []
-    binned = apply_bins(event, spec, warnings)
+    binned, untouched = apply_bins([event, other_service], "TV", spec, warnings)
     assert binned.attributes["temp"].kind == "binned"
     assert binned.attributes["temp"].bin_bounds == (1.0, 5.0)
     assert binned.attributes["mode"] == event.attributes["mode"]
+    assert untouched == other_service
     assert warnings == []
-    with pytest.raises(ValueError):
-        apply_bins(binned, spec)
+    # An event without the numeric attribute passes unchanged.
+    assert apply_bins([binned], "TV", spec) == [binned]
 
 
 # ---------------------------------------------------------------------------

@@ -86,7 +86,7 @@ def _described(window, attribute="channel"):
 def _describe(events, situation, attribute="channel"):
     """The same description, straight from the events."""
     return [
-        (e.resident, e.date, e.attribute(attribute).item_label() if e.attribute(attribute) else None,
+        (e.resident, e.date, e.attributes.get(attribute).item_label() if e.attributes.get(attribute) else None,
          temporal_proximity((e.interval, situation.window)))
         for e in events
     ]
@@ -178,7 +178,7 @@ def brute_force_table(history, situation, lookback_days):
             continue
         if lookback_days is not None and (latest - event.date).days >= lookback_days:
             continue
-        value = event.attribute(situation.attribute)
+        value = event.attributes.get(situation.attribute)
         if value is None or event.resident not in situation.residents:
             continue
         if not _arcs_overlap(event.interval, situation.window):
