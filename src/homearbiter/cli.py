@@ -34,7 +34,7 @@ from .ingest import (
     load_store,
     parse_event_log,
     parse_json,
-    read_text,
+    read_input,
     record_errors,
     sha256_file,
     stabilize,
@@ -82,8 +82,9 @@ def _build_config(flags: dict) -> RunConfig:
         raise click.UsageError(str(exc)) from exc
 
 
-def _input_digests(paths) -> list[dict]:
-    return [{"path": Path(p).name, "sha256": sha256_file(p)} for p in paths]
+def _input(path: str, sha256: str) -> dict:
+    """A header's record of an input file: its name and the digest of the bytes read."""
+    return {"path": Path(path).name, "sha256": sha256}
 
 
 def _write_lines(lines, out: str | None) -> None:
@@ -124,9 +125,10 @@ def ingest(logs, out, residents, location_map, channels, **kwargs) -> None:
     elif click.get_current_context().get_parameter_source("seed") is not ParameterSource.DEFAULT:
         raise click.UsageError("--seed seeds the channel draws of --channels and needs --channels")
     cfg = _build_config(kwargs)
-    loc_map = None
+    loc_map = map_input = None
     if location_map:
-        loc_map = parse_json(read_text(location_map), location_map)
+        text, digest = read_input(location_map)
+        loc_map, map_input = parse_json(text, location_map), _input(location_map, digest)
         if not isinstance(loc_map, dict):
             raise DataError(f"{location_map}: location map must be a JSON object")
         for sensor, location in loc_map.items():
@@ -143,12 +145,14 @@ def ingest(logs, out, residents, location_map, channels, **kwargs) -> None:
             raise DataError(f"duplicate resident id {resident!r} in --residents")
     warnings: list[str] = []
     parts: list[EventRows] = []
+    inputs: list[dict] = []
     for resident, path in zip(ids, logs):
         # Ids stay unique: a resident's own log numbers from 1, other logs on after the earlier logs' events.
         result = parse_event_log(path, resident=resident, location_map=loc_map,
                                  first_number=1 if resident is not None else sum(map(len, parts)) + 1)
         warnings.extend(f"{Path(path).name}: {w}" for w in result.warnings)
         parts.append(result.events)
+        inputs.append(_input(path, result.sha256))
 
     events = stabilize(EventRows.joined(parts), cfg.settling_window, warnings)
 
@@ -174,11 +178,14 @@ def ingest(logs, out, residents, location_map, channels, **kwargs) -> None:
 
     header = {
         "config": cfg.as_dict(),
-        "inputs": _input_digests(logs),
+        "inputs": inputs,
         "bins": specs,
         "prng": PRNG_NAME,
         "warnings": warnings,
     }
+    # The settings besides the config that shape the events, each recorded only when its flag is given.
+    given = {"location_map": map_input, "channels": labels, "residents": ids if residents is not None else None}
+    header.update((key, value) for key, value in given.items() if value is not None)
     write_store(out, events, header)
     for warning in warnings:
         click.echo(f"warning: {warning}", err=True)
@@ -190,7 +197,7 @@ def _load_inputs(store_path: str, requests_path: str, cfg: RunConfig):
     requests = load_requests(requests_path, bin_specs=store.bin_specs())
     header = {
         "config": cfg.as_dict(),
-        "inputs": _input_digests([store_path, requests_path]),
+        "inputs": [_input(store_path, store.sha256), _input(requests_path, sha256_file(requests_path))],
     }
     return store, requests, header
 
@@ -224,7 +231,7 @@ def _load_conflict_stream(path: str, requests, inputs: list[dict]) -> list[Confl
     by_id = {r.request_id: r for r in requests}
     situations = []
     where = "stdin" if path == "-" else path
-    text = decode_text(sys.stdin.buffer.read(), where) if path == "-" else read_text(path)
+    text = decode_text(sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes(), where)
     header = None
     for lineno, obj in json_lines(text, where):
         if header is None:

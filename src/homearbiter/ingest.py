@@ -27,12 +27,12 @@ import bisect
 import csv
 import datetime as dt
 import hashlib
+import io
 import json
 import math
-import os
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from itertools import groupby, islice
 from pathlib import Path
@@ -161,6 +161,7 @@ class EventRows(Sequence[ServiceEvent]):
 class ParseResult:
     events: EventRows
     warnings: list[str]
+    sha256: str  # of the log's bytes as read
 
 
 def _parse_attribute(raw: str) -> tuple[str, AttributeValue]:
@@ -188,63 +189,60 @@ def parse_value(raw: str) -> AttributeValue:
     return AttributeValue.numeric(number)
 
 
-def _read_log_records(path: str | Path, resident: str | None, location_map: Mapping[str, str]) -> Iterator[tuple]:
-    """``(date, time, sensor, status, attribute, resident, location)`` per row.
+def _row_labels(sensor: str, status: str, row_resident: str, location: str, resident: str | None,
+                location_map: Mapping[str, str]) -> tuple[str, str, str, str | None]:
+    """``(sensor, status, resident, location)`` of a log row's stripped label fields; raises ``ValueError`` at the
+    first that fails.  ``location`` is the normalized mapped location of an ON row and ``None`` for the other
+    statuses, which keep their session's location."""
+    if not sensor:
+        raise ValueError("empty sensor label")
+    status = status.upper()
+    if status not in ("ON", "OFF", "SET"):
+        raise ValueError(f"unknown status {status!r}")
+    resident = row_resident if resident is None else resident
+    if not resident:
+        raise ValueError("no resident id (column empty and none supplied)")
+    location = normalize_location(location_map.get(sensor, location)) if status == "ON" else None
+    if location == "":
+        raise ValueError("empty location (column empty and none mapped)")
+    return sensor, status, resident, location
 
-    ``location`` is the normalized mapped location of an ON row and ``None``
-    for the other statuses, which keep their session's location.
-    """
-    path = Path(path)
-    # Dates, times, values and locations repeat across rows.  A memo keeps no call that raised, so a bad
+
+def _read_log_records(text: str, where: str, resident: str | None, location_map: Mapping[str, str]) -> Iterator[tuple]:
+    """``(date, time, sensor, status, attribute, resident, location)`` per row of a log's text, line ends as read."""
+    # Dates, times, values and label fields repeat across rows.  A memo keeps no call that raised, so a bad
     # field still raises at its own row.
     date_of, time_of, attribute_of = map(cache, (dt.date.fromisoformat, parse_hms, _parse_attribute))
-    location_of = cache(lambda sensor, location: normalize_location(location_map.get(sensor, location)))
+    labels_of = cache(lambda *fields: _row_labels(*fields, resident, location_map))
     # The last physical line read; a quoted value may span lines, so a record's
     # number is the line after the previous record's end.
     end = 0
+    reader = csv.reader(io.StringIO(text, newline=""))  # a quoted \r\n stays inside its value, as in open(newline="")
     try:
-        with path.open(newline="", encoding="utf-8") as handle:
-            reader = csv.reader(handle)
-            try:
-                header = next(reader)
-            except StopIteration:
-                return
-            if [h.strip() for h in header] != LOG_COLUMNS:
-                raise ParseError(f"expected header {','.join(LOG_COLUMNS)!r}", path=str(path), line=1)
-            end = reader.line_num
-            previous = None
-            for row in reader:
-                lineno, end = end + 1, reader.line_num
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                if len(row) != len(LOG_COLUMNS):
-                    raise ParseError(f"expected {len(LOG_COLUMNS)} fields, got {len(row)}", path=str(path), line=lineno)
-                date_s, time_s, sensor, status, value, row_resident, location = map(str.strip, row)
-                try:
-                    date, time, attribute = date_of(date_s), time_of(time_s), attribute_of(value)
-                except ValueError as exc:
-                    raise ParseError(str(exc), path=str(path), line=lineno) from exc
-                if previous is not None and (date, time) < previous:
-                    raise ParseError(f"row at {date_s} {time_s} is earlier than the previous row; "
-                                     "rows must be in (date, time) order", path=str(path), line=lineno)
-                previous = (date, time)
-                if not sensor:
-                    raise ParseError("empty sensor label", path=str(path), line=lineno)
-                status = status.upper()
-                if status not in ("ON", "OFF", "SET"):
-                    raise ParseError(f"unknown status {status!r}", path=str(path), line=lineno)
-                effective_resident = resident if resident is not None else row_resident
-                if not effective_resident:
-                    raise ParseError("no resident id (column empty and none supplied)", path=str(path), line=lineno)
-                location = location_of(sensor, location) if status == "ON" else None
-                if location == "":
-                    raise ParseError("empty location (column empty and none mapped)", path=str(path), line=lineno)
-                yield date, time, sensor, status, attribute, effective_resident, location
+        if (header := next(reader, None)) is None:
+            return
+        if [h.strip() for h in header] != LOG_COLUMNS:
+            raise ParseError(f"expected header {','.join(LOG_COLUMNS)!r}", path=where, line=1)
+        end = reader.line_num
+        previous = None
+        for row in reader:
+            lineno, end = end + 1, reader.line_num
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != len(LOG_COLUMNS):
+                raise ParseError(f"expected {len(LOG_COLUMNS)} fields, got {len(row)}", path=where, line=lineno)
+            date_s, time_s, sensor, status, value, row_resident, location = map(str.strip, row)
+            with record_errors(where, lineno):
+                date, time, attribute = date_of(date_s), time_of(time_s), attribute_of(value)
+            if previous is not None and (date, time) < previous:
+                raise ParseError(f"row at {date_s} {time_s} is earlier than the previous row; "
+                                 "rows must be in (date, time) order", path=where, line=lineno)
+            previous = (date, time)
+            with record_errors(where, lineno):
+                sensor, status, res, location = labels_of(sensor, status, row_resident, location)
+            yield date, time, sensor, status, attribute, res, location
     except csv.Error as exc:
-        raise ParseError(f"bad CSV: {exc}", path=str(path), line=end + 1) from exc
-    except UnicodeDecodeError:
-        read_text(path)  # raises the ParseError naming the line of the first byte that is not UTF-8
-        raise
+        raise ParseError(f"bad CSV: {exc}", path=where, line=end + 1) from exc
 
 
 _LOG_HEADER = (",".join(LOG_COLUMNS) + "\n").encode()
@@ -259,24 +257,23 @@ def _rest_record(rest: bytes, resident: str | None, location_map: Mapping[str, s
     try:
         sensor, status, value, row_resident, location = map(str.strip, rest.decode("utf-8").split(","))
         attribute = _parse_attribute(value)
-    except ValueError:  # not UTF-8, not five fields, or a bad value
+        sensor, status, resident, location = _row_labels(sensor, status, row_resident, location, resident, location_map)
+    except ValueError:  # not UTF-8, not five fields, a bad value or a bad label
         return None
-    status, resident = status.upper(), row_resident if resident is None else resident
-    location = normalize_location(location_map.get(sensor, location)) if status == "ON" else None
-    if sensor and status in ("ON", "OFF", "SET") and resident and location != "":
-        return sensor, status, attribute, resident, location
+    return sensor, status, attribute, resident, location
 
 
-def _read_log_columns(path: str | Path, resident: str | None,
+def _read_log_columns(data: bytes, resident: str | None,
                       location_map: Mapping[str, str]) -> Iterator[tuple] | None:
-    """The records of :func:`_read_log_records` for a log in the canonical form, else ``None``.
+    """The records of :func:`_read_log_records` for a log's bytes in the canonical form, else ``None``.
 
-    The canonical form: the exact header, no ``"``, ``\\r`` or NUL byte, a final newline, no line over the csv
-    field limit, and rows in (date, time) order that each start with ``YYYY-MM-DD,HH:MM:SS,`` of a real date and
-    time.  Dates and times are checked as columns, each distinct date and rest of a row once.  This reader words
-    no error: the row reader reads a declined log and names its first bad line.
+    The canonical form: the exact header, lines that each end in ``\\n`` or ``\\r\\n`` (the last one too), no
+    other ``\\r``, no ``"`` or NUL byte, no line over the csv field limit, and rows in (date, time) order that each
+    start with ``YYYY-MM-DD,HH:MM:SS,`` of a real date and time.  Dates and times are checked as columns, each
+    distinct date and rest of a row once.  This reader words no error: the row reader reads a declined log and
+    names its first bad line.
     """
-    data = Path(path).read_bytes()
+    data = data.replace(b"\r\n", b"\n")  # the row reader reads a \r\n line end as a \n one; a lone \r declines
     if not data.startswith(_LOG_HEADER) or not data.endswith(b"\n") or any(c in data for c in (b'"', b"\r", b"\0")):
         return None
     text = np.frombuffer(data, dtype=np.uint8)
@@ -320,9 +317,11 @@ def parse_event_log(
     later log of one household numbers on after the earlier logs' events.
     """
     location_map = location_map or {}
-    records = _read_log_columns(path, resident, location_map)
+    where, data = str(path), Path(path).read_bytes()
+    text = decode_utf8(data, where)  # a byte that is not UTF-8 is named before any other error
+    records = _read_log_columns(data, resident, location_map)
     if records is None:
-        records = _read_log_records(path, resident, location_map)
+        records = _read_log_records(text, where, resident, location_map)
     events: list[tuple] = []  # the EventRows record of each event
     warnings: list[str] = []
     # (sensor, resident) -> its open session: (date, start, attributes, location).
@@ -383,7 +382,8 @@ def parse_event_log(
     for key in sorted(open_sessions):
         close_at_day_end(key, open_sessions[key])
 
-    return ParseResult(events=EventRows.from_records(events).in_store_order(), warnings=warnings)
+    return ParseResult(events=EventRows.from_records(events).in_store_order(), warnings=warnings,
+                       sha256=hashlib.sha256(data).hexdigest())
 
 
 def stabilize(events: Sequence[ServiceEvent], settling_window: int, warnings: list[str] | None = None) -> EventRows:
@@ -548,7 +548,7 @@ def load_requests(path: str | Path, bin_specs: Mapping[tuple[str, str], BinningS
     labels = ("request_id", "service_id", "attribute", "location", "resident")
     requests: list[ServiceRequest] = []
     seen: set[str] = set()
-    for lineno, obj in json_lines(read_text(path), where):
+    for lineno, obj in json_lines(decode_text(Path(path).read_bytes(), where), where):
         with record_errors(where, lineno):
             check_record(obj, dict.fromkeys(labels, str))
             for name in labels:
@@ -595,24 +595,29 @@ def _event_from_json(obj: dict) -> ServiceEvent:
     )
 
 
-def decode_text(data: bytes, where: str) -> str:
-    """UTF-8 ``data`` as text, with each ``\\r\\n`` or ``\\r`` read as ``\\n``, as ``open`` reads a file.
+def decode_utf8(data: bytes, where: str) -> str:
+    """UTF-8 ``data`` as text, line ends as they are.
 
     A byte that is not UTF-8 raises a :class:`ParseError` naming ``where``
     and the line that holds the first such byte.
     """
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        head = data[:exc.start]
-        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        line = len((data[:exc.start] + b"?").splitlines())  # a line ends at \n, \r\n or \r
         raise ParseError(f"not UTF-8: byte 0x{data[exc.start]:02x} ({exc.reason})", path=where, line=line) from None
+
+
+def decode_text(data: bytes, where: str) -> str:
+    """:func:`decode_utf8` of ``data``, with each ``\\r\\n`` or ``\\r`` read as ``\\n``, as ``open`` reads a file."""
+    text = decode_utf8(data, where)
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
-def read_text(path: str | Path) -> str:
-    """The text of a UTF-8 file, by :func:`decode_text`."""
-    return decode_text(Path(path).read_bytes(), str(path))
+def read_input(path: str | Path) -> tuple[str, str]:
+    """The text of a UTF-8 file, by :func:`decode_text`, and the SHA-256 of its bytes, from one read."""
+    data = Path(path).read_bytes()
+    return decode_text(data, str(path)), hashlib.sha256(data).hexdigest()
 
 
 def parse_json(text: str, path: str, line: int | None = None):
@@ -689,30 +694,28 @@ class EventStore:
     """A loaded store.
 
     ``history`` is the index :func:`load_store` builds from the store file,
-    whose text it does not keep.  The ``events`` read the file again on
-    first access; a file changed since the load raises a
-    :class:`DataError`.  ``header["bins"]``, when present, maps
-    (service_id, attribute) to its spec.
+    whose text it does not keep, and ``sha256`` the digest of the bytes it
+    read.  The ``events`` read the file again on first access; a file whose
+    digest changed since the load raises a :class:`DataError`.
+    ``header["bins"]``, when present, maps (service_id, attribute) to its
+    spec.
     """
 
     header: dict
     history: History
     path: str
-    stamp: tuple[int, int] = field(repr=False)  # the file's size and modification time at the load
+    sha256: str
 
     @cached_property
     def events(self) -> list[ServiceEvent]:
         """The event of every non-blank line after the header."""
-        if _stamp(os.stat(self.path)) != self.stamp:
+        text, digest = read_input(self.path)
+        if digest != self.sha256:
             raise DataError(f"{self.path}: store changed since it was loaded")
-        return [_event_from_json(obj) for _, obj in islice(json_lines(read_text(self.path), self.path), 1, None)]
+        return [_event_from_json(obj) for _, obj in islice(json_lines(text, self.path), 1, None)]
 
     def bin_specs(self) -> dict[tuple[str, str], BinningSpec]:
         return dict(self.header.get("bins", {}))
-
-
-def _stamp(status: os.stat_result) -> tuple[int, int]:
-    return status.st_size, status.st_mtime_ns
 
 
 def write_store(path: str | Path, events: Sequence[ServiceEvent], header: Mapping) -> None:
@@ -770,18 +773,13 @@ _STORE_LINE = re.compile(
 _PIECE = 1 << 16  # characters of a store read at a time
 
 
-def _pieces(handle) -> Iterator[str]:
-    """The text of an open file in pieces of whole lines; each piece but the last ends with a newline."""
-    rest = ""
-    while chunk := handle.read(_PIECE):
-        cut = chunk.rfind("\n") + 1
-        if cut:
-            yield rest + chunk[:cut]
-            rest = chunk[cut:]
-        else:
-            rest += chunk
-    if rest:
-        yield rest
+def _pieces(text: str, start: int) -> Iterator[str]:
+    """``text`` from ``start`` on in pieces of whole lines, none over ``_PIECE`` characters unless one line is;
+    each piece but the last ends with a newline."""
+    while start < len(text):
+        end = text.rfind("\n", start, start + _PIECE) + 1 or text.find("\n", start + _PIECE) + 1 or len(text)
+        yield text[start:end]
+        start = end
 
 
 def _items_of(attributes) -> tuple[tuple[str, str], ...]:
@@ -887,42 +885,35 @@ class _EventColumns:
 
 
 def load_store(path: str | Path) -> EventStore:
-    """Read a store, building the :class:`History` columns from the whole file.
+    """Read a store once, building the :class:`History` columns from its whole text.
 
+    The file's check as UTF-8, its digest and its text come from one read.
     An event line must pass every check that building its
     :class:`ServiceEvent` makes; the first that fails raises a
     :class:`ParseError` naming its ``file:line``.  A store whose event
     lines are all in the canonical form :func:`write_store` writes is read
     a piece at a time by a pattern match over the text, and checked from
     the captured fields.  Any other store, with a blank line, a line of
-    another form or a line that fails a check, is read again, whole, and
-    each line checked as a JSON object in file order, which raises the
-    first bad line's error.
+    another form or a line that fails a check, has each line of the same
+    text checked as a JSON object in file order, which raises the first bad
+    line's error.
     """
     where = str(path)
+    text, digest = read_input(path)
+    start = re.match(r"\s*", text).end()  # the header's first character: a blank line is all whitespace
+    end = text.find("\n", start) + 1 or len(text)
+    header = _store_header(text[start:end].strip(), where, text.count("\n", 0, start) + 1)
     columns = _EventColumns()
-    try:
-        with open(path, encoding="utf-8") as handle:
-            stamp = _stamp(os.fstat(handle.fileno()))
-            lineno = 1
-            while (line := handle.readline()) and not line.strip():
-                lineno += 1
-            header = _store_header(line.strip(), where, lineno)
-            canonical = all(map(columns.read, _pieces(handle)))
-    except UnicodeDecodeError:
-        canonical = False
-    if canonical:
+    if all(map(columns.read, _pieces(text, end))):
         history = columns.history()
-    else:  # read_text names the line of a byte that is not UTF-8
+    else:
         rows = []
-        for lineno, obj in islice(json_lines(read_text(path), where), 1, None):
+        for lineno, obj in islice(json_lines(text, where), 1, None):
             with record_errors(where, lineno, "bad event record: "):
                 rows.append(_checked_row(obj))
         history = History.from_columns(*(list(zip(*rows)) or [()] * 7))  # no rows: seven empty columns
-    return EventStore(header=header, history=history, path=where, stamp=stamp)
+    return EventStore(header=header, history=history, path=where, sha256=digest)
 
 
 def sha256_file(path: str | Path) -> str:
-    digest = hashlib.sha256()
-    digest.update(Path(path).read_bytes())
-    return digest.hexdigest()
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()

@@ -1,4 +1,6 @@
+import builtins
 import csv
+import io
 import json
 import os
 import re
@@ -12,6 +14,7 @@ import pytest
 from homearbiter import ingest
 from homearbiter.cli import cli, main
 from homearbiter.config import RunConfig
+from homearbiter.ingest import sha256_file
 from homearbiter.model import ServiceEvent
 from homearbiter.synthetic import DEFAULT_SEED, synthetic_household
 
@@ -103,8 +106,41 @@ def test_ingest_of_a_canonical_log_takes_the_column_reader_and_builds_no_event(t
     monkeypatch.setattr(ServiceEvent, "__post_init__", called)
     log = tmp_path / "log.csv"
     log.write_text(synthetic_household(days=120)[0], encoding="utf-8")
-    for path in (DATA_DIR / "household60.csv", log):
+    crlf = tmp_path / "household60-crlf.csv"  # as a log saved on Windows
+    crlf.write_bytes((DATA_DIR / "household60.csv").read_bytes().replace(b"\n", b"\r\n"))
+    events = []
+    for path in (DATA_DIR / "household60.csv", crlf, log):
         assert main(["ingest", str(path), "--out", str(tmp_path / "store.jsonl")]) == 0
+        events.append((tmp_path / "store.jsonl").read_text(encoding="utf-8").splitlines()[1:])
+    assert events[1] == events[0]
+    capsys.readouterr()
+
+
+def test_each_command_opens_each_log_and_store_once(tmp_path, monkeypatch, capsys):
+    # A second read of an input passes every other check; only a count of the opens shows it.
+    canonical, requests = DATA_DIR / "household60.csv", DATA_DIR / "household60_requests.jsonl"
+    declined = tmp_path / "quoted.csv"  # a quoted field: the column reader declines it
+    declined.write_text(canonical.read_text(encoding="utf-8").replace(",TV,", ',"TV",', 1), encoding="utf-8")
+    store = tmp_path / "store.jsonl"
+    inputs = ["--store", str(store), "--requests", str(requests)]
+    runs = [(["ingest", str(canonical), "--out", str(store)], canonical),
+            (["ingest", str(declined), "--out", str(tmp_path / "declined.jsonl")], declined),
+            (["detect", *inputs, "--out", str(tmp_path / "conflicts.jsonl")], store),
+            (["resolve", *inputs, "--out", str(tmp_path / "resolved.jsonl")], store),
+            (["evaluate", *inputs, "--out-prefix", str(tmp_path / "report")], store)]
+    opened, real_open = [], io.open
+
+    def counted_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    for argv, path in runs:
+        opened.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(io, "open", counted_open)
+            patch.setattr(builtins, "open", counted_open)
+            assert main(argv) == 0
+        assert opened.count(str(path)) == 1, (argv[0], opened)
     capsys.readouterr()
 
 
@@ -140,13 +176,13 @@ def test_resolve_and_evaluate_call_each_stage_through_the_module_names(workspace
     assert main(["resolve", *inputs, "--debug", "--out", str(out)]) == 0
     records = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()[1:]]
     assert records
-    assert read == {"load_store": 1, "load_requests": 1, "sha256_file": 2}
+    assert read == {"load_store": 1, "load_requests": 1, "sha256_file": 1}  # the store's digest is its load's
     assert built == {"build_preference_table": len(records), "build_item_set": len(records),
                      "build_preference_matrix": len(records),
                      "consensus_distance": sum(len(record["debug"]["items"]) for record in records)}
     assert main(["evaluate", *inputs, "--out-prefix", str(tmp_path / "report")]) == 0
     capsys.readouterr()
-    assert read == {"load_store": 2, "load_requests": 2, "sha256_file": 4}
+    assert read == {"load_store": 2, "load_requests": 2, "sha256_file": 2}
     details = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))["details"]
     situations = [d for d in details if d["strategy"] == details[0]["strategy"]]
     assert scored == {"adopted_items": sum(d["group_size"] for d in situations), "satisfaction_gain": len(details),
@@ -154,6 +190,31 @@ def test_resolve_and_evaluate_call_each_stage_through_the_module_names(workspace
     # A tracer counts a loaded store's events: one per event line.
     event_lines = len((workspace / "store.jsonl").read_text(encoding="utf-8").splitlines()) - 1
     assert [len(store.events) for store in stores] == [event_lines] * 2
+
+
+@pytest.mark.parametrize("flag, first, second", [("--location-map", {"TV": "den"}, {"TV": "attic"}),
+                                                 ("--channels", "A,B", "B,A"), ("--residents", "a", "b")])
+def test_ingest_header_records_each_flag_that_shapes_the_events(tmp_path, capsys, flag, first, second):
+    log = tmp_path / "log.csv"  # TV sessions without a channel, for --channels to fill in
+    log.write_text("date,time,sensor,status,value,resident,location\n" + "".join(
+        f"2026-01-0{day},20:00:00,TV,ON,,r1,living room\n2026-01-0{day},21:00:00,TV,OFF,,r1,living room\n"
+        for day in range(1, 5)), encoding="utf-8")
+    location_map, store = tmp_path / "map.json", tmp_path / "store.jsonl"
+    headers, events = [], []
+    for value in (first, second):
+        if flag == "--location-map":
+            location_map.write_text(json.dumps(value), encoding="utf-8")
+            value = str(location_map)
+        assert main(["ingest", str(log), flag, value, "--out", str(store)]) == 0
+        header, *lines = store.read_text(encoding="utf-8").splitlines()
+        headers.append(json.loads(header))
+        events.append(lines)
+    capsys.readouterr()
+    assert events[0] != events[1]
+    assert headers[0] != headers[1]
+    recorded = {key: headers[1][key] for key in ("location_map", "channels", "residents") if key in headers[1]}
+    assert recorded == {flag[2:].replace("-", "_"): {"path": "map.json", "sha256": sha256_file(location_map)}
+                        if flag == "--location-map" else second.split(",")}
 
 
 def test_store_header_embeds_config_and_digests(workspace):
@@ -927,6 +988,28 @@ def test_a_byte_that_is_not_utf8_exits_two_naming_its_line(workspace, tmp_path, 
     assert main(argv[kind]) == 2
     assert capsys.readouterr().err == f"data error: {files[kind]}:{lineno}: not UTF-8: byte 0xff (invalid start byte)\n"
     assert not (tmp_path / "out.jsonl").exists()
+
+
+@pytest.mark.parametrize("rows", [2, 400])  # 400 rows: past the 8 KiB text buffer of a file read by lines
+def test_a_byte_that_is_not_utf8_is_named_before_a_bad_row(tmp_path, capsys, rows):
+    header, *lines = (DATA_DIR / "household60.csv").read_text(encoding="utf-8").splitlines()
+    lines = lines[:rows]
+    fields = lines[1].split(",")
+    lines[1] = ",".join([*fields[:3], "BOGUS", *fields[4:]])
+    log = tmp_path / "log.csv"
+    log.write_bytes("\n".join([header, *lines]).encode() + b"\xff\n")
+    assert main(["ingest", str(log), "--out", str(tmp_path / "store.jsonl")]) == 2
+    assert capsys.readouterr().err == f"data error: {log}:{rows + 1}: not UTF-8: byte 0xff (invalid start byte)\n"
+
+
+def test_a_byte_that_is_not_utf8_is_named_before_a_bad_store_schema(workspace, tmp_path, capsys):
+    header, *lines = (workspace / "store.jsonl").read_text(encoding="utf-8").splitlines()
+    store = tmp_path / "store.jsonl"
+    header = header.replace('"schema":"homearbiter-store/1"', '"schema":"homearbiter-store/9"')
+    store.write_bytes("\n".join([header, *lines]).encode() + b"\n\xff\n")
+    assert main(["resolve", "--store", str(store), "--requests", str(workspace / "requests.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"data error: {store}:{len(lines) + 2}: not UTF-8: byte 0xff (invalid start byte)\n"
 
 
 def test_history_is_indexed_once_per_call(workspace, tmp_path, monkeypatch, capsys):

@@ -4,6 +4,7 @@ import datetime as dt
 import io
 import itertools
 import json
+import os
 import re
 import warnings
 from unittest import mock
@@ -248,7 +249,11 @@ def test_read_log_records_matches_the_per_row_oracle(tmp_path_factory, rows, ord
     csv.writer(text, lineterminator="\n").writerows([LOG_COLUMNS, *rows])
     path = tmp_path_factory.mktemp("log") / "log.csv"
     path.write_text(text.getvalue(), encoding="utf-8")
-    assert (_records_until_rejection(ingest._read_log_records, path, resident, location_map)
+    # The row reader takes the log's text, as parse_event_log decodes it from the bytes it read, and its name.
+    def row_reader(path, *args):
+        return ingest._read_log_records(path.read_bytes().decode("utf-8"), str(path), *args)
+
+    assert (_records_until_rejection(row_reader, path, resident, location_map)
             == _records_until_rejection(read_log_records, path, resident, location_map))
 
 
@@ -387,6 +392,20 @@ def test_store_events_read_the_file_again_and_reject_a_changed_one(tmp_path):
     with pytest.raises(DataError, match=r"store\.jsonl: store changed since it was loaded"):
         changed.events
     assert store.events == events and load_store(store_path).events == events[:1]
+
+
+def test_store_events_reject_a_store_rewritten_with_its_size_and_modification_time(tmp_path):
+    path = write_log(tmp_path, "2026-01-01,20:00:00,TV,ON,channel=Ch1,r1,living room\n"
+                               "2026-01-01,21:00:00,TV,OFF,,r1,living room\n")
+    store_path = tmp_path / "store.jsonl"
+    write_store(store_path, parse_event_log(path).events, header={"config": {}})
+    store, before = load_store(store_path), store_path.stat()
+    store_path.write_bytes(store_path.read_bytes().replace(b"Ch1", b"Ch9"))
+    os.utime(store_path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = store_path.stat()
+    assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+    with pytest.raises(DataError, match=r"store\.jsonl: store changed since it was loaded"):
+        store.events
 
 
 _STORE_EVENT = {

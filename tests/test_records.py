@@ -129,3 +129,43 @@ def test_check_record_passes_a_record_whose_fields_have_their_kinds_or_names_one
     else:
         assert isinstance(obj, dict)
         assert all(name in obj and _KINDS[kind][1](obj[name]) for name, kind in fields.items())
+
+
+LOCATION_MAP = {"TV": "den", "radio": "kitchen"}
+
+
+@pytest.fixture(scope="module")
+def household_log(tmp_path_factory):
+    log = tmp_path_factory.mktemp("map") / "log.csv"
+    log.write_text(synthetic_household(days=4)[0], encoding="utf-8")
+    return log
+
+
+@settings(max_examples=200, deadline=None)
+@given(part=st.sampled_from(["file", "key", "value"]), sensor=st.sampled_from(sorted(LOCATION_MAP)),
+       value=JSON_VALUES, key=st.text(max_size=8))
+@example(part="file", sensor="TV", value=[1, 2], key="")
+@example(part="file", sensor="TV", value={"TV": {"a": 1}}, key="")
+@example(part="key", sensor="TV", value=None, key="radio")
+@example(part="value", sensor="TV", value=" ", key="")
+@example(part="value", sensor="radio", value=["den"], key="")
+def test_ingest_applies_any_location_map_or_names_the_map_file(household_log, tmp_path_factory, part, sensor, value,
+                                                                key):
+    # Any JSON value as the whole map, or as one entry's key (a JSON key is a string) or value.
+    if part == "file":
+        location_map = value
+    else:
+        location_map = {(key if part == "key" and name == sensor else name):
+                        (value if part == "value" and name == sensor else location)
+                        for name, location in LOCATION_MAP.items()}
+    tmp = tmp_path_factory.mktemp("changed")
+    path = tmp / "map.json"
+    path.write_text(json.dumps(location_map), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = main(["ingest", str(household_log), "--location-map", str(path), "--out", str(tmp / "store.jsonl")])
+    assert rc in (0, 2), err.getvalue()
+    if rc == 2:
+        last = err.getvalue().splitlines()[-1]
+        assert last.startswith(f"data error: {path}: "), last
+        assert not any(text in last for text in PYTHON_TEXTS), last
