@@ -35,6 +35,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from itertools import groupby, islice
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
@@ -47,7 +48,6 @@ from .preferences import History
 
 LOG_COLUMNS = ["date", "time", "sensor", "status", "value", "resident", "location"]
 END_OF_DAY = SECONDS_PER_DAY - 1
-ONE_DAY = dt.timedelta(days=1)
 STORE_SCHEMA = "homearbiter-store/1"
 PRNG_NAME = "numpy-randomstate-mt19937/v1"
 CHANNEL_SERVICE, CHANNEL_ATTRIBUTE = "TV", "channel"  # what ``--channels`` fills in
@@ -264,8 +264,9 @@ def _rest_record(rest: bytes, resident: str | None, location_map: Mapping[str, s
 
 
 def _read_log_columns(data: bytes, resident: str | None,
-                      location_map: Mapping[str, str]) -> Iterator[tuple] | None:
-    """The records of :func:`_read_log_records` for a log's bytes in the canonical form, else ``None``.
+                      location_map: Mapping[str, str]) -> tuple[np.ndarray, np.ndarray, np.ndarray, list] | None:
+    """The (date ordinal, time, rest code) columns of a log's bytes in the canonical form and the
+    :func:`_rest_record` of each distinct rest, the fields after a row's time, by its code; else ``None``.
 
     The canonical form: the exact header, lines that each end in ``\\n`` or ``\\r\\n`` (the last one too), no
     other ``\\r``, no ``"`` or NUL byte, no line over the csv field limit, and rows in (date, time) order that each
@@ -290,14 +291,96 @@ def _read_log_columns(data: bytes, resident: str | None,
         return None
     stamps, date_index = np.unique(stamp, return_inverse=True)
     try:
-        dates = [dt.date(s // 10000, s // 100 % 100, s % 100) for s in stamps.tolist()]
+        ordinals = [dt.date(s // 10000, s // 100 % 100, s % 100).toordinal() for s in stamps.tolist()]
     except ValueError:
         return None
-    rests = [line[len(_ROW_START):] for line in data.split(b"\n")[1:-1]]
-    records = {rest: _rest_record(rest, resident, location_map) for rest in set(rests)}
-    if None in records.values():
+    rests = list(map(itemgetter(slice(len(_ROW_START), None)), data.split(b"\n")[1:-1]))
+    codes = {rest: code for code, rest in enumerate(dict.fromkeys(rests))}
+    records = [_rest_record(rest, resident, location_map) for rest in codes]
+    if None in records:
         return None
-    return zip(map(dates.__getitem__, date_index.tolist()), time.tolist(), *zip(*map(records.__getitem__, rests)))
+    code = np.fromiter(map(codes.__getitem__, rests), np.int64, len(rests))
+    return np.array(ordinals, dtype=np.int64)[date_index], time, code, records
+
+
+def _coded_records(records: Iterator[tuple]) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+    """The columns of :func:`_read_log_columns` for the records of :func:`_read_log_records`."""
+    # A rest is keyed by its attribute's identity, as equal values can encode apart (0.0 and -0.0); the
+    # rests keep each keyed attribute alive.
+    codes: dict[tuple, int] = {}
+    rests, rows = [], []
+    for date, time, sensor, status, attribute, res, location in records:
+        key = (sensor, status, id(attribute), res, location)
+        if key not in codes:
+            codes[key] = len(rests)
+            rests.append((sensor, status, attribute, res, location))
+        rows.append((date.toordinal(), time, codes[key]))
+    ordinal, time, code = np.array(rows, dtype=np.int64).reshape(-1, 3).T
+    return ordinal, time, code, rests
+
+
+def _fold_sessions(ordinal: np.ndarray, time: np.ndarray, code: np.ndarray, rests: Sequence[tuple],
+                   first_number: int) -> tuple[EventRows, list[str]]:
+    """The events, in the order they close, and the warnings of the rows of a log in (date, time) order,
+    given as columns and the ``(sensor, status, attribute, resident, location)`` record of each rest code.
+
+    The rows are sorted by (sensor, resident), stably.  A run of rows starts at a key change, an ON or
+    OFF row or a date change; only SET rows continue it, and a session is open after a row whose run
+    starts at an ON row.  Each row's case and a segment's end come from its key's previous row.
+    """
+    sensor, status, attribute, resident, location = zip(*rests) if rests else [()] * 5
+    keys = {key: index for index, key in enumerate(sorted(set(zip(sensor, resident))))}  # as end of file closes
+    rest_key = np.array([keys[key] for key in zip(sensor, resident)], dtype=np.int64)
+    order = np.argsort(rest_key[code], kind="stable")
+    c, day, t = code[order], ordinal[order], time[order]
+    k = rest_key[c]
+    is_on, is_set = (np.array([label == name for label in status], dtype=bool)[c] for name in ("ON", "SET"))
+    is_off = ~is_on & ~is_set
+    same = np.diff(k, prepend=-1) == 0  # the previous row is of the same key
+    new_run = ~same | ~is_set | (np.diff(day, prepend=day[:1]) != 0)
+    run = np.maximum.accumulate(np.where(new_run, np.arange(len(c)), 0))  # the row its run starts at
+    open_after = is_on[run]
+    was_open = same & np.r_[False, open_after[:-1]]
+    prev_day, prev_t = np.r_[day[:1], day[:-1]], np.r_[t[:1], t[:-1]]
+    overnight = was_open & is_off & (day == prev_day + 1) & (t < prev_t)
+    day_end = was_open & (day != prev_day) & ~overnight
+    still_open = was_open & (day == prev_day)
+    has_next = np.r_[same[1:], False]
+    # Each segment ends at its key's next row, or at 23:59:59 at a day-end or end-of-file close; one that
+    # ends where it starts is dropped.  Events close in file order, those at end of file last, by key.
+    seg = np.flatnonzero(open_after)
+    nxt = np.minimum(seg + 1, len(c) - 1)
+    end = np.where(has_next[seg] & ~day_end[nxt], t[nxt], END_OF_DAY)
+    kept = end != t[seg]
+    closes = np.argsort(np.where(has_next[seg], order[nxt], len(c) + k[seg])[kept])
+    seg, end = seg[kept][closes], end[kept][closes]
+    # An ON row's attributes are one mapping per attribute; a SET row that goes on with the session adds its
+    # attribute to the previous row's, through a memo shared by equal merges.
+    on = {id(a): {a[0]: a[1]} for a in attribute}
+    row_attributes = np.fromiter([on[id(a)] for a in attribute], object, len(attribute))[c]
+    made: dict[tuple[int, int], dict] = {}  # the memo and the rows keep every keyed mapping alive
+    sets = np.flatnonzero(open_after & is_set)
+    for row, rest in zip(sets.tolist(), c[sets].tolist()):
+        before, change = row_attributes[row - 1], attribute[rest]
+        if (id(before), id(change)) not in made:
+            made[id(before), id(change)] = {**before, change[0]: change[1]}
+        row_attributes[row] = made[id(before), id(change)]
+    sensor_of, resident_of, location_of = (np.fromiter(column, object, len(column))[c]
+                                           for column in (sensor, resident, location))
+    ids = [f"{r}-{number:06d}" for number, r in enumerate(resident_of[seg].tolist(), start=first_number)]
+    events = EventRows(np.fromiter(ids, object, len(ids)), sensor_of[seg], location_of[run[seg]], resident_of[seg],
+                       day[seg], t[seg], end, row_attributes[seg])
+    # A row's own warning follows the day-end close it causes; end-of-file closes come last, by key.
+    at, closed = 2 * order + 1, "ON at {} {} without OFF; closed at end of day"
+    cases = [(day_end, at - 1, -1, closed), (open_after & ~has_next, 2 * (len(c) + k), 0, closed),
+             (still_open & is_on, at, 0, "ON at {} {} while already on"),
+             (~still_open & is_set, at, 0, "SET at {} {} while off; ignored"),
+             (~still_open & ~overnight & is_off, at, 0, "OFF at {} {} while not on; ignored")]
+    found = sorted((place, row + shift, text) for mask, places, shift, text in cases
+                   for place, row in zip(places[mask].tolist(), np.flatnonzero(mask).tolist()))
+    warnings = [f"{sensor_of[row]}/{resident_of[row]}: "
+                + text.format(dt.date.fromordinal(int(day[row])), format_hms(int(t[row]))) for _, row, text in found]
+    return events, warnings
 
 
 def parse_event_log(
@@ -315,75 +398,17 @@ def parse_event_log(
     calendar day at an earlier time of day closes the session as an
     overnight, wrap-around event.  Event ids are ``<resident>-<number>``; a
     later log of one household numbers on after the earlier logs' events.
+    One leading UTF-8 byte-order mark is skipped.
     """
     location_map = location_map or {}
     where, data = str(path), Path(path).read_bytes()
-    text = decode_utf8(data, where)  # a byte that is not UTF-8 is named before any other error
-    records = _read_log_columns(data, resident, location_map)
-    if records is None:
-        records = _read_log_records(text, where, resident, location_map)
-    events: list[tuple] = []  # the EventRows record of each event
-    warnings: list[str] = []
-    # (sensor, resident) -> its open session: (date, start, attributes, location).
-    open_sessions: dict[tuple[str, str], tuple[dt.date, int, dict, str]] = {}
-    # (id of a session's attributes or of None, id of a record's attribute) -> the attributes with it, shared by
-    # its sessions.  The readers keep every attribute alive, and the memo every attributes, so no id is reused.
-    made: dict[tuple[int, int], dict] = {}
-    counter = first_number - 1
-
-    def with_attribute(attributes: dict | None, attribute: tuple[str, AttributeValue]) -> dict:
-        if (id(attributes), id(attribute)) not in made:
-            made[id(attributes), id(attribute)] = {**(attributes or {}), attribute[0]: attribute[1]}
-        return made[id(attributes), id(attribute)]
-
-    def emit(sensor: str, res: str, session: tuple, end: int) -> None:
-        nonlocal counter
-        date, start, attributes, location = session
-        if end == start:
-            return  # zero-length segment: value changed within one second
-        counter += 1
-        events.append((f"{res}-{counter:06d}", sensor, location, res, date.toordinal(), start, end, attributes))
-
-    def close_at_day_end(key: tuple[str, str], session: tuple) -> None:
-        emit(key[0], key[1], session, END_OF_DAY)
-        warnings.append(
-            f"{key[0]}/{key[1]}: ON at {session[0]} {format_hms(session[1])} without OFF; closed at end of day"
-        )
-
-    for date, time, sensor, status, attribute, res, location in records:
-        key = (sensor, res)
-        session = open_sessions.get(key)
-        if session is not None and date != session[0]:
-            if status == "OFF" and date == session[0] + ONE_DAY and time < session[1]:
-                emit(sensor, res, session, time)
-                del open_sessions[key]
-                continue
-            close_at_day_end(key, session)
-            del open_sessions[key]
-            session = None
-        if status == "ON":
-            if session is not None:
-                emit(sensor, res, session, time)
-                warnings.append(f"{sensor}/{res}: ON at {date} {format_hms(time)} while already on")
-            open_sessions[key] = (date, time, with_attribute(None, attribute), location)
-        elif status == "SET":
-            if session is None:
-                warnings.append(f"{sensor}/{res}: SET at {date} {format_hms(time)} while off; ignored")
-                continue
-            emit(sensor, res, session, time)
-            open_sessions[key] = (date, time, with_attribute(session[2], attribute), session[3])
-        else:  # OFF
-            if session is None:
-                warnings.append(f"{sensor}/{res}: OFF at {date} {format_hms(time)} while not on; ignored")
-                continue
-            emit(sensor, res, session, time)
-            del open_sessions[key]
-
-    for key in sorted(open_sessions):
-        close_at_day_end(key, open_sessions[key])
-
-    return ParseResult(events=EventRows.from_records(events).in_store_order(), warnings=warnings,
-                       sha256=hashlib.sha256(data).hexdigest())
+    body = data.removeprefix(b"\xef\xbb\xbf")
+    text = decode_utf8(body, where)  # a byte that is not UTF-8 is named before any other error
+    columns = _read_log_columns(body, resident, location_map)
+    if columns is None:
+        columns = _coded_records(_read_log_records(text, where, resident, location_map))
+    events, warnings = _fold_sessions(*columns, first_number)
+    return ParseResult(events=events.in_store_order(), warnings=warnings, sha256=hashlib.sha256(data).hexdigest())
 
 
 def stabilize(events: Sequence[ServiceEvent], settling_window: int, warnings: list[str] | None = None) -> EventRows:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import strategies as st
 
 from homearbiter.errors import DataError, ParseError
-from homearbiter.ingest import LOG_COLUMNS, BinningSpec, _parse_attribute
+from homearbiter.ingest import END_OF_DAY, LOG_COLUMNS, BinningSpec, EventRows, _parse_attribute
 from homearbiter.intervals import SECONDS_PER_DAY, TimeOfDayInterval, format_hms, parse_hms
 from homearbiter.linalg import SvdResult
 from homearbiter.model import AttributeValue, ServiceEvent, ServiceRequest, normalize_location
@@ -259,6 +259,74 @@ def read_log_records(path: str | Path, resident: str | None, location_map: Mappi
             else:
                 location = None
             yield date, time, sensor, status, attribute, effective_resident, location
+
+
+def fold_sessions_loop(records, first_number: int = 1) -> tuple[EventRows, list[str]]:
+    """The events, in the order they close, and the warnings of ``(date, time, sensor, status, attribute,
+    resident, location)`` records, by a loop over the rows that keeps each key's open session: the
+    reference for ``ingest._fold_sessions``."""
+    events: list[tuple] = []  # the EventRows record of each event
+    warnings: list[str] = []
+    # (sensor, resident) -> its open session: (date, start, attributes, location).
+    open_sessions: dict[tuple[str, str], tuple[dt.date, int, dict, str]] = {}
+    # (id of a session's attributes or of None, id of a record's attribute) -> the attributes with it, shared by
+    # its sessions.  The readers keep every attribute alive, and the memo every attributes, so no id is reused.
+    made: dict[tuple[int, int], dict] = {}
+    counter = first_number - 1
+    one_day = dt.timedelta(days=1)
+
+    def with_attribute(attributes: dict | None, attribute: tuple[str, AttributeValue]) -> dict:
+        if (id(attributes), id(attribute)) not in made:
+            made[id(attributes), id(attribute)] = {**(attributes or {}), attribute[0]: attribute[1]}
+        return made[id(attributes), id(attribute)]
+
+    def emit(sensor: str, res: str, session: tuple, end: int) -> None:
+        nonlocal counter
+        date, start, attributes, location = session
+        if end == start:
+            return  # zero-length segment: value changed within one second
+        counter += 1
+        events.append((f"{res}-{counter:06d}", sensor, location, res, date.toordinal(), start, end, attributes))
+
+    def close_at_day_end(key: tuple[str, str], session: tuple) -> None:
+        emit(key[0], key[1], session, END_OF_DAY)
+        warnings.append(
+            f"{key[0]}/{key[1]}: ON at {session[0]} {format_hms(session[1])} without OFF; closed at end of day"
+        )
+
+    for date, time, sensor, status, attribute, res, location in records:
+        key = (sensor, res)
+        session = open_sessions.get(key)
+        if session is not None and date != session[0]:
+            if status == "OFF" and date == session[0] + one_day and time < session[1]:
+                emit(sensor, res, session, time)
+                del open_sessions[key]
+                continue
+            close_at_day_end(key, session)
+            del open_sessions[key]
+            session = None
+        if status == "ON":
+            if session is not None:
+                emit(sensor, res, session, time)
+                warnings.append(f"{sensor}/{res}: ON at {date} {format_hms(time)} while already on")
+            open_sessions[key] = (date, time, with_attribute(None, attribute), location)
+        elif status == "SET":
+            if session is None:
+                warnings.append(f"{sensor}/{res}: SET at {date} {format_hms(time)} while off; ignored")
+                continue
+            emit(sensor, res, session, time)
+            open_sessions[key] = (date, time, with_attribute(session[2], attribute), session[3])
+        else:  # OFF
+            if session is None:
+                warnings.append(f"{sensor}/{res}: OFF at {date} {format_hms(time)} while not on; ignored")
+                continue
+            emit(sensor, res, session, time)
+            del open_sessions[key]
+
+    for key in sorted(open_sessions):
+        close_at_day_end(key, open_sessions[key])
+
+    return EventRows.from_records(events), warnings
 
 
 def compute_bins_loop(values: Sequence[float], bin_count: int, attribute: str = "value") -> BinningSpec:

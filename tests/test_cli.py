@@ -116,6 +116,48 @@ def test_ingest_of_a_canonical_log_takes_the_column_reader_and_builds_no_event(t
     capsys.readouterr()
 
 
+def test_ingest_skips_a_leading_byte_order_mark(tmp_path, capsys):
+    # Excel's "CSV UTF-8" export starts the file with one; the header check would otherwise see it.
+    plain = DATA_DIR / "household60.csv"
+    bom = tmp_path / "household60-bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    lines = []
+    for path in (plain, bom):
+        assert main(["ingest", str(path), "--out", str(tmp_path / "store.jsonl")]) == 0
+        header, *events = (tmp_path / "store.jsonl").read_text(encoding="utf-8").splitlines()
+        lines.append(events)
+        assert json.loads(header)["inputs"][0]["sha256"] == sha256_file(path)  # of the bytes read, mark and all
+    assert lines[1] == lines[0]
+    capsys.readouterr()
+
+
+def test_parse_of_a_canonical_log_makes_no_python_call_per_row(tmp_path):
+    # Events and stores stay the same when a per-row generator or a map over a Python function comes
+    # back into the parse; only a count of the package's Python calls shows it.
+    package = str(Path(ingest.__file__).parent)
+
+    def package_calls(path) -> int:
+        calls = 0
+
+        def profile(frame, event, arg):
+            nonlocal calls
+            calls += event == "call" and frame.f_code.co_filename.startswith(package)
+
+        sys.setprofile(profile)
+        try:
+            ingest.parse_event_log(path)
+        finally:
+            sys.setprofile(None)
+        return calls
+
+    counts = []
+    for days in (60, 240):
+        log = tmp_path / f"household{days}.csv"
+        log.write_text(synthetic_household(days=days)[0], encoding="utf-8")
+        counts.append(package_calls(log))
+    assert abs(counts[1] - counts[0]) <= 10, counts
+
+
 def test_each_command_opens_each_log_and_store_once(tmp_path, monkeypatch, capsys):
     # A second read of an input passes every other check; only a count of the opens shows it.
     canonical, requests = DATA_DIR / "household60.csv", DATA_DIR / "household60_requests.jsonl"

@@ -39,6 +39,7 @@ from conftest import (
     compute_bins_loop,
     event_from_json,
     event_to_json,
+    fold_sessions_loop,
     history_columns,
     make_event,
     read_log_records,
@@ -338,6 +339,61 @@ def test_the_column_reader_folds_to_the_row_readers_events_or_error(tmp_path_fac
     with mock.patch.object(ingest, "_read_log_columns", lambda *args: None):
         expected = _parse_outcome(path, resident, location_map)
     assert _parse_outcome(path, resident, location_map) == expected
+
+
+# Attributes as the readers make them: one object per distinct value text, shared by its rows.
+_FOLD_ATTRIBUTES = [("channel", AttributeValue.categorical("Ch1")), ("channel", AttributeValue.categorical("Ch2")),
+                    ("temp", AttributeValue.numeric(21.5)), ("temp", AttributeValue.numeric(-0.0)),
+                    ("temp", AttributeValue.numeric(0.0)), ("state", AttributeValue.categorical("on"))]
+_FOLD_TIMES = ["00:00:00", "01:00:00", "20:00:00", "20:00:00", "22:00:00", "23:59:59"]
+_FOLD_ROW = st.tuples(st.integers(0, 3), st.sampled_from(_FOLD_TIMES), st.sampled_from(["TV", "radio"]),
+                      st.sampled_from(["ON", "ON", "SET", "SET", "OFF"]), st.integers(0, len(_FOLD_ATTRIBUTES) - 1),
+                      st.sampled_from(["r1", "r2"]), st.sampled_from(["den", "living room"]))
+
+
+def _fold_records(rows):
+    """Records of ``(day, time, sensor, status, attribute index, resident, location)`` rows, in (date, time) order."""
+    return [(dt.date(2026, 1, 1) + dt.timedelta(days=day), parse_hms(time), sensor, status, _FOLD_ATTRIBUTES[index],
+             resident, location if status == "ON" else None)
+            for day, time, sensor, status, index, resident, location in sorted(rows, key=lambda row: row[:2])]
+
+
+def _shares(attributes) -> list[int]:
+    """Which earlier mapping each row's attributes are, by identity: the row's own index when none."""
+    first = {}
+    return [first.setdefault(id(mapping), index) for index, mapping in enumerate(attributes)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(rows=st.lists(_FOLD_ROW, max_size=30), first_number=st.sampled_from([1, 1, 7]))
+@example(rows=[(0, "22:00:00", "TV", "ON", 0, "r1", "den"), (1, "01:00:00", "TV", "OFF", 5, "r1", "den")],
+         first_number=1)  # an overnight OFF
+@example(rows=[(0, "22:00:00", "TV", "ON", 0, "r1", "den"), (2, "01:00:00", "TV", "OFF", 5, "r1", "den")],
+         first_number=1)  # an OFF two days later
+@example(rows=[(0, "23:59:59", "TV", "ON", 0, "r1", "den"), (1, "20:00:00", "TV", "ON", 1, "r1", "den")],
+         first_number=1)  # left open at 23:59:59
+@example(rows=[(0, "20:00:00", "TV", "ON", 0, "r1", "den"), (1, "01:00:00", "TV", "SET", 1, "r1", "den")],
+         first_number=1)  # a SET after a date change
+@example(rows=[(0, "20:00:00", "TV", "ON", 0, "r1", "den"), (0, "22:00:00", "TV", "ON", 1, "r1", "living room")],
+         first_number=1)  # ON while on
+@example(rows=[(0, "20:00:00", "TV", "ON", 0, "r1", "den"), (0, "20:00:00", "TV", "SET", 1, "r1", "den"),
+               (0, "22:00:00", "TV", "OFF", 5, "r1", "den")], first_number=1)  # a zero-length segment
+@example(rows=[(0, "20:00:00", "TV", "ON", 0, "r2", "den"), (0, "20:00:00", "radio", "ON", 5, "r1", "den"),
+               (0, "22:00:00", "TV", "ON", 1, "r1", "den")], first_number=1)  # open at end of file in 3 keys
+@example(rows=[(0, "20:00:00", "TV", "ON", 0, "r1", "den"), (0, "22:00:00", "TV", "OFF", 5, "r1", "den")],
+         first_number=7)
+@example(rows=[(day, time, "TV", status, index, resident, "den") for day in (0, 1) for resident in ("r1", "r2")
+               for time, status, index in (("00:00:00", "ON", 0), ("01:00:00", "SET", 2), ("20:00:00", "SET", 1),
+                                           ("22:00:00", "OFF", 5))], first_number=1)  # SETs merge two names
+def test_the_session_fold_matches_the_per_row_loop(rows, first_number):
+    records = _fold_records(rows)
+    expected, expected_warnings = fold_sessions_loop(records, first_number)
+    events, warnings = ingest._fold_sessions(*ingest._coded_records(iter(records)), first_number)
+    for name, column in vars(expected).items():
+        assert getattr(events, name).tolist() == column.tolist(), name
+    assert events.ordinal.dtype == events.start.dtype == events.end.dtype == np.int64
+    assert warnings == expected_warnings
+    assert _shares(events.attributes) == _shares(expected.attributes)
 
 
 def test_parse_serialize_parse_roundtrip(tmp_path):

@@ -1,4 +1,5 @@
-"""Symmetries of the whole pipeline: rotating every time of day, and reordering the request lines."""
+"""Symmetries of the whole pipeline: rotating every time of day, reordering the request lines, adding the
+events of another service and location, and relabelling the residents in order."""
 
 import contextlib
 import dataclasses
@@ -88,16 +89,22 @@ def _request_line(request: ServiceRequest) -> str:
 
 
 def _outputs(directory, store, lines) -> list[str]:
-    """``detect`` and every strategy's ``resolve`` of the request lines, each with the request file's digest
-    written as ``<requests>``."""
+    """``detect``, every strategy's ``resolve`` and ``evaluate`` of the request lines, each with the request
+    file's digest written as ``<requests>`` and the store's as ``<store>``."""
     requests = directory / "requests.jsonl"
     requests.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     out = directory / "out.jsonl"
+    inputs = ["--store", str(store), "--requests", str(requests)]
+    runs = [([*command, *inputs, "--out", str(out)], [out])
+            for command in (["detect"], *(["resolve", "--strategy", strategy] for strategy in STRATEGIES))]
+    runs.append((["evaluate", *inputs, "--out-prefix", str(directory / "report")],
+                 [directory / "report.json", directory / "report.csv"]))
     texts = []
-    for command in (["detect"], *(["resolve", "--strategy", strategy] for strategy in STRATEGIES)):
+    for argv, paths in runs:
         with contextlib.redirect_stderr(io.StringIO()):
-            assert main([*command, "--store", str(store), "--requests", str(requests), "--out", str(out)]) == 0
-        texts.append(out.read_text(encoding="utf-8").replace(sha256_file(requests), "<requests>"))
+            assert main(argv) == 0
+        texts.extend(path.read_text(encoding="utf-8").replace(sha256_file(requests), "<requests>")
+                     .replace(sha256_file(store), "<store>") for path in paths)
     return texts
 
 
@@ -111,3 +118,55 @@ def test_permuting_the_request_lines_changes_no_output_byte(tmp_path_factory, re
     lines = [_request_line(r) for r in _requests(requests)]
     permuted = lines[::-1] if data is None else data.draw(st.permutations(lines))
     assert _outputs(directory, store, permuted) == _outputs(directory, store, lines)
+
+
+# (resident, (service, location, attribute), value, start second, length in seconds, day) of each event of a
+# service and location that no request names; its days reach past the history's.
+_OTHER_EVENTS = st.lists(st.tuples(st.sampled_from(["alice", "dave"]),
+                                   st.sampled_from([("radio", "den", "station"), ("TV", "kitchen", "channel")]),
+                                   _CHANNELS, _STARTS, _LENGTHS, st.integers(0, 5)), min_size=1, max_size=8)
+
+
+def _other_events(specs) -> list[ServiceEvent]:
+    return [ServiceEvent(event_id=f"{resident}-x{i:06d}", service_id=service,
+                         attributes={attribute: AttributeValue.categorical(value)},
+                         date=dt.date(2026, 1, 1) + dt.timedelta(days=day), interval=_interval(start, length),
+                         location=location, resident=resident)
+            for i, (resident, (service, location, attribute), value, start, length, day) in enumerate(specs)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(requests=_REQUESTS, events=_EVENTS, other=_OTHER_EVENTS)
+@example(requests=_MIDNIGHT, events=_MIDNIGHT_HISTORY,
+         other=[("dave", ("TV", "kitchen", "channel"), "Ch2", 300, 1500, 5)])
+def test_adding_events_of_another_service_and_location_changes_no_output_byte(tmp_path_factory, requests, events,
+                                                                             other):
+    # Only the situation's (service, location) events are read when lookback_days is unset.  With it set, the
+    # horizon counts back from the whole history's latest date, so a later event elsewhere can move it.
+    directory = tmp_path_factory.mktemp("other")
+    store = directory / "store.jsonl"
+    lines = [_request_line(r) for r in _requests(requests)]
+    write_store(store, _events(events), {})
+    expected = _outputs(directory, store, lines)
+    write_store(store, _events(events) + _other_events(other), {})
+    assert _outputs(directory, store, lines) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(requests=_REQUESTS, events=_EVENTS,
+       labels=st.lists(st.text("abcdefz", min_size=1, max_size=3), min_size=3, max_size=3, unique=True).map(sorted))
+@example(requests=_MIDNIGHT, events=_MIDNIGHT_HISTORY, labels=["a", "aa", "b"])
+def test_relabelling_residents_in_order_keeps_every_ranking_and_choice(requests, events, labels):
+    relabel = dict(zip(["alice", "bob", "cara"], labels))  # the residents' order stays
+    renamed = [(relabel[resident], *rest) for resident, *rest in requests]
+    situations, relabelled = detect_conflicts(_requests(requests)), detect_conflicts(_requests(renamed))
+    assert [_key(s) for s in situations] == [_key(s) for s in relabelled]
+    history = History(_events(events))
+    relabelled_history = History(_events([(relabel[resident], *rest) for resident, *rest in events]))
+    for strategy in STRATEGIES:
+        for situation, other in zip(situations, relabelled):
+            assert [relabel[r] for r in situation.residents] == list(other.residents)
+            resolution = resolve(situation, history, CONFIG, strategy)
+            relabelled_resolution = resolve(other, relabelled_history, CONFIG, strategy)
+            assert relabelled_resolution.ranked == resolution.ranked, strategy
+            assert relabelled_resolution.chosen == resolution.chosen, strategy
