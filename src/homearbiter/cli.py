@@ -20,28 +20,12 @@ from .demo import run_reference_check
 from .detect import detect_conflicts
 from .errors import ArbiterError, DataError, ParseError
 from .evaluate import EvaluationConfig, run_experiment
-from .ingest import (
-    PRNG_NAME,
-    EventRows,
-    apply_bins,
-    augment_channels,
-    check_record,
-    compute_bins,
-    decode_text,
-    dumps_json,
-    json_lines,
-    load_requests,
-    load_store,
-    parse_event_log,
-    parse_json,
-    read_input,
-    record_errors,
-    sha256_file,
-    stabilize,
-    write_store,
-)
+from .ingest import PRNG_NAME, apply_bins, augment_channels, compute_bins, load_requests, sha256_file, stabilize
 from .intervals import TimeOfDayInterval, format_hms, parse_hms
-from .model import ConflictSituation
+from .log import parse_event_log
+from .model import ConflictSituation, EventRows
+from .records import check_record, decode_text, dumps_json, json_lines, parse_json, read_input, record_errors
+from .store import load_store, write_store
 
 CONFLICTS_SCHEMA = "homearbiter-conflicts/1"
 RESOLUTIONS_SCHEMA = "homearbiter-resolutions/1"
@@ -270,7 +254,7 @@ def _digests(header: dict) -> list[str] | None:
 
 
 def _round6(values) -> list:
-    return [round(float(v), 6) for v in values]
+    return [round(float(v), 6) + 0.0 for v in values]  # + 0.0: a zero is unsigned, whichever sign LAPACK gave
 
 
 @cli.command()

@@ -1,4 +1,4 @@
-"""Domain vocabulary: attribute values, service events, requests, conflicts.
+"""Domain vocabulary: attribute values, service events and their rows, requests, conflicts.
 
 Every type here is immutable after construction and safe to share across
 concurrent readers.
@@ -9,9 +9,11 @@ from __future__ import annotations
 import datetime as dt
 import math
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
-from .intervals import TimeOfDayInterval
+import numpy as np
+
+from .intervals import SECONDS_PER_DAY, TimeOfDayInterval
 
 
 def normalize_location(label: str) -> str:
@@ -142,6 +144,72 @@ class ServiceEvent:
         if not self.attributes:
             raise ValueError(f"event {self.event_id}: attributes must be non-empty")
         object.__setattr__(self, "location", normalize_location(self.location))
+
+
+def _ranks(labels: Sequence) -> np.ndarray:
+    """Each label's place in the order of the distinct labels."""
+    rank = {label: index for index, label in enumerate(sorted(set(labels)))}
+    return np.fromiter(map(rank.__getitem__, labels), np.int64, len(labels))
+
+
+@dataclass(eq=False, repr=False)
+class EventRows(Sequence[ServiceEvent]):
+    """Service events as numpy columns; an item is a :class:`ServiceEvent`, built on access.
+
+    ``ingest`` carries its events from the log to the store as rows and
+    builds no event.  Rows share attributes mappings, which no step changes.
+    """
+
+    ids: np.ndarray  # of objects, like the service, location, resident and attributes columns
+    service: np.ndarray
+    location: np.ndarray
+    resident: np.ndarray
+    ordinal: np.ndarray  # of int64, like the start and end columns
+    start: np.ndarray
+    end: np.ndarray
+    attributes: np.ndarray
+
+    @classmethod
+    def of(cls, events: Sequence[ServiceEvent]) -> EventRows:
+        """The rows of ``events``: the events themselves when they are rows."""
+        return events if isinstance(events, EventRows) else cls.from_records(
+            [(e.event_id, e.service_id, e.location, e.resident, e.date.toordinal(), e.interval.start, e.interval.end,
+              e.attributes) for e in events])
+
+    @classmethod
+    def from_records(cls, records: Sequence[tuple]) -> EventRows:
+        """The rows of ``(event id, service, location, resident, date ordinal, start, end, attributes)`` records."""
+        columns = list(zip(*records)) or [()] * 8
+        return cls(*(np.fromiter(column, np.int64 if 4 <= index < 7 else object, len(column))  # int64: date, times
+                     for index, column in enumerate(columns)))
+
+    @classmethod
+    def joined(cls, parts: Sequence[EventRows]) -> EventRows:
+        """The rows of each part in turn."""
+        return cls(*map(np.concatenate, zip(*(vars(part).values() for part in parts))))
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, index):
+        """The event at an integer ``index``, or the rows at a slice or an index array, in its order."""
+        columns = [column[index] for column in vars(self).values()]
+        if isinstance(index, (slice, np.ndarray)):
+            return EventRows(*columns)
+        event_id, service, location, resident, ordinal, start, end, attributes = columns
+        return ServiceEvent(event_id, service, attributes, dt.date.fromordinal(int(ordinal)),
+                            TimeOfDayInterval(int(start), int(end)), location, resident)
+
+    def __eq__(self, other):
+        return list(self) == list(other) if isinstance(other, (list, EventRows)) else NotImplemented
+
+    def in_store_order(self) -> EventRows:
+        """The rows in store order: by date, start, resident and event id; the ids are ranked only for a tie."""
+        keys = [_ranks(self.resident), self.ordinal * SECONDS_PER_DAY + self.start]  # np.lexsort: last key first
+        order = np.lexsort(keys)
+        if (np.diff(np.stack(keys)[:, order]) == 0).all(axis=0).any():
+            order = np.lexsort([_ranks(self.ids), *keys])
+        return self if (np.diff(order) > 0).all() else self[order]
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ import json
 import numpy as np
 
 from .intervals import format_hms
+from .log import LOG_COLUMNS
 
 DEFAULT_SEED = 121
 START_DATE = dt.date(2026, 3, 2)
@@ -80,7 +81,7 @@ def synthetic_household(seed: int = DEFAULT_SEED, days: int = 60):
                 add_session(date, resident, "thermostat", "bedroom", start, duration, f"temp={setpoint:g}")
 
     rows.sort(key=lambda r: (r[0], r[1], r[2], r[5], r[3]))
-    lines = ["date,time,sensor,status,value,resident,location"]
+    lines = [",".join(LOG_COLUMNS)]
     for date, sec, sensor, status, value, resident, location in rows:
         lines.append(f"{date.isoformat()},{format_hms(sec)},{sensor},{status},{value},{resident},{location}")
     log_text = "\n".join(lines) + "\n"

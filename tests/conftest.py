@@ -10,10 +10,11 @@ import pytest
 from hypothesis import strategies as st
 
 from homearbiter.errors import DataError, ParseError
-from homearbiter.ingest import END_OF_DAY, LOG_COLUMNS, BinningSpec, EventRows, _parse_attribute
+from homearbiter.ingest import BinningSpec
+from homearbiter.log import END_OF_DAY, LOG_COLUMNS, _parse_attribute
 from homearbiter.intervals import SECONDS_PER_DAY, TimeOfDayInterval, format_hms, parse_hms
 from homearbiter.linalg import SvdResult
-from homearbiter.model import AttributeValue, ServiceEvent, ServiceRequest, normalize_location
+from homearbiter.model import AttributeValue, EventRows, ServiceEvent, ServiceRequest, normalize_location
 from homearbiter.preferences import PreferenceMatrix
 
 
@@ -191,7 +192,7 @@ def history_columns(events: Sequence[ServiceEvent]) -> tuple:
 
 def store_order(event: ServiceEvent) -> tuple:
     """Sort key of the canonical event order, date, start, resident, event id: the reference for the order of
-    ``ingest.EventRows.in_store_order``."""
+    ``model.EventRows.in_store_order``."""
     return (event.date, event.interval.start, event.resident, event.event_id)
 
 
@@ -211,7 +212,7 @@ def event_to_json(e: ServiceEvent) -> dict:
 
 def read_log_records(path: str | Path, resident: str | None, location_map: Mapping[str, str]) -> Iterator[tuple]:
     """``(date, time, sensor, status, attribute, resident, location)`` per row, parsing every field of every
-    row: the reference for ``ingest._read_log_records``.
+    row: the reference for ``log._read_log_records``.
 
     ``location`` is the normalized mapped location of an ON row and ``None``
     for the other statuses, which keep their session's location.
@@ -264,7 +265,7 @@ def read_log_records(path: str | Path, resident: str | None, location_map: Mappi
 def fold_sessions_loop(records, first_number: int = 1) -> tuple[EventRows, list[str]]:
     """The events, in the order they close, and the warnings of ``(date, time, sensor, status, attribute,
     resident, location)`` records, by a loop over the rows that keeps each key's open session: the
-    reference for ``ingest._fold_sessions``."""
+    reference for ``log._fold_sessions``."""
     events: list[tuple] = []  # the EventRows record of each event
     warnings: list[str] = []
     # (sensor, resident) -> its open session: (date, start, attributes, location).

@@ -22,11 +22,12 @@ from homearbiter.cli import main
 from homearbiter.config import RunConfig
 from homearbiter.detect import detect_conflicts
 from homearbiter.evaluate import EvaluationConfig, harmonic_satisfaction, run_experiment
-from homearbiter.ingest import compute_bins, load_requests, load_store
+from homearbiter.ingest import compute_bins, load_requests
 from homearbiter.intervals import TimeOfDayInterval
 from homearbiter.linalg import TruncatedSvd, svd, truncate
 from homearbiter.model import AttributeValue, ServiceRequest
 from homearbiter.preferences import build_preference_table, temporal_proximity, window_events
+from homearbiter.store import load_store
 
 from conftest import binning_sse, interval, make_event, make_request, matrix_entries, matrix_from_entries, reconstruct
 from test_detect import _detected_keys, sweep_oracle

@@ -2,6 +2,7 @@ import builtins
 import csv
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from homearbiter import ingest
+from homearbiter import log as log_module, store as store_module
 from homearbiter.cli import cli, main
 from homearbiter.config import RunConfig
 from homearbiter.ingest import sha256_file
@@ -56,9 +57,10 @@ def test_ingest_writes_every_event_line_in_the_canonical_form(tmp_path, monkeypa
     header, *events = store.read_text(encoding="utf-8").splitlines()
     assert any(f'"kind":"{kind}"' in line for line in events)
     parsed = []
-    parse_json = ingest.parse_json
-    monkeypatch.setattr(ingest, "parse_json", lambda text, *where: parsed.append(text) or parse_json(text, *where))
-    history = ingest.load_store(store).history
+    parse_json = store_module.parse_json
+    monkeypatch.setattr(store_module, "parse_json",
+                        lambda text, *where: parsed.append(text) or parse_json(text, *where))
+    history = store_module.load_store(store).history
     assert sum(len(columns.date) for columns in history.groups.values()) == len(events)
     assert parsed == [header]
 
@@ -102,7 +104,7 @@ def test_ingest_of_a_canonical_log_takes_the_column_reader_and_builds_no_event(t
     def called(*args, **kwargs):
         raise AssertionError("called")
 
-    monkeypatch.setattr(ingest, "_read_log_records", called)
+    monkeypatch.setattr(log_module, "_read_log_records", called)
     monkeypatch.setattr(ServiceEvent, "__post_init__", called)
     log = tmp_path / "log.csv"
     log.write_text(synthetic_household(days=120)[0], encoding="utf-8")
@@ -134,7 +136,7 @@ def test_ingest_skips_a_leading_byte_order_mark(tmp_path, capsys):
 def test_parse_of_a_canonical_log_makes_no_python_call_per_row(tmp_path):
     # Events and stores stay the same when a per-row generator or a map over a Python function comes
     # back into the parse; only a count of the package's Python calls shows it.
-    package = str(Path(ingest.__file__).parent)
+    package = str(Path(log_module.__file__).parent)
 
     def package_calls(path) -> int:
         calls = 0
@@ -145,7 +147,7 @@ def test_parse_of_a_canonical_log_makes_no_python_call_per_row(tmp_path):
 
         sys.setprofile(profile)
         try:
-            ingest.parse_event_log(path)
+            log_module.parse_event_log(path)
         finally:
             sys.setprofile(None)
         return calls
@@ -409,6 +411,17 @@ def test_resolve_debug_and_preferences_dump(workspace, tmp_path):
     # scores are printed with four decimals
     assert all("." in line.split(",")[2] and len(line.split(",")[2].split(".")[1]) == 4 for line in data_lines[1:])
     assert any(line.startswith("# situation: TV/living room/channel/20:00:00-20:30:00") for line in pref_lines)
+
+
+def test_debug_figures_write_a_zero_without_a_sign():
+    # -0.0 == 0.0, so only the written text or the sign bit shows a signed zero; which zero an SVD gives
+    # depends on the LAPACK build.
+    from homearbiter.cli import _round6
+    from homearbiter.records import dumps_json
+
+    rounded = _round6([-1e-9, -0.0, 0.25, -0.5])
+    assert dumps_json(rounded) == "[0.0,0.0,0.25,-0.5]"
+    assert [math.copysign(1.0, value) for value in rounded] == [1.0, 1.0, 1.0, -1.0]
 
 
 def test_resolve_baseline_strategy(workspace, tmp_path):

@@ -13,22 +13,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from homearbiter import ingest
+from homearbiter import log as log_module, store as store_module
 from homearbiter.errors import DataError, ParseError
-from homearbiter.ingest import (
-    LOG_COLUMNS,
-    BinningSpec,
-    apply_bins,
-    augment_channels,
-    bin_value,
-    compute_bins,
-    dumps_json,
-    load_requests,
-    load_store,
-    parse_event_log,
-    stabilize,
-    write_store,
-)
+from homearbiter.ingest import (BinningSpec, apply_bins, augment_channels, bin_value, compute_bins, load_requests,
+                                stabilize)
+from homearbiter.log import LOG_COLUMNS, parse_event_log
+from homearbiter.records import dumps_json
+from homearbiter.store import load_store, write_store
 from homearbiter.intervals import SECONDS_PER_DAY, TimeOfDayInterval, parse_hms
 from homearbiter.model import AttributeValue, ServiceEvent
 from homearbiter.preferences import History
@@ -252,7 +243,7 @@ def test_read_log_records_matches_the_per_row_oracle(tmp_path_factory, rows, ord
     path.write_text(text.getvalue(), encoding="utf-8")
     # The row reader takes the log's text, as parse_event_log decodes it from the bytes it read, and its name.
     def row_reader(path, *args):
-        return ingest._read_log_records(path.read_bytes().decode("utf-8"), str(path), *args)
+        return log_module._read_log_records(path.read_bytes().decode("utf-8"), str(path), *args)
 
     assert (_records_until_rejection(row_reader, path, resident, location_map)
             == _records_until_rejection(read_log_records, path, resident, location_map))
@@ -282,13 +273,17 @@ _DECLINED_FIELDS = [
 
 @st.composite
 def _near_canonical_logs(draw) -> bytes:
-    """A log in the canonical form, or one with a few changes to its fields, rows, line ends or bytes."""
+    """A log in the canonical form, or one with a few changes to its fields, any text in one, or changes to its
+    rows, line ends or bytes."""
     rows = draw(st.lists(st.tuples(*map(st.sampled_from, _CANONICAL_FIELDS)).map(list), max_size=12))
     if draw(st.sampled_from([True, True, True, False])):
         rows.sort(key=lambda row: row[:2])  # canonical dates and times sort as text in (date, time) order
     for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2])) if rows else 0):
         index, column = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(LOG_COLUMNS) - 1))
         rows[index][column] = draw(st.sampled_from(_DECLINED_FIELDS[column]))
+    if rows and draw(st.sampled_from([False, False, True])):  # any text, with the characters CSV and values treat apart
+        index, column = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(LOG_COLUMNS) - 1))
+        rows[index][column] = draw(st.text(st.one_of(st.sampled_from(',"=\r\n '), st.characters()), max_size=8))
     if draw(st.sampled_from([False, False, False, True])):
         rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from([[], [" "], ["\t"]])))
     text = io.StringIO()
@@ -336,7 +331,7 @@ def test_the_column_reader_folds_to_the_row_readers_events_or_error(tmp_path_fac
     # of its records gives the events and warnings, or the error, of the fold of the row reader's.
     path = tmp_path_factory.mktemp("log") / "log.csv"
     path.write_bytes(data)
-    with mock.patch.object(ingest, "_read_log_columns", lambda *args: None):
+    with mock.patch.object(log_module, "_read_log_columns", lambda *args: None):
         expected = _parse_outcome(path, resident, location_map)
     assert _parse_outcome(path, resident, location_map) == expected
 
@@ -388,7 +383,7 @@ def _shares(attributes) -> list[int]:
 def test_the_session_fold_matches_the_per_row_loop(rows, first_number):
     records = _fold_records(rows)
     expected, expected_warnings = fold_sessions_loop(records, first_number)
-    events, warnings = ingest._fold_sessions(*ingest._coded_records(iter(records)), first_number)
+    events, warnings = log_module._fold_sessions(*log_module._coded_records(iter(records)), first_number)
     for name, column in vars(expected).items():
         assert getattr(events, name).tolist() == column.tolist(), name
     assert events.ordinal.dtype == events.start.dtype == events.end.dtype == np.int64
@@ -638,10 +633,10 @@ def _canonical_event_text(old: str, new: str) -> _Raw:
 # Lines that load_store skips: empty, or all whitespace as str.strip sees it.
 _BLANK_LINES = [_Raw(""), _Raw(" \t"), _Raw("\x1c\u3000")]
 # Characters load_store reads at a time: a line of the store may span pieces, or fill one.
-_PIECES = st.sampled_from([1, 40, 300, ingest._PIECE])
+_PIECES = st.sampled_from([1, 40, 300, store_module._PIECE])
 
 
-def _oracle_example(valid, mutated, position, encoders, later=(), gap=0, piece=ingest._PIECE):
+def _oracle_example(valid, mutated, position, encoders, later=(), gap=0, piece=store_module._PIECE):
     return example(valid=valid, mutated=mutated, position=position, encoders=encoders, later=list(later), gap=gap,
                    piece=piece)
 
@@ -746,7 +741,7 @@ def test_load_store_matches_the_per_line_event_oracle(tmp_path_factory, valid, m
         except (LookupError, TypeError, ValueError, OverflowError):
             rejection = f"{store_path}:{lineno}: bad event record: "
             break
-    with mock.patch.object(ingest, "_PIECE", piece):
+    with mock.patch.object(store_module, "_PIECE", piece):
         outcome = _store_outcome(store_path)
     if isinstance(outcome, str):
         assert rejection is not None and outcome.startswith(rejection)
@@ -764,7 +759,7 @@ def test_load_store_matches_the_per_line_event_oracle(tmp_path_factory, valid, m
         except ValueError:
             return line
     store_path.write_text("\n".join([header, *map(respaced, lines)]) + "\n", encoding="utf-8")
-    with mock.patch.object(ingest, "_PIECE", piece):
+    with mock.patch.object(store_module, "_PIECE", piece):
         assert _store_outcome(store_path) == outcome
 
 
@@ -834,7 +829,7 @@ _GROUPED_EVENTS = st.builds(
 
 @settings(max_examples=100, deadline=None)
 @given(events=st.lists(_GROUPED_EVENTS, max_size=12), piece=_PIECES)
-@example(events=[], piece=ingest._PIECE)
+@example(events=[], piece=store_module._PIECE)
 @example(events=[make_event("r1", "20:00:00", "21:00:00", channel="Ch1"),
                  make_event("r2", "20:00:00", "21:00:00", attributes={"temp": AttributeValue.numeric(3)}),
                  make_event("r1", "22:00:00", "23:00:00", service="radio",
@@ -842,7 +837,7 @@ _GROUPED_EVENTS = st.builds(
 def test_history_of_events_and_of_the_loaded_store_match_the_per_event_oracle(tmp_path_factory, events, piece):
     store_path = tmp_path_factory.mktemp("store") / "store.jsonl"
     write_store(store_path, events, {"config": {}})
-    with mock.patch.object(ingest, "_PIECE", piece):
+    with mock.patch.object(store_module, "_PIECE", piece):
         loaded = load_store(store_path).history
     ordered = sorted(events, key=store_order)
     indexed = History(ordered)

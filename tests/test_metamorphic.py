@@ -1,5 +1,5 @@
 """Symmetries of the whole pipeline: rotating every time of day, reordering the request lines, adding the
-events of another service and location, and relabelling the residents in order."""
+events of another service and location, relabelling the residents in order, and doubling the history."""
 
 import contextlib
 import dataclasses
@@ -13,10 +13,11 @@ from homearbiter.aggregate import STRATEGIES, resolve
 from homearbiter.cli import main
 from homearbiter.config import RunConfig
 from homearbiter.detect import detect_conflicts
-from homearbiter.ingest import sha256_file, write_store
+from homearbiter.ingest import sha256_file
 from homearbiter.intervals import SECONDS_PER_DAY, TimeOfDayInterval, format_hms
 from homearbiter.model import AttributeValue, ServiceEvent, ServiceRequest
 from homearbiter.preferences import History
+from homearbiter.store import write_store
 
 _RESIDENTS = st.sampled_from(["alice", "bob", "cara"])
 _CHANNELS = st.sampled_from(["Ch1", "Ch2", "Ch3"])
@@ -170,3 +171,16 @@ def test_relabelling_residents_in_order_keeps_every_ranking_and_choice(requests,
             relabelled_resolution = resolve(other, relabelled_history, CONFIG, strategy)
             assert relabelled_resolution.ranked == resolution.ranked, strategy
             assert relabelled_resolution.chosen == resolution.chosen, strategy
+
+
+@settings(max_examples=100, deadline=None)
+@given(requests=_REQUESTS, events=_EVENTS)
+@example(requests=_MIDNIGHT, events=_MIDNIGHT_HISTORY)
+def test_doubling_every_history_event_keeps_every_choice(requests, events):
+    history = _events(events)
+    doubled = History(history + [dataclasses.replace(e, event_id=f"{e.event_id}-copy") for e in history])
+    history = History(history)
+    for strategy in STRATEGIES:
+        for situation in detect_conflicts(_requests(requests)):
+            chosen = resolve(situation, history, CONFIG, strategy).chosen
+            assert resolve(situation, doubled, CONFIG, strategy).chosen == chosen, strategy

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from homearbiter.cli import main
 from homearbiter.errors import ParseError
-from homearbiter.ingest import check_record, record_errors
+from homearbiter.records import check_record, record_errors
 from homearbiter.synthetic import synthetic_household
 
 from conftest import DELETE, JSON_VALUES, rewrite_json_line
