@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from homearbiter import log as log_module, store as store_module
+from homearbiter import log as log_module, records as records_module, store as store_module
 from homearbiter.cli import cli, main
 from homearbiter.config import RunConfig
 from homearbiter.ingest import sha256_file
@@ -57,9 +57,9 @@ def test_ingest_writes_every_event_line_in_the_canonical_form(tmp_path, monkeypa
     header, *events = store.read_text(encoding="utf-8").splitlines()
     assert any(f'"kind":"{kind}"' in line for line in events)
     parsed = []
-    parse_json = store_module.parse_json
-    monkeypatch.setattr(store_module, "parse_json",
-                        lambda text, *where: parsed.append(text) or parse_json(text, *where))
+    parse_json = records_module.parse_json
+    for module in (records_module, store_module):  # the header's reader, and json_lines of the per-line reader
+        monkeypatch.setattr(module, "parse_json", lambda text, *where: parsed.append(text) or parse_json(text, *where))
     history = store_module.load_store(store).history
     assert sum(len(columns.date) for columns in history.groups.values()) == len(events)
     assert parsed == [header]
